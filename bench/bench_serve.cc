@@ -103,8 +103,29 @@ std::vector<std::string> SessionQueries(const std::string& product,
   return queries;
 }
 
+/// True when every output carries at least one point. A selection that
+/// matches nothing (a misspelled product, an absent country) still
+/// succeeds, so without this check a pass would time empty results.
+bool EveryOutputHasPoints(const std::vector<std::vector<zv::Visualization>>&
+                              outputs) {
+  for (const auto& visuals : outputs) {
+    size_t points = 0;
+    for (const zv::Visualization& v : visuals) points += v.xs.size();
+    if (points == 0) return false;
+  }
+  return !outputs.empty();
+}
+
+bool EveryOutputHasPoints(const zv::zql::ZqlResult* result) {
+  if (result == nullptr) return false;
+  std::vector<std::vector<zv::Visualization>> outputs;
+  for (const auto& out : result->outputs) outputs.push_back(out.visuals);
+  return EveryOutputHasPoints(outputs);
+}
+
 /// One closed-loop pass: every session thread submits its queries in
-/// order, waiting on each. Returns all end-to-end latencies.
+/// order, waiting on each. Returns all end-to-end latencies; a failed
+/// query, or one with an output that has no points, counts in *errors.
 std::vector<double> RunPass(zv::server::QueryService& service,
                             const std::vector<zv::server::SessionId>& sessions,
                             const std::string& dataset,
@@ -130,7 +151,12 @@ std::vector<double> RunPass(zv::server::QueryService& service,
           errors->fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        local.push_back(timer.ElapsedMs());
+        const double ms = timer.ElapsedMs();
+        if (!EveryOutputHasPoints(handle.result().get())) {
+          errors->fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        local.push_back(ms);
       }
       std::lock_guard<std::mutex> lock(mu);
       latencies.insert(latencies.end(), local.begin(), local.end());
@@ -186,7 +212,7 @@ int main() {
     // session (the shared trend scan demonstrates cross-session hits);
     // measures alternate for extra key diversity.
     const std::string product =
-        "product_" + std::to_string(s % data_opts.num_products);
+        "product" + std::to_string(s % data_opts.num_products);
     const std::string measure = s % 2 == 0 ? "sales" : "profit";
     mixes.push_back(SessionQueries(product, measure, "country='US'"));
     remixed.push_back(SessionQueries(product, measure, "country='UK'"));
@@ -257,10 +283,10 @@ int main() {
   std::vector<std::vector<std::string>> wire_mixes;
   for (size_t s = 0; s < num_sessions; ++s) {
     const std::string product =
-        "product_" + std::to_string(s % data_opts.num_products);
+        "product" + std::to_string(s % data_opts.num_products);
     wire_mixes.push_back(SessionQueries(product,
                                         s % 2 == 0 ? "sales" : "profit",
-                                        "country='DE'"));
+                                        "country='country2'"));
   }
   std::vector<double> wire_total_ms;
   std::vector<double> wire_codec_ms;
@@ -297,7 +323,11 @@ int main() {
           }
           const zv::api::QueryResponse response =
               zv::api::ExecuteRequest(service, sessions[s], *decoded);
-          if (!response.ok()) {
+          std::vector<std::vector<zv::Visualization>> pages;
+          for (const auto& slice : response.outputs) {
+            pages.push_back(slice.visuals);
+          }
+          if (!response.ok() || !EveryOutputHasPoints(pages)) {
             wire_errors.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
@@ -361,7 +391,7 @@ int main() {
   std::vector<std::string> batch_queries;
   for (size_t i = 0; i < kBatchN; ++i) {
     batch_queries.push_back(zv::StrFormat(
-        "*f1 | 'year' | '%s' | 'product'.'product_%zu' | | "
+        "*f1 | 'year' | '%s' | 'product'.'product%zu' | | "
         "bar.(y=agg('sum')) |",
         i % 2 == 0 ? "sales" : "profit", i));
   }
@@ -394,7 +424,8 @@ int main() {
       zv::bench::WallTimer timer;
       auto submitted =
           batched.Submit(bsessions[0], table->name(), batch_queries[0]);
-      if (!submitted.ok() || !submitted->Wait().ok()) {
+      if (!submitted.ok() || !submitted->Wait().ok() ||
+          !EveryOutputHasPoints(submitted->result().get())) {
         batch_errors.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -407,7 +438,8 @@ int main() {
       threads.emplace_back([&, s] {
         auto submitted =
             batched.Submit(bsessions[s], table->name(), batch_queries[s]);
-        if (!submitted.ok() || !submitted->Wait().ok()) {
+        if (!submitted.ok() || !submitted->Wait().ok() ||
+            !EveryOutputHasPoints(submitted->result().get())) {
           batch_errors.fetch_add(1, std::memory_order_relaxed);
         }
       });
@@ -516,5 +548,6 @@ int main() {
                {"p999_ms", zv::StrFormat("%.4f", traced_p.p999)},
                {"threshold", "1.05x+0.05ms"},
                {"pass", trace_ok ? "yes" : "no"}});
-  return 0;
+  // A failed or empty query means a pass timed the wrong work.
+  return errors.load() + wire_errors.load() + batch_errors.load() > 0 ? 1 : 0;
 }

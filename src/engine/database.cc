@@ -151,6 +151,18 @@ Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
   return RunBlockedOverRows(*table, stmt, rows);
 }
 
+Result<ResultSet> Database::ExecuteInternal(const sql::SelectStatement& stmt) {
+  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
+  ZV_ASSIGN_OR_RETURN(std::unique_ptr<ChunkScanner> scanner,
+                      PrepareChunkScan(stmt));
+  // ScanRange is const and thread-safe, so one scanner serves every block.
+  return RunBlocked(*table, stmt,
+                    [&scanner](uint32_t begin, uint32_t end,
+                               std::vector<uint32_t>* out) {
+                      return scanner->ScanRange(begin, end, out);
+                    });
+}
+
 void Database::BeginRequest(size_t num_queries) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   queries_.fetch_add(num_queries, std::memory_order_relaxed);

@@ -205,8 +205,10 @@ class Database {
   uint64_t request_latency_micros() const { return request_latency_micros_; }
 
  protected:
-  virtual Result<ResultSet> ExecuteInternal(
-      const sql::SelectStatement& stmt) = 0;
+  /// Executes one statement without request accounting: the backend's
+  /// PrepareChunkScan selects each block's rows for RunBlocked, so both
+  /// backends aggregate through the same blocked runner and layouts.
+  virtual Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt);
 
   Catalog catalog_;
 

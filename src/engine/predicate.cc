@@ -46,17 +46,10 @@ bool CompareDoubles(double lhs, CompareOp op, double rhs) {
   return false;
 }
 
-}  // namespace
-
 bool LeafPredicateAccepts(const sql::Expr& expr, const Value& v) {
   switch (expr.kind) {
     case Expr::Kind::kCompare:
       return CompareValues(v, expr.op, expr.value);
-    case Expr::Kind::kIn:
-      for (const Value& candidate : expr.values) {
-        if (v == candidate) return true;
-      }
-      return false;
     case Expr::Kind::kBetween:
       return v >= expr.values[0] && v <= expr.values[1];
     case Expr::Kind::kLike:
@@ -64,6 +57,47 @@ bool LeafPredicateAccepts(const sql::Expr& expr, const Value& v) {
     default:
       return false;
   }
+}
+
+}  // namespace
+
+std::vector<uint8_t> CategoricalAcceptSet(const Table& table, size_t col,
+                                          const sql::Expr& leaf) {
+  const size_t dict_size = table.DictSize(col);
+  std::vector<uint8_t> accept(dict_size, 0);
+  const bool by_equality =
+      leaf.kind == Expr::Kind::kIn ||
+      (leaf.kind == Expr::Kind::kCompare &&
+       (leaf.op == CompareOp::kEq || leaf.op == CompareOp::kNe));
+  if (by_equality && table.DictOrderStrict(col)) {
+    const std::vector<int32_t>& by_rank = table.DictCodesByRank(col);
+    const auto mark = [&](const Value& v) {
+      const auto [lo, hi] = table.EqualRankRange(col, v);
+      for (size_t r = lo; r < hi; ++r) {
+        accept[static_cast<size_t>(by_rank[r])] = 1;
+      }
+    };
+    if (leaf.kind == Expr::Kind::kIn) {
+      for (const Value& v : leaf.values) mark(v);
+    } else {
+      mark(leaf.value);
+    }
+    if (leaf.kind == Expr::Kind::kCompare && leaf.op == CompareOp::kNe) {
+      for (uint8_t& a : accept) a ^= 1;
+    }
+    return accept;
+  }
+  // No strict order (a NaN in the dictionary): test each value, so the
+  // answer is exactly Value::Compare's, however inconsistent.
+  for (size_t code = 0; code < dict_size; ++code) {
+    const Value& v = table.DictValue(col, static_cast<int32_t>(code));
+    if (leaf.kind == Expr::Kind::kIn) {
+      for (const Value& candidate : leaf.values) accept[code] |= v == candidate;
+    } else {
+      accept[code] = LeafPredicateAccepts(leaf, v);
+    }
+  }
+  return accept;
 }
 
 
@@ -113,13 +147,8 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
       node.col = col;
       if (type == ColumnType::kCategorical) {
         node.kind = Node::Kind::kCatAccept;
-        const size_t dict_size = table.DictSize(static_cast<size_t>(col));
-        node.accept.resize(dict_size);
-        for (size_t code = 0; code < dict_size; ++code) {
-          node.accept[code] = LeafPredicateAccepts(
-              e, table.DictValue(static_cast<size_t>(col),
-                                 static_cast<int32_t>(code)));
-        }
+        node.accept =
+            CategoricalAcceptSet(table, static_cast<size_t>(col), e);
         cp->nodes_.push_back(std::move(node));
         return static_cast<int>(cp->nodes_.size() - 1);
       }

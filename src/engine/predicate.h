@@ -19,10 +19,14 @@
 
 namespace zv {
 
-/// Evaluates a leaf predicate (kCompare / kIn / kBetween / kLike) against a
-/// single value. Shared by the scan predicate compiler (dictionary
-/// accept-vectors) and the Roaring index planner (accepted-code sets).
-bool LeafPredicateAccepts(const sql::Expr& leaf, const Value& v);
+/// Evaluates a leaf predicate (kCompare / kIn / kBetween / kLike) over
+/// categorical column `col`'s dictionary: accept[code] says whether the
+/// leaf holds for that code's value. Equality, inequality and IN look
+/// their values up in the dictionary's order (Table::EqualRankRange), so
+/// an IN list costs O(|IN| log d + d), not O(|IN| d). Shared by the scan
+/// predicate compiler and the Roaring index planner.
+std::vector<uint8_t> CategoricalAcceptSet(const Table& table, size_t col,
+                                          const sql::Expr& leaf);
 
 /// \brief A sql::Expr compiled against one table.
 class CompiledPredicate {

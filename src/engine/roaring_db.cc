@@ -5,7 +5,6 @@
 
 #include "common/cancel.h"
 #include "engine/predicate.h"
-#include "engine/select_runner.h"
 
 namespace zv {
 
@@ -94,26 +93,16 @@ std::optional<RoaringBitmap> RoaringDatabase::TryBitmap(
         return std::nullopt;  // measure columns are un-indexed
       }
       const auto& bitmaps = index.per_value[c];
-      const size_t dict_size = table.DictSize(c);
-      std::vector<size_t> accepted;
-      for (size_t code = 0; code < dict_size; ++code) {
-        if (LeafPredicateAccepts(
-                expr, table.DictValue(c, static_cast<int32_t>(code)))) {
-          accepted.push_back(code);
-        }
-      }
+      const std::vector<uint8_t> accept = CategoricalAcceptSet(table, c, expr);
+      const size_t accepted =
+          static_cast<size_t>(std::count(accept.begin(), accept.end(), 1));
       // OR the smaller side; complement when most codes are accepted.
-      const bool complement = accepted.size() > dict_size / 2;
+      const bool complement = accepted > accept.size() / 2;
       RoaringBitmap acc;
-      if (!complement) {
-        for (size_t code : accepted) acc.OrWith(bitmaps[code]);
-        return acc;
+      for (size_t code = 0; code < accept.size(); ++code) {
+        if ((accept[code] != 0) != complement) acc.OrWith(bitmaps[code]);
       }
-      std::vector<uint8_t> is_accepted(dict_size, 0);
-      for (size_t code : accepted) is_accepted[code] = 1;
-      for (size_t code = 0; code < dict_size; ++code) {
-        if (!is_accepted[code]) acc.OrWith(bitmaps[code]);
-      }
+      if (!complement) return acc;
       return RoaringBitmap::AndNot(index.all_rows, acc);
     }
   }
@@ -204,55 +193,6 @@ Result<std::unique_ptr<ChunkScanner>> RoaringDatabase::PrepareChunkScan(
   if (!split.filter.has_value()) return Database::PrepareChunkScan(stmt);
   return std::unique_ptr<ChunkScanner>(new RoaringChunkScanner(
       std::move(table), std::move(*split.filter), std::move(split.residual)));
-}
-
-Result<ResultSet> RoaringDatabase::ExecuteInternal(
-    const sql::SelectStatement& stmt) {
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-
-  if (stmt.where == nullptr) {
-    // No predicate: the 100%-selectivity path Figure 7.5 contrasts against
-    // the scan backend. all_rows is FromRange(0, n) by construction, so
-    // blocks consume [begin, end) directly — materializing n row ids first
-    // would only add an O(n) allocation to the hot path.
-    auto it = indexes_.find(stmt.table);
-    if (it == indexes_.end()) return Status::Internal("missing index");
-    return RunBlocked(*table, stmt,
-                      [](size_t begin, size_t end, SelectRunner& runner) {
-                        for (size_t row = begin; row < end; ++row) {
-                          runner.Consume(row);
-                        }
-                      });
-  }
-
-  auto idx_it = indexes_.find(stmt.table);
-  if (idx_it == indexes_.end()) return Status::Internal("missing index");
-
-  // Split a top-level conjunction into index-answerable and residual parts.
-  ZV_ASSIGN_OR_RETURN(SplitPredicate split,
-                      SplitWhere(*table, idx_it->second, *stmt.where));
-
-  if (split.filter.has_value()) {
-    std::vector<uint32_t> rows;
-    rows.reserve(split.filter->Cardinality());
-    if (split.residual.has_value()) {
-      const CompiledPredicate& pred = *split.residual;
-      split.filter->ForEach([&rows, &pred](uint32_t row) {
-        if (pred.Test(row)) rows.push_back(row);
-      });
-    } else {
-      split.filter->ForEach([&rows](uint32_t row) { rows.push_back(row); });
-    }
-    return RunBlockedOverRows(*table, stmt, rows);
-  }
-  // Nothing indexable: full scan with the residual predicate.
-  const CompiledPredicate& pred = *split.residual;
-  return RunBlocked(*table, stmt,
-                    [&pred](size_t begin, size_t end, SelectRunner& runner) {
-                      for (size_t row = begin; row < end; ++row) {
-                        if (pred.Test(row)) runner.Consume(row);
-                      }
-                    });
 }
 
 }  // namespace zv

@@ -39,13 +39,11 @@ class RoaringDatabase : public Database {
   /// Chunk-scan compilation reusing the bitmap indexes: the index-answerable
   /// part of the WHERE becomes one Roaring filter (built once per
   /// statement), and ScanRange extracts the filter's values inside each
-  /// chunk range, testing the residual predicate per survivor — the same
-  /// split ExecuteInternal uses, so the selected rows are identical.
+  /// chunk range, testing the residual predicate per survivor. It also
+  /// serves Execute (Database::ExecuteInternal), so every entry point
+  /// selects the same rows.
   Result<std::unique_ptr<ChunkScanner>> PrepareChunkScan(
       const sql::SelectStatement& stmt) override;
-
- protected:
-  Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt) override;
 
  private:
   struct TableIndex {

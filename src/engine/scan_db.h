@@ -23,9 +23,6 @@ class ScanDatabase : public Database {
   /// per-statement row lists are exactly what N solo scans would select.
   Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts) override;
-
- protected:
-  Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt) override;
 };
 
 }  // namespace zv

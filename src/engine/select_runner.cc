@@ -17,7 +17,9 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
                                         const SelectStatement& stmt) {
   SelectRunner r;
   r.table_ = &table;
-  r.stmt_ = stmt;
+  for (const auto& item : stmt.items) r.columns_.push_back(item.DisplayName());
+  r.order_by_ = stmt.order_by;
+  r.limit_ = stmt.limit;
 
   bool any_agg = false;
   for (const auto& item : stmt.items) any_agg |= item.is_aggregate();
@@ -151,7 +153,14 @@ uint64_t SelectRunner::DenseKey(size_t row) const {
   return key;
 }
 
-void SelectRunner::AccumulateInto(AggState* states, size_t row) {
+double SelectRunner::AggInput(const ItemPlan& item, size_t row) const {
+  if (item.dptr != nullptr) return item.dptr[row];
+  if (item.iptr != nullptr) return static_cast<double>(item.iptr[row]);
+  return table_->NumericAt(row, static_cast<size_t>(item.col));
+}
+
+template <typename InputFn>
+void SelectRunner::FoldRow(AggState* states, InputFn&& input) const {
   for (const ItemPlan& item : items_) {
     if (!item.is_agg) continue;
     AggState& s = states[item.agg_slot];
@@ -159,19 +168,18 @@ void SelectRunner::AccumulateInto(AggState* states, size_t row) {
       ++s.count;
       continue;
     }
-    double v;
-    if (item.dptr != nullptr) {
-      v = item.dptr[row];
-    } else if (item.iptr != nullptr) {
-      v = static_cast<double>(item.iptr[row]);
-    } else {
-      v = table_->NumericAt(row, static_cast<size_t>(item.col));
-    }
+    const double v = input(item);
     s.sum += v;
     ++s.count;
     if (v < s.min) s.min = v;
     if (v > s.max) s.max = v;
   }
+}
+
+void SelectRunner::AccumulateInto(AggState* states, size_t row) const {
+  FoldRow(states, [this, row](const ItemPlan& item) {
+    return AggInput(item, row);
+  });
 }
 
 void SelectRunner::Consume(size_t row) {
@@ -187,13 +195,10 @@ void SelectRunner::Consume(size_t row) {
   if (groups_categorical_) {
     const uint64_t key = group_cols_.empty() ? 0 : DenseKey(row);
     if (dense_) {
-      AggState* states =
-          &dense_states_[key * static_cast<uint64_t>(std::max(1, num_aggs_))];
-      if (!dense_seen_[key]) {
-        dense_seen_[key] = 1;
-        dense_keys_in_order_.push_back(key);
-      }
-      AccumulateInto(states, row);
+      dense_seen_[key] = 1;
+      AccumulateInto(
+          &dense_states_[key * static_cast<uint64_t>(std::max(1, num_aggs_))],
+          row);
     } else {
       auto [it, inserted] =
           hash_slots_.try_emplace(key, static_cast<uint32_t>(hash_keys_.size()));
@@ -238,17 +243,23 @@ void SelectRunner::Consume(size_t row) {
                  row);
 }
 
+namespace {
+
+/// Adds a later partial's aggregate states into an earlier one's.
+template <typename State>
+void MergeStates(State* into, const State* from, size_t naggs) {
+  for (size_t a = 0; a < naggs; ++a) {
+    into[a].sum += from[a].sum;
+    into[a].count += from[a].count;
+    if (from[a].min < into[a].min) into[a].min = from[a].min;
+    if (from[a].max > into[a].max) into[a].max = from[a].max;
+  }
+}
+
+}  // namespace
+
 void SelectRunner::MergeFrom(SelectRunner&& other) {
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
-  const auto merge_states = [naggs](AggState* into, const AggState* from) {
-    for (size_t a = 0; a < naggs; ++a) {
-      into[a].sum += from[a].sum;
-      into[a].count += from[a].count;
-      if (from[a].min < into[a].min) into[a].min = from[a].min;
-      if (from[a].max > into[a].max) into[a].max = from[a].max;
-    }
-  };
-
   if (!aggregation_) {
     projected_rows_.insert(
         projected_rows_.end(),
@@ -258,13 +269,11 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
   }
   if (groups_categorical_) {
     if (dense_) {
-      for (uint64_t key : other.dense_keys_in_order_) {
-        if (!dense_seen_[key]) {
-          dense_seen_[key] = 1;
-          dense_keys_in_order_.push_back(key);
-        }
-        merge_states(&dense_states_[key * naggs],
-                     &other.dense_states_[key * naggs]);
+      for (size_t key = 0; key < other.dense_seen_.size(); ++key) {
+        if (!other.dense_seen_[key]) continue;
+        dense_seen_[key] = 1;
+        MergeStates(&dense_states_[key * naggs],
+                    &other.dense_states_[key * naggs], naggs);
       }
     } else {
       for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
@@ -275,8 +284,8 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
           hash_keys_.push_back(key);
           hash_states_.resize(hash_states_.size() + naggs);
         }
-        merge_states(&hash_states_[static_cast<size_t>(it->second) * naggs],
-                     &other.hash_states_[idx * naggs]);
+        MergeStates(&hash_states_[static_cast<size_t>(it->second) * naggs],
+                    &other.hash_states_[idx * naggs], naggs);
       }
     }
     return;
@@ -288,9 +297,107 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
       generic_keys_.push_back(key);
       generic_states_.resize(generic_states_.size() + naggs);
     }
-    merge_states(&generic_states_[static_cast<size_t>(it->second) * naggs],
-                 &other.generic_states_[static_cast<size_t>(slot) * naggs]);
+    MergeStates(&generic_states_[static_cast<size_t>(it->second) * naggs],
+                &other.generic_states_[static_cast<size_t>(slot) * naggs],
+                naggs);
   }
+}
+
+namespace {
+
+/// A dense group space this many times narrower than a block's rows is
+/// replicated per block; anything wider is aggregated key-partitioned.
+constexpr uint64_t kReplicaRowsPerGroup = 4;
+
+}  // namespace
+
+bool SelectRunner::KeyPartitioned(size_t rows_per_block) const {
+  if (!aggregation_ || !dense_ || group_cols_.empty()) return false;
+  return total_groups_ > kBlockAssociationGroupLimit ||
+         total_groups_ * kReplicaRowsPerGroup >= rows_per_block;
+}
+
+Status SelectRunner::ConsumeByKeyRange(const std::vector<BlockRows>& blocks) {
+  const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
+  const size_t groups = static_cast<size_t>(total_groups_);
+  // Part p owns the keys whose run of kKeyRunBits-aligned keys has index
+  // p mod parts: parts are balanced, and no two write one cache line.
+  constexpr unsigned kKeyRunBits = 6;
+  constexpr size_t kMaxParts = 64;
+  size_t parts = 1;
+  while (parts < std::min(ParallelWorkerCount(), kMaxParts)) parts <<= 1;
+  const uint32_t part_mask = static_cast<uint32_t>(parts - 1);
+  size_t inputs_per_row = 0;
+  for (const ItemPlan& item : items_) inputs_per_row += item.is_agg && item.col >= 0;
+
+  // Scatter: every block routes each row's key and aggregate inputs to
+  // its owning part, so the fold below reads only its own rows, in order.
+  struct Bucket {
+    std::vector<uint32_t> keys;
+    std::vector<double> inputs;
+  };
+  std::vector<Bucket> buckets(blocks.size() * parts);
+  ParallelFor(blocks.size(), [&](size_t b) {
+    Bucket* out = &buckets[b * parts];
+    const size_t expect =
+        static_cast<size_t>(blocks[b].end - blocks[b].begin) / parts;
+    for (size_t p = 0; p < parts; ++p) {
+      out[p].keys.reserve(expect);
+      out[p].inputs.reserve(expect * inputs_per_row);
+    }
+    for (const uint32_t* row = blocks[b].begin; row != blocks[b].end; ++row) {
+      const uint32_t key = static_cast<uint32_t>(DenseKey(*row));
+      Bucket& bucket = out[(key >> kKeyRunBits) & part_mask];
+      bucket.keys.push_back(key);
+      for (const ItemPlan& item : items_) {
+        if (item.is_agg && item.col >= 0) {
+          bucket.inputs.push_back(AggInput(item, *row));
+        }
+      }
+    }
+  });
+  ZV_RETURN_NOT_OK(CheckCancelled());
+
+  // partial_block[k] is the block whose partial group k holds (0 = none).
+  const bool per_block = total_groups_ <= kBlockAssociationGroupLimit;
+  std::vector<AggState> partials(per_block ? groups * naggs : 0);
+  std::vector<uint8_t> partial_block(per_block ? groups : 0, 0);
+  ParallelFor(parts, [&](size_t p) {
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const Bucket& bucket = buckets[b * parts + p];
+      const double* in = bucket.inputs.data();
+      const auto next_input = [&in](const ItemPlan&) { return *in++; };
+      for (const uint32_t key : bucket.keys) {
+        dense_seen_[key] = 1;
+        AggState* final_states = &dense_states_[key * naggs];
+        if (b == 0 || !per_block) {
+          FoldRow(final_states, next_input);
+          continue;
+        }
+        AggState* partial = &partials[key * naggs];
+        if (partial_block[key] != b) {
+          if (partial_block[key] != 0) {
+            MergeStates(final_states, partial, naggs);
+          }
+          std::fill(partial, partial + naggs, AggState());
+          partial_block[key] = static_cast<uint8_t>(b);
+        }
+        FoldRow(partial, next_input);
+      }
+    }
+    if (!per_block) return;
+    for (size_t run = p << kKeyRunBits; run < groups;
+         run += parts << kKeyRunBits) {
+      const size_t run_end = std::min(groups, run + (size_t{1} << kKeyRunBits));
+      for (size_t key = run; key < run_end; ++key) {
+        if (partial_block[key] != 0) {
+          MergeStates(&dense_states_[key * naggs], &partials[key * naggs],
+                      naggs);
+        }
+      }
+    }
+  });
+  return CheckCancelled();
 }
 
 Value SelectRunner::GroupColValue(int group_pos, uint64_t key) const {
@@ -322,10 +429,64 @@ Value SelectRunner::FinalizeAgg(const AggState& s, AggFunc f) const {
   return Value::Null();
 }
 
+bool SelectRunner::OrderKeysByRank(std::vector<uint64_t>* keys) const {
+  if (order_by_.empty()) return false;
+  // Resolve each ORDER BY column to its output column exactly as
+  // ApplyOrderAndLimit does; anything but a strictly ordered categorical
+  // group key leaves the sort to it.
+  struct RankKey {
+    size_t pos;
+    bool desc;
+  };
+  std::vector<RankKey> rank_keys;
+  std::vector<uint8_t> used(group_cols_.size(), 0);
+  for (const sql::OrderKey& k : order_by_) {
+    const auto it = std::find(columns_.begin(), columns_.end(), k.column);
+    if (it == columns_.end()) return false;
+    const ItemPlan& item = items_[static_cast<size_t>(it - columns_.begin())];
+    if (item.is_agg) return false;
+    const size_t pos = static_cast<size_t>(item.group_pos);
+    if (!table_->DictOrderStrict(static_cast<size_t>(group_cols_[pos]))) {
+      return false;
+    }
+    // A repeated key never breaks a tie its first occurrence left.
+    if (used[pos]) continue;
+    used[pos] = 1;
+    rank_keys.push_back({pos, k.descending});
+  }
+  // One integer per group: its ORDER BY ranks in mixed radix (their
+  // product is at most total_groups_), then the key itself — the
+  // position a stable sort of key-ordered rows would break ties by.
+  std::vector<uint64_t> sort_keys;
+  sort_keys.reserve(keys->size());
+  for (uint64_t key : *keys) {
+    uint64_t ranked = 0;
+    for (const RankKey& rk : rank_keys) {
+      const uint64_t d = group_dict_sizes_[rk.pos];
+      const uint64_t code = (key / group_strides_[rk.pos]) % d;
+      const uint64_t rank = static_cast<uint64_t>(
+          table_->DictRanks(static_cast<size_t>(
+              group_cols_[rk.pos]))[static_cast<size_t>(code)]);
+      ranked = ranked * d + (rk.desc ? d - 1 - rank : rank);
+    }
+    sort_keys.push_back(ranked * total_groups_ + key);
+  }
+  if (limit_ >= 0 && sort_keys.size() > static_cast<size_t>(limit_)) {
+    const auto mid = sort_keys.begin() + limit_;
+    std::partial_sort(sort_keys.begin(), mid, sort_keys.end());
+    sort_keys.erase(mid, sort_keys.end());
+  } else {
+    std::sort(sort_keys.begin(), sort_keys.end());
+  }
+  keys->clear();
+  for (uint64_t s : sort_keys) keys->push_back(s % total_groups_);
+  return true;
+}
+
 Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
-  if (!stmt_.order_by.empty()) {
+  if (!order_by_.empty()) {
     std::vector<std::pair<int, bool>> keys;  // output column idx, desc
-    for (const auto& k : stmt_.order_by) {
+    for (const auto& k : order_by_) {
       const int idx = rs->Find(k.column);
       if (idx < 0) {
         return Status::Unsupported(
@@ -343,8 +504,8 @@ Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
       }
       return false;
     };
-    const size_t limit = static_cast<size_t>(stmt_.limit);
-    if (stmt_.limit >= 0 && rs->rows.size() > limit &&
+    const size_t limit = static_cast<size_t>(limit_);
+    if (limit_ >= 0 && rs->rows.size() > limit &&
         limit <= rs->rows.size() / 2) {
       // ORDER BY + LIMIT is a top-k problem: partially sort row *indices*
       // with the original position as the tie-break, which reproduces the
@@ -375,16 +536,15 @@ Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
     }
     std::stable_sort(rs->rows.begin(), rs->rows.end(), key_compare);
   }
-  if (stmt_.limit >= 0 &&
-      rs->rows.size() > static_cast<size_t>(stmt_.limit)) {
-    rs->rows.resize(static_cast<size_t>(stmt_.limit));
+  if (limit_ >= 0 && rs->rows.size() > static_cast<size_t>(limit_)) {
+    rs->rows.resize(static_cast<size_t>(limit_));
   }
   return Status::OK();
 }
 
 Result<ResultSet> SelectRunner::Finish() {
   ResultSet rs;
-  for (const auto& item : stmt_.items) rs.columns.push_back(item.DisplayName());
+  rs.columns = columns_;
 
   if (!aggregation_) {
     rs.rows = std::move(projected_rows_);
@@ -408,14 +568,19 @@ Result<ResultSet> SelectRunner::Finish() {
 
   if (groups_categorical_) {
     if (dense_) {
-      std::vector<uint64_t> keys = dense_keys_in_order_;
-      std::sort(keys.begin(), keys.end());
+      std::vector<uint64_t> keys;
+      for (size_t key = 0; key < dense_seen_.size(); ++key) {
+        if (dense_seen_[key]) keys.push_back(key);
+      }
       if (group_cols_.empty() && keys.empty() && num_aggs_ > 0) {
         // Aggregates over an empty selection: one row of empty aggregates,
         // mirroring SQL semantics for aggregate queries with no GROUP BY.
         keys.push_back(0);
       }
+      const bool ranked = OrderKeysByRank(&keys);
+      rs.rows.reserve(keys.size());
       for (uint64_t key : keys) emit_group(key, &dense_states_[key * naggs]);
+      if (ranked) return rs;
     } else {
       std::vector<uint64_t> keys = hash_keys_;
       std::sort(keys.begin(), keys.end());
@@ -452,21 +617,34 @@ namespace {
 constexpr size_t kScanBlockRows = 16384;
 constexpr size_t kMaxScanBlocks = 32;
 
-}  // namespace
+/// Yields block [begin, end)'s selected rows: a view into a caller-owned
+/// list, or rows selected into `scratch`.
+using BlockSource = std::function<Result<SelectRunner::BlockRows>(
+    uint32_t begin, uint32_t end, std::vector<uint32_t>* scratch)>;
 
-Result<ResultSet> RunBlocked(
-    const Table& table, const sql::SelectStatement& stmt,
-    const std::function<void(size_t begin, size_t end, SelectRunner& runner)>&
-        scan_block) {
+Result<ResultSet> RunBlockedImpl(const Table& table,
+                                 const sql::SelectStatement& stmt,
+                                 const BlockSource& source) {
   ZV_RETURN_NOT_OK(CheckCancelled());
   ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
   const size_t n = table.num_rows();
   const size_t blocks =
       std::min(kMaxScanBlocks, std::max<size_t>(1, n / kScanBlockRows));
-  if (blocks <= 1 || !runner.cheap_to_replicate()) {
-    scan_block(0, n, runner);
+  const auto block_begin = [n, blocks](size_t b) {
+    return static_cast<uint32_t>(n * b / blocks);
+  };
+  if (runner.KeyPartitioned(n / blocks)) {
+    std::vector<std::vector<uint32_t>> scratch(blocks);
+    std::vector<SelectRunner::BlockRows> rows(blocks);
+    ZV_RETURN_NOT_OK(ParallelForStatus(blocks, [&](size_t b) -> Status {
+      ZV_ASSIGN_OR_RETURN(
+          rows[b], source(block_begin(b), block_begin(b + 1), &scratch[b]));
+      return Status::OK();
+    }));
+    ZV_RETURN_NOT_OK(runner.ConsumeByKeyRange(rows));
     return runner.Finish();
   }
+
   std::vector<SelectRunner> runners;
   runners.reserve(blocks);
   runners.push_back(std::move(runner));
@@ -475,29 +653,49 @@ Result<ResultSet> RunBlocked(
                         SelectRunner::Plan(table, stmt));
     runners.push_back(std::move(block_runner));
   }
-  ParallelFor(blocks, [&](size_t b) {
-    scan_block(n * b / blocks, n * (b + 1) / blocks, runners[b]);
-  });
-  // A cancelled void ParallelFor stops claiming chunks without reporting;
-  // some blocks may be unscanned, so the merge below must not run.
-  ZV_RETURN_NOT_OK(CheckCancelled());
+  ZV_RETURN_NOT_OK(ParallelForStatus(blocks, [&](size_t b) -> Status {
+    std::vector<uint32_t> scratch;
+    ZV_ASSIGN_OR_RETURN(SelectRunner::BlockRows rows,
+                        source(block_begin(b), block_begin(b + 1), &scratch));
+    for (const uint32_t* row = rows.begin; row != rows.end; ++row) {
+      runners[b].Consume(*row);
+    }
+    return Status::OK();
+  }));
   for (size_t b = 1; b < blocks; ++b) {
     runners[0].MergeFrom(std::move(runners[b]));
   }
   return runners[0].Finish();
 }
 
+}  // namespace
+
+Result<ResultSet> RunBlocked(
+    const Table& table, const sql::SelectStatement& stmt,
+    const std::function<Status(uint32_t begin, uint32_t end,
+                               std::vector<uint32_t>* out)>& select_block) {
+  return RunBlockedImpl(
+      table, stmt,
+      [&select_block](uint32_t begin, uint32_t end,
+                      std::vector<uint32_t>* scratch)
+          -> Result<SelectRunner::BlockRows> {
+        ZV_RETURN_NOT_OK(select_block(begin, end, scratch));
+        return SelectRunner::BlockRows{scratch->data(),
+                                       scratch->data() + scratch->size()};
+      });
+}
+
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows) {
-  return RunBlocked(
+  return RunBlockedImpl(
       table, stmt,
-      [&rows](size_t begin, size_t end, SelectRunner& runner) {
-        auto lo = std::lower_bound(rows.begin(), rows.end(),
-                                   static_cast<uint32_t>(begin));
-        auto hi = std::lower_bound(rows.begin(), rows.end(),
-                                   static_cast<uint32_t>(end));
-        for (auto it = lo; it != hi; ++it) runner.Consume(*it);
+      [&rows](uint32_t begin, uint32_t end, std::vector<uint32_t>*)
+          -> Result<SelectRunner::BlockRows> {
+        const auto lo = std::lower_bound(rows.begin(), rows.end(), begin);
+        const auto hi = std::lower_bound(lo, rows.end(), end);
+        return SelectRunner::BlockRows{rows.data() + (lo - rows.begin()),
+                                       rows.data() + (hi - rows.begin())};
       });
 }
 

@@ -29,6 +29,9 @@ class SelectRunner {
  public:
   /// Max group count for the dense (array-addressed) aggregation path.
   static constexpr uint64_t kDenseGroupLimit = 1u << 20;
+  /// Dense group spaces wider than this associate every sum serially (as
+  /// one block) instead of per block; see RunBlocked.
+  static constexpr uint64_t kBlockAssociationGroupLimit = 1u << 15;
 
   /// Validates the statement against the table and builds the plan.
   static Result<SelectRunner> Plan(const Table& table,
@@ -46,12 +49,28 @@ class SelectRunner {
   /// followed by merges produces exactly the serial Finish() output.
   void MergeFrom(SelectRunner&& other);
 
-  /// True when a per-block copy of this runner's aggregation state is
-  /// cheap (the dense path preallocates total_groups slots per block, so
-  /// very wide dense group spaces are better scanned serially).
-  bool cheap_to_replicate() const {
-    return !dense_ || total_groups_ <= (1u << 15);
-  }
+  /// One block's selected row ids, ascending.
+  struct BlockRows {
+    const uint32_t* begin = nullptr;
+    const uint32_t* end = nullptr;
+  };
+
+  /// True when RunBlocked aggregates this statement key-partitioned: a
+  /// dense group space wider than kBlockAssociationGroupLimit, or one
+  /// whose per-block replica would rival the `rows_per_block` rows it
+  /// aggregates (replicating and merging it would cost more than the
+  /// fold itself).
+  bool KeyPartitioned(size_t rows_per_block) const;
+
+  /// The key-partitioned fold: every worker owns a contiguous range of
+  /// dense keys and walks all blocks' rows in order, folding its own.
+  /// Block-0 rows fold into the final state; a later block's rows fold
+  /// into a partial that is added to the final state when the group's
+  /// block changes — exactly the association of per-block runners merged
+  /// in block order. Above kBlockAssociationGroupLimit every row folds
+  /// into the final state (the serial association). Requires
+  /// KeyPartitioned; a cancelled fold returns kCancelled.
+  Status ConsumeByKeyRange(const std::vector<BlockRows>& blocks);
 
   /// Builds the final result (applies ORDER BY and LIMIT).
   Result<ResultSet> Finish();
@@ -78,13 +97,27 @@ class SelectRunner {
   SelectRunner() = default;
 
   uint64_t DenseKey(size_t row) const;
-  void AccumulateInto(AggState* states, size_t row);
+  /// The value aggregate `item` (which reads a column) takes from `row`.
+  double AggInput(const ItemPlan& item, size_t row) const;
+  /// Folds one row into `states`; input(item) supplies AggInput for each
+  /// aggregate that reads a column, in item order.
+  template <typename InputFn>
+  void FoldRow(AggState* states, InputFn&& input) const;
+  void AccumulateInto(AggState* states, size_t row) const;
   Value GroupColValue(int group_pos, uint64_t key) const;
   Value FinalizeAgg(const AggState& s, sql::AggFunc f) const;
+  /// Sorts dense `keys` by the dictionary ranks of the ORDER BY columns
+  /// and applies LIMIT, when every ORDER BY column is a strictly ordered
+  /// categorical group key; returns false (keys untouched) otherwise.
+  bool OrderKeysByRank(std::vector<uint64_t>* keys) const;
   Status ApplyOrderAndLimit(ResultSet* rs) const;
 
   const Table* table_ = nullptr;
-  sql::SelectStatement stmt_;
+  /// Output column names (one per SELECT item) and the ORDER BY / LIMIT
+  /// clauses — all Finish needs of the statement.
+  std::vector<std::string> columns_;
+  std::vector<sql::OrderKey> order_by_;
+  int64_t limit_ = -1;
 
   bool aggregation_ = false;
 
@@ -106,7 +139,6 @@ class SelectRunner {
 
   std::vector<AggState> dense_states_;
   std::vector<uint8_t> dense_seen_;
-  std::vector<uint64_t> dense_keys_in_order_;
 
   std::unordered_map<uint64_t, uint32_t> hash_slots_;
   std::vector<AggState> hash_states_;
@@ -124,24 +156,32 @@ class SelectRunner {
 /// Drives a blocked — and, when ZV_THREADS allows, parallel — SELECT
 /// evaluation shared by both backends. The table's row space is split into
 /// contiguous blocks whose *count depends only on the row count* (never on
-/// the worker count); `scan_block(begin, end, runner)` feeds each block's
-/// surviving rows (in ascending order) to its own SelectRunner, and the
-/// block partials merge in block order. Aggregation therefore associates
-/// floats identically at every thread count, and both backends produce the
-/// same bytes for the same surviving rows. Falls back to one serial runner
-/// when the table is small or the dense group state is too wide to
-/// replicate per block.
+/// the worker count); `select_block(begin, end, out)` appends each block's
+/// surviving rows, ascending, to `out` (the ChunkScanner::ScanRange
+/// contract), and the first failing block's error is returned.
+///
+/// The association is fixed by the block structure: every group's rows
+/// fold per block, and the block partials add up in block order — or, for
+/// dense group spaces above kBlockAssociationGroupLimit, fold serially.
+/// Floats therefore associate identically at every thread count, in both
+/// layouts, and on both backends. The layouts:
+///  - per-block runners (narrow group spaces, projections, computed keys):
+///    each block aggregates into its own SelectRunner, and the runners
+///    merge in block order — one serial runner for a single block;
+///  - key-partitioned (SelectRunner::KeyPartitioned): the blocks' rows are
+///    collected, then SelectRunner::ConsumeByKeyRange folds them with each
+///    worker owning a key range.
 Result<ResultSet> RunBlocked(
     const Table& table, const sql::SelectStatement& stmt,
-    const std::function<void(size_t begin, size_t end, SelectRunner& runner)>&
-        scan_block);
+    const std::function<Status(uint32_t begin, uint32_t end,
+                               std::vector<uint32_t>* out)>& select_block);
 
-/// Feeds a sorted row-id list to RunBlocked: each block consumes the ids
-/// inside its [begin, end) range, located by binary search. Row ids stay in
+/// RunBlocked over a sorted row-id list: each block takes the ids inside
+/// its [begin, end) range, located by binary search. Row ids stay in
 /// ascending order inside every block, so the result is byte-identical to a
-/// scan that selected the same rows in place — this is how the Roaring
-/// backend finishes a bitmap selection and how the sharded chunk path
-/// (engine/database.h FinishChunkScan) aggregates its merged row list.
+/// scan that selected the same rows in place — this is how the sharded
+/// chunk and shared-scan paths (engine/database.h FinishChunkScan)
+/// aggregate their merged row lists.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows);

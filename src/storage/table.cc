@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -38,10 +39,35 @@ std::vector<std::string> Schema::ColumnNames() const {
 
 int32_t Table::LookupCode(size_t col, const Value& v) const {
   const auto& dict = dictionaries_[col];
-  for (size_t i = 0; i < dict.size(); ++i) {
-    if (dict[i] == v) return static_cast<int32_t>(i);
+  if (!DictOrderStrict(col)) {
+    for (size_t i = 0; i < dict.size(); ++i) {
+      if (dict[i] == v) return static_cast<int32_t>(i);
+    }
+    return -1;
   }
-  return -1;
+  const auto [lo, hi] = EqualRankRange(col, v);
+  int32_t code = -1;
+  for (size_t r = lo; r < hi; ++r) {
+    const int32_t c = dict_by_rank_[col][r];
+    if (code < 0 || c < code) code = c;
+  }
+  return code;
+}
+
+std::pair<size_t, size_t> Table::EqualRankRange(size_t col,
+                                                const Value& v) const {
+  const auto& dict = dictionaries_[col];
+  const auto& by_rank = dict_by_rank_[col];
+  const auto lo = std::lower_bound(
+      by_rank.begin(), by_rank.end(), v, [&dict](int32_t code, const Value& x) {
+        return dict[static_cast<size_t>(code)] < x;
+      });
+  const auto hi = std::upper_bound(
+      lo, by_rank.end(), v, [&dict](const Value& x, int32_t code) {
+        return x < dict[static_cast<size_t>(code)];
+      });
+  return {static_cast<size_t>(lo - by_rank.begin()),
+          static_cast<size_t>(hi - by_rank.begin())};
 }
 
 double Table::NumericAt(size_t row, size_t col) const {
@@ -76,6 +102,7 @@ size_t Table::MemoryBytes() const {
   for (const auto& c : ints_) n += c.size() * sizeof(int64_t);
   for (const auto& c : doubles_) n += c.size() * sizeof(double);
   for (const auto& d : dictionaries_) n += d.size() * 32;  // rough
+  for (const auto& r : dict_ranks_) n += 2 * r.size() * sizeof(int32_t);
   return n;
 }
 
@@ -150,7 +177,37 @@ Status TableBuilder::AddRow(const std::vector<Value>& values) {
   return Status::OK();
 }
 
-std::shared_ptr<Table> TableBuilder::Finish() { return std::move(table_); }
+std::shared_ptr<Table> TableBuilder::Finish() {
+  Table& t = *table_;
+  const size_t ncols = t.schema_.num_columns();
+  t.dict_ranks_.resize(ncols);
+  t.dict_by_rank_.resize(ncols);
+  t.dict_strict_.assign(ncols, 1);
+  for (size_t col = 0; col < ncols; ++col) {
+    const auto& dict = t.dictionaries_[col];
+    auto& by_rank = t.dict_by_rank_[col];
+    by_rank.resize(dict.size());
+    std::iota(by_rank.begin(), by_rank.end(), 0);
+    // Stable so that values comparing equal keep code order; a merge sort
+    // also stays in bounds when NaN makes Compare inconsistent.
+    std::stable_sort(by_rank.begin(), by_rank.end(),
+                     [&dict](int32_t a, int32_t b) {
+                       return dict[static_cast<size_t>(a)] <
+                              dict[static_cast<size_t>(b)];
+                     });
+    auto& ranks = t.dict_ranks_[col];
+    ranks.resize(dict.size());
+    for (size_t r = 0; r < by_rank.size(); ++r) {
+      ranks[static_cast<size_t>(by_rank[r])] = static_cast<int32_t>(r);
+      if (r > 0 && !(dict[static_cast<size_t>(by_rank[r - 1])] <
+                     dict[static_cast<size_t>(by_rank[r])])) {
+        t.dict_strict_[col] = 0;
+      }
+    }
+  }
+  dict_index_.clear();
+  return std::move(table_);
+}
 
 Status Catalog::AddTable(std::shared_ptr<Table> table) {
   const std::string& name = table->name();

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -80,7 +81,28 @@ class Table {
     return dictionaries_[col][static_cast<size_t>(code)];
   }
   /// Returns the code for `v` in column `col`, or -1 if not in dictionary.
+  /// Equality is Value's numeric-aware ==, so Int(2012) finds a 2012.0
+  /// entry; when several entries equal `v` the lowest code wins.
   int32_t LookupCode(size_t col, const Value& v) const;
+
+  /// --- Dictionary order ----------------------------------------------
+  /// Every categorical dictionary keeps its Value::Compare order, built
+  /// once at TableBuilder::Finish: DictRanks maps code -> rank (0 =
+  /// smallest) and DictCodesByRank is its inverse. Ties (values that
+  /// compare equal, e.g. a NaN) keep code order.
+  const std::vector<int32_t>& DictRanks(size_t col) const {
+    return dict_ranks_[col];
+  }
+  const std::vector<int32_t>& DictCodesByRank(size_t col) const {
+    return dict_by_rank_[col];
+  }
+  /// True when every rank compares strictly greater than the one before
+  /// it, so comparing ranks is exactly comparing values. Deduplication
+  /// makes this hold for any dictionary without NaN.
+  bool DictOrderStrict(size_t col) const { return dict_strict_[col] != 0; }
+  /// Ranks [first, second) of the entries equal to `v`, by binary search.
+  /// Requires DictOrderStrict(col).
+  std::pair<size_t, size_t> EqualRankRange(size_t col, const Value& v) const;
 
   /// --- Measure columns -----------------------------------------------
   double NumericAt(size_t row, size_t col) const;
@@ -116,6 +138,9 @@ class Table {
   // is populated.
   std::vector<std::vector<int32_t>> categorical_;
   std::vector<std::vector<Value>> dictionaries_;
+  std::vector<std::vector<int32_t>> dict_ranks_;
+  std::vector<std::vector<int32_t>> dict_by_rank_;
+  std::vector<uint8_t> dict_strict_;
   std::vector<std::vector<int64_t>> ints_;
   std::vector<std::vector<double>> doubles_;
 };
@@ -137,7 +162,8 @@ class TableBuilder {
 
   size_t num_rows() const { return table_->num_rows_; }
 
-  /// Finalizes and returns the table; the builder is consumed.
+  /// Finalizes and returns the table, building each dictionary's order;
+  /// the builder is consumed.
   std::shared_ptr<Table> Finish();
 
  private:

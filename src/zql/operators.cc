@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <unordered_set>
 
 #include "common/cancel.h"
 #include "common/clock.h"
@@ -35,6 +37,20 @@ std::string JoinKey(const std::vector<std::string>& parts) {
     out += '\x1f';
   }
   return out;
+}
+
+/// Same type and same payload, doubles by bit pattern — so equal values
+/// always render the same ToString (unlike ==, which equates 1 and 1.0,
+/// or 0.0 and -0.0).
+bool IdenticalValues(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_int()) return a.AsInt() == b.AsInt();
+  if (a.is_string()) return a.AsString() == b.AsString();
+  if (a.is_double()) {
+    const double x = a.AsDouble(), y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return true;  // both null
 }
 
 // ---------------------------------------------------------------------------
@@ -619,13 +635,14 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
       pf.row_tag = row_tag;
       for (size_t si : varying_slots) {
         const Slot& s = zslots[si];
+        // Distinct values in first-seen order; the hash set only answers
+        // membership, so its iteration order never reaches the output.
         std::vector<Value> values;
+        std::unordered_set<Value, ValueHash> seen;
         for (const auto& tuple : s.domain->tuples) {
           const Value& zval =
               std::get<ZValue>(tuple[static_cast<size_t>(s.pos)]).value;
-          if (std::find(values.begin(), values.end(), zval) == values.end()) {
-            values.push_back(zval);
-          }
+          if (seen.insert(zval).second) values.push_back(zval);
         }
         pf.varying_z_values.push_back(std::move(values));
       }
@@ -662,13 +679,26 @@ Status RouteFetch(const PendingFetch& pf, const ResultSet& rs, ExecState* st) {
   std::map<std::string, std::vector<const PendingFetch::Member*>> by_key;
   for (const auto& m : pf.members) by_key[m.z_key].push_back(&m);
 
+  // Rows arrive ordered by their z values (BuildStatement's ORDER BY), so
+  // the member lookup runs once per run of identical z values.
+  const std::vector<Value>* run_row = nullptr;
+  const std::vector<const PendingFetch::Member*>* run_members = nullptr;
   for (const auto& row : rs.rows) {
-    std::vector<std::string> z_parts;
-    for (int zc : z_cols) {
-      z_parts.push_back(row[static_cast<size_t>(zc)].ToString());
+    bool same_run = run_row != nullptr;
+    for (size_t i = 0; same_run && i < z_cols.size(); ++i) {
+      const size_t zc = static_cast<size_t>(z_cols[i]);
+      same_run = IdenticalValues(row[zc], (*run_row)[zc]);
     }
-    auto it = by_key.find(JoinKey(z_parts));
-    if (it == by_key.end()) continue;  // over-fetched combination
+    if (!same_run) {
+      std::vector<std::string> z_parts;
+      for (int zc : z_cols) {
+        z_parts.push_back(row[static_cast<size_t>(zc)].ToString());
+      }
+      auto it = by_key.find(JoinKey(z_parts));
+      run_members = it == by_key.end() ? nullptr : &it->second;
+      run_row = &row;
+    }
+    if (run_members == nullptr) continue;  // over-fetched combination
     // x value (composite labels joined with '|').
     Value xv;
     if (x_cols.size() == 1) {
@@ -681,7 +711,7 @@ Status RouteFetch(const PendingFetch& pf, const ResultSet& rs, ExecState* st) {
       }
       xv = Value::Str(label);
     }
-    for (const PendingFetch::Member* m : it->second) {
+    for (const PendingFetch::Member* m : *run_members) {
       Visualization& viz = pf.comp->visuals[m->position];
       viz.xs.push_back(xv);
       for (size_t si = 0; si < m->y.attrs.size(); ++si) {

@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -182,6 +186,169 @@ TEST_F(EngineTest, RoaringIndexBytesNonZero) {
 }
 
 // --- randomized equivalence: both backends must agree exactly ---------------
+
+// --- dictionary-coded predicates and rank-ordered output --------------------
+
+/// A table whose dictionaries are inserted out of value order: product10
+/// is code 0 but sorts before product2; years arrive 2016, 2014, 2015; and
+/// `tier` mixes ints, a double and strings (2.5 < 3 < 10 < 'a' < 'b').
+class DictionaryOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const Value products[] = {Value::Str("product10"), Value::Str("product2"),
+                              Value::Str("product1"), Value::Str("product33"),
+                              Value::Str("product3")};
+    const Value years[] = {Value::Int(2016), Value::Int(2014),
+                           Value::Int(2015)};
+    const Value tiers[] = {Value::Int(10), Value::Double(2.5), Value::Str("b"),
+                           Value::Str("a"), Value::Int(3)};
+    TableBuilder b("t", Schema({{"product", ColumnType::kCategorical},
+                                {"year", ColumnType::kCategorical},
+                                {"tier", ColumnType::kCategorical},
+                                {"sales", ColumnType::kDouble}}));
+    for (int i = 0; i < 300; ++i) {
+      ZV_ASSERT_OK(b.AddRow({products[i % 5], years[(i / 5) % 3],
+                             tiers[(i * 7) % 5],
+                             Value::Double((i * 37 % 101) / 4.0)}));
+    }
+    table_ = b.Finish();
+    ZV_ASSERT_OK(scan_.RegisterTable(table_));
+    ZV_ASSERT_OK(roaring_.RegisterTable(table_));
+  }
+
+  std::vector<Database*> Backends() { return {&scan_, &roaring_}; }
+
+  std::shared_ptr<Table> table_;
+  ScanDatabase scan_;
+  RoaringDatabase roaring_;
+};
+
+TEST_F(DictionaryOrderTest, EqualityAndInMatchBruteForce) {
+  const size_t product = 0, year = 1, tier = 2;
+  struct Case {
+    std::string where;
+    size_t col;
+    std::vector<Value> accepted;  // the row's value must equal one of these
+    bool negate = false;
+  };
+  const std::vector<Case> cases = {
+      // numeric-aware: a double literal matches an int dictionary entry
+      {"year IN (2014.0, 2015)", year, {Value::Int(2014), Value::Int(2015)}},
+      {"year = 2016.0", year, {Value::Int(2016)}},
+      // duplicates and values absent from the dictionary
+      {"product IN ('product1', 'nosuch', 'product1', 'product33')",
+       product,
+       {Value::Str("product1"), Value::Str("product33")}},
+      {"product IN ('nosuch')", product, {}},
+      {"year IN ('2014')", year, {}},  // a string never equals a number
+      {"product NOT IN ('product1', 'product2')",
+       product,
+       {Value::Str("product1"), Value::Str("product2")},
+       true},
+      {"product <> 'product3'", product, {Value::Str("product3")}, true},
+      // over half the dictionary: Roaring ORs the complement instead
+      {"product IN ('product10', 'product2', 'product1', 'product3')",
+       product,
+       {Value::Str("product10"), Value::Str("product2"),
+        Value::Str("product1"), Value::Str("product3")}},
+      // mixed-type dictionary
+      {"tier IN (2.5, 10.0, 'a')",
+       tier,
+       {Value::Double(2.5), Value::Int(10), Value::Str("a")}},
+      {"tier = 3", tier, {Value::Int(3)}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    int64_t expected = 0;
+    for (size_t r = 0; r < table_->num_rows(); ++r) {
+      const Value v = table_->ValueAt(r, c.col);
+      bool hit = false;
+      for (const Value& a : c.accepted) hit |= v == a;
+      expected += hit != c.negate;
+    }
+    for (Database* db : Backends()) {
+      ZV_ASSERT_OK_AND_ASSIGN(
+          ResultSet rs,
+          db->ExecuteSql("SELECT COUNT(*) FROM t WHERE " + c.where));
+      ASSERT_EQ(rs.num_rows(), 1u) << db->name();
+      EXPECT_EQ(rs.rows[0][0].AsInt(), expected) << db->name();
+    }
+  }
+}
+
+TEST_F(DictionaryOrderTest, RankOrderMatchesValueSort) {
+  struct Case {
+    std::string base;  // no ORDER BY / LIMIT
+    std::vector<std::pair<std::string, bool>> order;  // column, descending
+    int64_t limit = -1;
+  };
+  const std::string by_product_year =
+      "SELECT product, year, SUM(sales), COUNT(*) FROM t "
+      "GROUP BY product, year";
+  const std::vector<Case> cases = {
+      {by_product_year, {{"product", false}, {"year", false}}},
+      {by_product_year, {{"product", true}, {"year", false}}},
+      // a subset of the group keys: ties keep code order
+      {by_product_year, {{"year", false}}},
+      {by_product_year, {{"year", true}}},
+      // ORDER BY + LIMIT: the partial-sort path (4 <= 15 / 2) and the
+      // stable-sort path (10 > 15 / 2)
+      {by_product_year, {{"year", true}}, 4},
+      {by_product_year, {{"product", false}}, 10},
+      {by_product_year, {{"year", true}, {"product", true}}, 0},
+      // a repeated key never breaks a tie
+      {by_product_year, {{"product", false}, {"product", true}}},
+      // select order differs from group order
+      {"SELECT year, product, MAX(sales) FROM t GROUP BY product, year",
+       {{"year", false}, {"product", false}}},
+      // mixed-type dictionary
+      {"SELECT tier, year, COUNT(*) FROM t GROUP BY tier, year",
+       {{"tier", true}, {"year", false}}},
+      {"SELECT tier, COUNT(*) FROM t GROUP BY tier", {{"tier", false}}, 3},
+  };
+  for (const Case& c : cases) {
+    std::string sql = c.base + " ORDER BY ";
+    for (size_t i = 0; i < c.order.size(); ++i) {
+      sql += (i ? ", " : "") + c.order[i].first +
+             (c.order[i].second ? " DESC" : "");
+    }
+    if (c.limit >= 0) sql += " LIMIT " + std::to_string(c.limit);
+    SCOPED_TRACE(sql);
+    for (Database* db : Backends()) {
+      // Reference: the unordered (key-ordered) rows, stable-sorted by
+      // Value::Compare and cut to the limit.
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet expected, db->ExecuteSql(c.base));
+      std::vector<std::pair<int, bool>> keys;
+      for (const auto& [col, desc] : c.order) {
+        keys.emplace_back(expected.Find(col), desc);
+      }
+      std::stable_sort(expected.rows.begin(), expected.rows.end(),
+                       [&keys](const std::vector<Value>& a,
+                               const std::vector<Value>& b) {
+                         for (const auto& [idx, desc] : keys) {
+                           const int cmp = a[static_cast<size_t>(idx)].Compare(
+                               b[static_cast<size_t>(idx)]);
+                           if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+                         }
+                         return false;
+                       });
+      if (c.limit >= 0 &&
+          expected.rows.size() > static_cast<size_t>(c.limit)) {
+        expected.rows.resize(static_cast<size_t>(c.limit));
+      }
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs, db->ExecuteSql(sql));
+      ASSERT_EQ(rs.num_rows(), expected.num_rows()) << db->name();
+      for (size_t i = 0; i < rs.num_rows(); ++i) {
+        ASSERT_EQ(rs.rows[i].size(), expected.rows[i].size());
+        for (size_t j = 0; j < rs.rows[i].size(); ++j) {
+          // ToString also tells Int(2014) from Double(2014.0).
+          EXPECT_EQ(rs.rows[i][j].ToString(), expected.rows[i][j].ToString())
+              << db->name() << " row " << i << " col " << j;
+        }
+      }
+    }
+  }
+}
 
 TEST(EngineEquivalenceTest, RandomQueriesAgree) {
   SalesDataOptions opts;

@@ -1,20 +1,27 @@
 /// \file parallel_test.cc
 /// \brief The parallel scoring subsystem: ParallelFor edge cases and error
 /// propagation, thread-count-invariant ZQL results, partitioned-scan
-/// aggregation merges, and ScoringContext's exactness contract against the
-/// legacy pairwise Distance().
+/// aggregation merges, wide aggregation against a block-order reference,
+/// and ScoringContext's exactness contract against the legacy pairwise
+/// Distance().
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "sql/parser.h"
 #include "tasks/distance.h"
 #include "tasks/series_cache.h"
 #include "tests/test_util.h"
@@ -352,6 +359,154 @@ TEST(ParallelScanTest, ShardedAggregationMatchesSerial) {
     auto parallel = db.ExecuteSql(q);
     ZV_ASSERT_OK(parallel.status());
     ExpectSameResultSet(*serial, *parallel);
+  }
+}
+
+// --- wide aggregation: association pinned by an independent reference -------
+
+/// Per-group aggregate state of the reference below.
+struct RefAgg {
+  double sum = 0;
+  int64_t count = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+};
+
+/// The association the engine promises, written without any SelectRunner
+/// code: the table splits into min(32, max(1, rows / 16384)) equal blocks,
+/// each group's rows fold per block in row order, and the block partials
+/// add up in block order. Dense group spaces above 2^15 fold serially.
+/// Keys are the group columns' rendered values; one RefAgg per input
+/// column, in `inputs` order.
+std::map<std::vector<std::string>, std::vector<RefAgg>> ReferenceAggregate(
+    const Table& t, const std::vector<std::string>& group_by,
+    const std::vector<std::string>& inputs,
+    const std::vector<uint32_t>& rows) {
+  std::vector<size_t> gcols, icols;
+  uint64_t groups = 1;
+  for (const std::string& g : group_by) {
+    gcols.push_back(static_cast<size_t>(t.schema().Find(g)));
+    groups *= t.DictSize(gcols.back());
+  }
+  for (const std::string& in : inputs) {
+    icols.push_back(static_cast<size_t>(t.schema().Find(in)));
+  }
+  const size_t n = t.num_rows();
+  const size_t blocks =
+      groups > (1u << 15)
+          ? 1
+          : std::min<size_t>(32, std::max<size_t>(1, n / 16384));
+  std::map<std::vector<std::string>, std::vector<RefAgg>> total;
+  size_t next = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t end = n * (b + 1) / blocks;
+    std::map<std::vector<std::string>, std::vector<RefAgg>> partial;
+    for (; next < rows.size() && rows[next] < end; ++next) {
+      std::vector<std::string> key;
+      for (size_t c : gcols) key.push_back(t.ValueAt(rows[next], c).ToString());
+      auto& aggs = partial[key];
+      aggs.resize(icols.size());
+      for (size_t i = 0; i < icols.size(); ++i) {
+        const double v = t.NumericAt(rows[next], icols[i]);
+        aggs[i].sum += v;
+        ++aggs[i].count;
+        if (v < aggs[i].min) aggs[i].min = v;
+        if (v > aggs[i].max) aggs[i].max = v;
+      }
+    }
+    for (const auto& [key, aggs] : partial) {
+      auto& into = total[key];
+      into.resize(icols.size());
+      for (size_t i = 0; i < icols.size(); ++i) {
+        into[i].sum += aggs[i].sum;
+        into[i].count += aggs[i].count;
+        if (aggs[i].min < into[i].min) into[i].min = aggs[i].min;
+        if (aggs[i].max > into[i].max) into[i].max = aggs[i].max;
+      }
+    }
+  }
+  return total;
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+TEST(WideAggregationTest, MatchesBlockOrderReferenceBitForBit) {
+  ThreadGuard guard;
+  SalesDataOptions opts;
+  opts.num_rows = 200000;  // 12 blocks of ~16.7K rows
+  opts.num_products = 2000;
+  auto table = MakeSalesTable(opts);
+  ScanDatabase scan;
+  RoaringDatabase roaring;
+  ZV_ASSERT_OK(scan.RegisterTable(table));
+  ZV_ASSERT_OK(roaring.RegisterTable(table));
+
+  // The selection both entry points aggregate: weight > 20 AND country <>
+  // 'UK' (on Roaring, a complement bitmap plus a residual predicate).
+  const int weight = table->schema().Find("weight");
+  const int country = table->schema().Find("country");
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < table->num_rows(); ++r) {
+    if (table->NumericAt(r, static_cast<size_t>(weight)) > 20 &&
+        table->ValueAt(r, static_cast<size_t>(country)) != Value::Str("UK")) {
+      rows.push_back(r);
+    }
+  }
+  const std::string where = " WHERE weight > 20 AND country <> 'UK'";
+  const std::vector<std::string> inputs = {"sales", "profit", "revenue",
+                                           "weight"};
+
+  struct Case {
+    std::vector<std::string> group_by;
+    std::string sql;
+  };
+  const std::vector<Case> cases = {
+      // 2000 x 10 = 20K groups: key-partitioned, per-block association.
+      {{"product", "year"},
+       "SELECT product, year, SUM(sales), AVG(profit), COUNT(*), "
+       "MIN(revenue), MAX(weight) FROM sales" +
+           where + " GROUP BY product, year"},
+      // 2000 x 10 x 12 = 240K groups (> 2^15): serial association.
+      {{"product", "year", "month"},
+       "SELECT product, year, month, SUM(sales), AVG(profit), COUNT(*), "
+       "MIN(revenue), MAX(weight) FROM sales" +
+           where + " GROUP BY product, year, month"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const auto ref = ReferenceAggregate(*table, c.group_by, inputs, rows);
+    ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(c.sql));
+    for (size_t threads : {1, 8}) {
+      SetParallelThreads(threads);
+      for (Database* db : std::vector<Database*>{&scan, &roaring}) {
+        for (bool chunked : {false, true}) {
+          SCOPED_TRACE(db->name() + " threads=" + std::to_string(threads) +
+                       (chunked ? " FinishChunkScan" : " ExecuteSql"));
+          ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs,
+                                  chunked ? db->FinishChunkScan(stmt, rows)
+                                          : db->ExecuteSql(c.sql));
+          ASSERT_EQ(rs.num_rows(), ref.size());
+          const size_t k = c.group_by.size();
+          for (const auto& row : rs.rows) {
+            std::vector<std::string> key;
+            for (size_t i = 0; i < k; ++i) key.push_back(row[i].ToString());
+            const auto it = ref.find(key);
+            ASSERT_NE(it, ref.end());
+            const std::vector<RefAgg>& a = it->second;
+            EXPECT_EQ(Bits(row[k].AsDouble()), Bits(a[0].sum));
+            EXPECT_EQ(Bits(row[k + 1].AsDouble()),
+                      Bits(a[1].sum / static_cast<double>(a[1].count)));
+            EXPECT_EQ(row[k + 2].AsInt(), a[0].count);
+            EXPECT_EQ(Bits(row[k + 3].AsDouble()), Bits(a[2].min));
+            EXPECT_EQ(Bits(row[k + 4].AsDouble()), Bits(a[3].max));
+          }
+        }
+      }
+    }
   }
 }
 
