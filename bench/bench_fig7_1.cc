@@ -33,6 +33,7 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "engine/scan_db.h"
+#include "engine/shared_scan.h"
 #include "tasks/distance.h"
 #include "tasks/series_cache.h"
 #include "tasks/topk.h"
@@ -378,10 +379,6 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
       opts.optimization = OptLevel::kInterTask;
       opts.named_sets = sets;
       opts.pipelined_execution = pipelined;
-      // The per-statement service delay lives in ExecuteInternal, which the
-      // chunk-sharded scan path bypasses; this section measures fetch/score
-      // overlap in isolation, so keep the scan unsharded.
-      opts.shards = 1;
       opts.tasks.default_options.metric = zv::DistanceMetric::kDtw;
       zv::zql::ZqlExecutor exec(&db, "sales", opts);
       auto result = exec.ExecuteText(query);
@@ -424,72 +421,72 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
 
 /// The shard section models the deployment the ChunkMap fan-out is built
 /// for: each chunk is a partition of a *remote* store (the paper's
-/// PostgreSQL serves scans server-side), so a chunk scan costs a service
-/// wait proportional to the rows it covers plus the local row-id
-/// extraction. An unsharded statement pays the whole table's service time
-/// in one serial wait; N shard workers overlap N partition waits — the
-/// same overlap PipelineOverlap's RemoteScanDatabase realizes one level
-/// up, and the only scan speedup any machine sees once the store is
+/// PostgreSQL serves scans server-side), so scanning a row range costs a
+/// service wait proportional to the rows it covers plus the local row-id
+/// extraction. The override wraps every scanner the backend prepares, so
+/// both routes pay it: the reference blocked scan (no queue) waits block
+/// by block on one thread at ZV_THREADS=1, while a BatchScanQueue pass
+/// overlaps its chunks' waits across the queue's workers and coordinator
+/// — the same overlap PipelineOverlap's RemoteScanDatabase realizes one
+/// level up, and the only scan speedup any machine sees once the store is
 /// remote (multi-core machines additionally overlap the extraction CPU).
 class PartitionedScanDatabase : public zv::ScanDatabase {
  public:
-  PartitionedScanDatabase(uint64_t service_ns_per_row, size_t table_rows)
-      : service_ns_per_row_(service_ns_per_row), table_rows_(table_rows) {}
+  explicit PartitionedScanDatabase(uint64_t service_ns_per_row)
+      : service_ns_per_row_(service_ns_per_row) {}
   std::string name() const override { return "scan-partitioned"; }
 
-  zv::Result<std::unique_ptr<zv::ChunkScanner>> PrepareChunkScan(
-      const zv::sql::SelectStatement& stmt) override {
-    auto base = zv::ScanDatabase::PrepareChunkScan(stmt);
+  zv::Result<std::unique_ptr<zv::MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const zv::sql::SelectStatement*>& stmts) override {
+    auto base = zv::ScanDatabase::PrepareMultiChunkScan(stmts);
     if (!base.ok()) return base;
     return {std::make_unique<PartitionScanner>(std::move(base).value(),
                                                service_ns_per_row_)};
   }
 
- protected:
-  zv::Result<zv::ResultSet> ExecuteInternal(
-      const zv::sql::SelectStatement& stmt) override {
-    // The unsharded path scans every partition through one connection:
-    // the service waits accumulate serially.
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(service_ns_per_row_ * table_rows_));
-    return ScanDatabase::ExecuteInternal(stmt);
-  }
-
  private:
-  class PartitionScanner : public zv::ChunkScanner {
+  class PartitionScanner : public zv::MultiChunkScanner {
    public:
-    PartitionScanner(std::unique_ptr<zv::ChunkScanner> base, uint64_t ns)
+    PartitionScanner(std::unique_ptr<zv::MultiChunkScanner> base, uint64_t ns)
         : base_(std::move(base)), service_ns_per_row_(ns) {}
-    zv::Status ScanRange(uint32_t begin, uint32_t end,
-                         std::vector<uint32_t>* out) const override {
+    size_t num_statements() const override {
+      return base_->num_statements();
+    }
+    zv::Status ScanRange(
+        uint32_t begin, uint32_t end,
+        std::vector<std::vector<uint32_t>>* outs) const override {
       std::this_thread::sleep_for(
           std::chrono::nanoseconds(service_ns_per_row_ * (end - begin)));
-      return base_->ScanRange(begin, end, out);
+      return base_->ScanRange(begin, end, outs);
+    }
+    /// One statement per pass here; never fuses.
+    bool Absorb(std::unique_ptr<zv::MultiChunkScanner>&) override {
+      return false;
     }
 
    private:
-    std::unique_ptr<zv::ChunkScanner> base_;
+    std::unique_ptr<zv::MultiChunkScanner> base_;
     uint64_t service_ns_per_row_;
   };
 
   uint64_t service_ns_per_row_;
-  size_t table_rows_;
 };
 
-/// Sharded-scan scaling: one selective statement over a 10M-row table
-/// (paper scale), swept over chunk size x shard count. Every sharded run
-/// is compared byte-for-byte against the unsharded oracle; a divergence
-/// fails the harness (returns false) so BENCH_fig7.json can never record
-/// a speedup for a scan that changed the answer.
+/// Chunk-pass scaling: one selective statement over a 10M-row table
+/// (paper scale), swept over chunk size x batch-queue width. Every queued
+/// run is compared byte-for-byte against the no-queue reference scan; a
+/// divergence fails the harness (returns false) so BENCH_fig7.json can
+/// never record a speedup for a scan that changed the answer. Records keep
+/// their `shard/c<chunk_rows>_s<workers>` names.
 bool ShardScaling(JsonRecorder* recorder) {
-  PrintSubHeader("sharded scan scaling (remote partitions, 10M rows)");
+  PrintSubHeader("chunk pass scaling (remote partitions, 10M rows)");
   constexpr uint64_t kServiceNsPerRow = 100;  // ~10M rows/s remote scan rate
   zv::SalesDataOptions data_opts;
   data_opts.num_rows = zv::bench::ScaledRows(10000000);
   data_opts.num_products = 100;
   zv::bench::WallTimer gen_timer;
   auto sales = zv::MakeSalesTable(data_opts);
-  PartitionedScanDatabase db(kServiceNsPerRow, sales->num_rows());
+  PartitionedScanDatabase db(kServiceNsPerRow);
   if (auto s = db.RegisterTable(sales); !s.ok()) {
     std::printf("register failed: %s\n", s.ToString().c_str());
     return false;
@@ -501,19 +498,28 @@ bool ShardScaling(JsonRecorder* recorder) {
 
   const char* const query =
       "*f1 | 'year' | 'sales' | | location='US' | bar.(y=agg('sum')) |";
-  zv::SetParallelThreads(1);  // isolate the shard pool's contribution
-  auto run = [&](size_t shards) -> zv::Result<zv::zql::ZqlResult> {
+  zv::SetParallelThreads(1);  // isolate the queue's contribution
+  // workers = 0 runs the reference blocked scan (no queue).
+  auto run = [&](size_t workers) -> zv::Result<zv::zql::ZqlResult> {
+    std::unique_ptr<zv::BatchScanQueue> queue;
     zv::zql::ZqlOptions opts;
-    opts.shards = shards;
+    if (workers > 0) {
+      zv::BatchScanOptions bopts;
+      bopts.workers = workers;
+      queue = std::make_unique<zv::BatchScanQueue>(bopts);
+      opts.batch_scans = queue.get();
+    }
     zv::zql::ZqlExecutor exec(&db, "sales", opts);
     return exec.ExecuteText(query);
   };
 
-  auto oracle = run(1);
+  auto oracle = run(0);
   if (!oracle.ok()) {
     std::printf("FAILED: %s\n", oracle.status().ToString().c_str());
     return false;
   }
+  const double base_ms = oracle->stats.total_ms;
+  std::printf("reference blocked scan (no queue): %.1f ms\n", base_ms);
   auto identical = [&](const zv::zql::ZqlResult& got) {
     const auto& a = oracle->outputs;
     const auto& b = got.outputs;
@@ -531,7 +537,7 @@ bool ShardScaling(JsonRecorder* recorder) {
   };
 
   std::printf("%-12s %8s %8s %10s %10s %10s\n", "chunk_rows", "chunks",
-              "shards", "total(ms)", "speedup", "identical");
+              "workers", "total(ms)", "speedup", "identical");
   bool all_identical = true;
   for (const size_t chunk_rows :
        {size_t{65536}, size_t{262144}, size_t{1048576}}) {
@@ -541,32 +547,29 @@ bool ShardScaling(JsonRecorder* recorder) {
     }
     const size_t chunks =
         (sales->num_rows() + chunk_rows - 1) / chunk_rows;
-    double base_ms = 0;
-    for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      auto result = run(shards);
+    for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      auto result = run(workers);
       if (!result.ok()) {
         std::printf("FAILED: %s\n", result.status().ToString().c_str());
         return false;
       }
       const double ms = result->stats.total_ms;
-      if (shards == 1) base_ms = ms;
       const bool same = identical(result.value());
       all_identical &= same;
       std::printf("%-12zu %8zu %8zu %10.1f %9.2fx %10s\n", chunk_rows,
-                  chunks, shards, ms, base_ms / ms, same ? "yes" : "NO");
+                  chunks, workers, ms, base_ms / ms, same ? "yes" : "NO");
       recorder->Record(
-          zv::StrFormat("shard/c%zu_s%zu", chunk_rows, shards), ms,
+          zv::StrFormat("shard/c%zu_s%zu", chunk_rows, workers), ms,
           {{"threads", "1"},
            {"kind", "shard"},
            {"chunk_rows", std::to_string(chunk_rows)},
            {"chunks", std::to_string(chunks)},
-           {"shards", std::to_string(shards)},
-           {"speedup_vs_unsharded",
-            zv::StrFormat("%.2f", base_ms / ms)}});
+           {"workers", std::to_string(workers)},
+           {"speedup_vs_reference", zv::StrFormat("%.2f", base_ms / ms)}});
     }
   }
   zv::SetParallelThreads(0);
-  std::printf("outputs identical across all shard/chunk settings: %s\n",
+  std::printf("outputs identical across all queue/chunk settings: %s\n",
               all_identical ? "yes" : "NO");
   return all_identical;
 }
@@ -678,7 +681,7 @@ int main() {
   }
   if (!shard_ok) {
     std::fprintf(stderr,
-                 "FATAL: sharded scan diverged from the unsharded oracle\n");
+                 "FATAL: chunk pass diverged from the reference scan\n");
     return 1;
   }
   return 0;

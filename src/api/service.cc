@@ -71,8 +71,7 @@ QueryResponse ExplainRequest(server::QueryService& service,
   }
   // Unlike plan building, the FetchOp fan-out annotation is data-dependent
   // (chunks = the dataset's ChunkMap size) — the serving layer is the one
-  // EXPLAIN caller with a backend to ask. Tables that fit in one chunk
-  // render the plain unsharded form.
+  // EXPLAIN caller with a backend to ask.
   size_t table_chunks = 0;
   if (Result<std::shared_ptr<Database>> db =
           service.DatasetDatabase(request.dataset);

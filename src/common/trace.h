@@ -1,9 +1,9 @@
 /// \file trace.h
 /// \brief Per-query execution tracing: a TraceSpan tree recording where
 /// each millisecond of one query went — one span per plan operator
-/// (FetchOp / MaterializeOp / ScoreOp / ReduceOp / OutputOp), per
-/// chunk-scan pass, per shared-scan (group-commit) pass, plus the serving
-/// layer's admission queue-wait and cache-lookup spans.
+/// (FetchOp / MaterializeOp / ScoreOp / ReduceOp / OutputOp), per scan
+/// batch, per shared-scan (group-commit) pass, plus the serving layer's
+/// admission queue-wait and cache-lookup spans.
 ///
 /// Tracing is a *pure observer*: spans record steady-clock timestamps and
 /// typed attributes, never influence scheduling or results, and never
@@ -13,7 +13,7 @@
 /// Threading model: the Trace owns every span (stable heap nodes) and
 /// guards tree mutation with an internal mutex, because spans are opened
 /// concurrently from the coordinator, the pipelined fetch thread, and
-/// shard workers. Each span's fields (duration, attributes) are written
+/// serving workers. Each span's fields (duration, attributes) are written
 /// only by the thread that opened it; readers consume the finished tree
 /// after the query resolves, ordered by the task-resolution handshake.
 ///

@@ -1,9 +1,9 @@
 /// \file chunk_map.h
-/// \brief Per-table chunk catalog for sharded scan execution.
+/// \brief Per-table chunk catalog for chunk-parallel scan passes.
 ///
 /// A ChunkMap partitions a table's row space [0, num_rows) into fixed-size
-/// contiguous row ranges ("chunks"), the unit of fan-out for the shard
-/// worker pool (zql/scheduler.h). This is the single-node analogue of
+/// contiguous row ranges ("chunks"), the unit of fan-out for the shared
+/// scan pass (engine/shared_scan.h). This is the single-node analogue of
 /// qserv's chunk catalog: chunks are defined purely by row position, so a
 /// per-chunk sub-scan touches a disjoint range and the per-chunk results
 /// concatenate back — in chunk order — into exactly the row list a serial

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/cancel.h"
+#include "common/clock.h"
 #include "engine/predicate.h"
 #include "engine/select_runner.h"
 #include "sql/parser.h"
@@ -15,77 +16,57 @@ namespace zv {
 
 namespace {
 
-/// Cancellation poll granularity inside ScanRange row loops.
-constexpr uint32_t kChunkCancelPollRows = 32768;
-
-/// The generic chunk scanner: CompiledPredicate per row (no predicate =
-/// every row survives). Matches ScanDatabase's selection semantics exactly.
-class PredicateChunkScanner : public ChunkScanner {
+/// The base scanner: one row loop, every statement's predicate tested per
+/// row (no predicate = every row survives). A shared pass over N batched
+/// statements walks the column data once instead of N times; fusion
+/// shares only the row iteration, never a selection decision, so each
+/// statement's list is exactly what it would select alone.
+class FusedPredicateScanner : public MultiChunkScanner {
  public:
-  PredicateChunkScanner(std::shared_ptr<Table> table,
-                        std::optional<CompiledPredicate> pred)
-      : table_(std::move(table)), pred_(std::move(pred)) {}
+  FusedPredicateScanner(std::shared_ptr<Table> table,
+                        std::vector<std::optional<CompiledPredicate>> preds)
+      : table_(std::move(table)), preds_(std::move(preds)) {}
+
+  size_t num_statements() const override { return preds_.size(); }
 
   Status ScanRange(uint32_t begin, uint32_t end,
-                   std::vector<uint32_t>* out) const override {
+                   std::vector<std::vector<uint32_t>>* outs) const override {
+    const size_t n = preds_.size();
+    if (n == 1) {
+      // A lone statement — every block of the reference scan — takes the
+      // plain loop: the fused loop's per-row statement dispatch costs up
+      // to 3x when there is nothing to fuse.
+      return SelectRange(preds_[0] ? &*preds_[0] : nullptr, begin, end,
+                         &(*outs)[0]);
+    }
     for (uint32_t lo = begin; lo < end;) {
       ZV_RETURN_NOT_OK(CheckCancelled());
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
-          end, static_cast<uint64_t>(lo) + kChunkCancelPollRows));
-      if (pred_.has_value()) {
-        const CompiledPredicate& pred = *pred_;
-        for (uint32_t row = lo; row < hi; ++row) {
-          if (pred.Test(row)) out->push_back(row);
+          end, static_cast<uint64_t>(lo) + kScanCancelPollRows));
+      for (uint32_t row = lo; row < hi; ++row) {
+        for (size_t i = 0; i < n; ++i) {
+          if (!preds_[i].has_value() || preds_[i]->Test(row)) {
+            (*outs)[i].push_back(row);
+          }
         }
-      } else {
-        for (uint32_t row = lo; row < hi; ++row) out->push_back(row);
       }
       lo = hi;
     }
     return Status::OK();
   }
 
- private:
-  /// Keeps the compiled predicate's column pointers alive.
-  std::shared_ptr<Table> table_;
-  std::optional<CompiledPredicate> pred_;
-};
-
-/// The generic multi-statement scanner: one prepared ChunkScanner per
-/// statement, run back-to-back over each range. No fused row loop — each
-/// part keeps whatever evaluation strategy its backend compiled (bitmap
-/// probes for Roaring) — but a shared pass still schedules all parts as
-/// one set of chunk jobs. Absorb concatenates two wrappers over the same
-/// table snapshot.
-class WrappedMultiScanner : public MultiChunkScanner {
- public:
-  WrappedMultiScanner(const void* table_tag,
-                      std::vector<std::unique_ptr<ChunkScanner>> parts)
-      : table_tag_(table_tag), parts_(std::move(parts)) {}
-
-  size_t num_statements() const override { return parts_.size(); }
-
-  Status ScanRange(uint32_t begin, uint32_t end,
-                   std::vector<std::vector<uint32_t>>* outs) const override {
-    for (size_t i = 0; i < parts_.size(); ++i) {
-      ZV_RETURN_NOT_OK(parts_[i]->ScanRange(begin, end, &(*outs)[i]));
-    }
-    return Status::OK();
-  }
-
   bool Absorb(std::unique_ptr<MultiChunkScanner>& other) override {
-    auto* peer = dynamic_cast<WrappedMultiScanner*>(other.get());
-    if (peer == nullptr || peer->table_tag_ != table_tag_) return false;
-    for (auto& part : peer->parts_) parts_.push_back(std::move(part));
+    auto* peer = dynamic_cast<FusedPredicateScanner*>(other.get());
+    if (peer == nullptr || peer->table_ != table_) return false;
+    for (auto& pred : peer->preds_) preds_.push_back(std::move(pred));
     other.reset();
     return true;
   }
 
  private:
-  /// Identity of the table snapshot the parts were compiled against; the
-  /// parts themselves keep it alive, so equal tags mean the same snapshot.
-  const void* table_tag_;
-  std::vector<std::unique_ptr<ChunkScanner>> parts_;
+  /// Keeps the compiled predicates' column pointers alive.
+  std::shared_ptr<Table> table_;
+  std::vector<std::optional<CompiledPredicate>> preds_;
 };
 
 }  // namespace
@@ -112,37 +93,35 @@ Status Database::RebuildChunkMap(const std::string& table, size_t chunk_rows) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<ChunkScanner>> Database::PrepareChunkScan(
-    const sql::SelectStatement& stmt) {
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  std::optional<CompiledPredicate> pred;
-  if (stmt.where != nullptr) {
-    ZV_ASSIGN_OR_RETURN(CompiledPredicate compiled,
-                        CompiledPredicate::Compile(*table, *stmt.where));
-    pred = std::move(compiled);
-  }
-  return std::unique_ptr<ChunkScanner>(
-      new PredicateChunkScanner(std::move(table), std::move(pred)));
-}
-
-Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
-    const std::vector<const sql::SelectStatement*>& stmts) {
+Result<std::shared_ptr<Table>> Database::BatchTable(
+    const std::vector<const sql::SelectStatement*>& stmts) const {
   if (stmts.empty()) {
     return Status::InvalidArgument("empty multi-chunk scan batch");
   }
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmts[0]->table));
-  std::vector<std::unique_ptr<ChunkScanner>> parts;
-  parts.reserve(stmts.size());
   for (const sql::SelectStatement* stmt : stmts) {
     if (stmt->table != stmts[0]->table) {
       return Status::InvalidArgument("multi-chunk scan batch spans tables");
     }
-    ZV_ASSIGN_OR_RETURN(std::unique_ptr<ChunkScanner> scanner,
-                        PrepareChunkScan(*stmt));
-    parts.push_back(std::move(scanner));
+  }
+  return GetTable(stmts[0]->table);
+}
+
+Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
+    const std::vector<const sql::SelectStatement*>& stmts) {
+  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, BatchTable(stmts));
+  std::vector<std::optional<CompiledPredicate>> preds;
+  preds.reserve(stmts.size());
+  for (const sql::SelectStatement* stmt : stmts) {
+    if (stmt->where == nullptr) {
+      preds.emplace_back(std::nullopt);
+    } else {
+      ZV_ASSIGN_OR_RETURN(CompiledPredicate pred,
+                          CompiledPredicate::Compile(*table, *stmt->where));
+      preds.emplace_back(std::move(pred));
+    }
   }
   return std::unique_ptr<MultiChunkScanner>(
-      new WrappedMultiScanner(table.get(), std::move(parts)));
+      new FusedPredicateScanner(std::move(table), std::move(preds)));
 }
 
 Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
@@ -153,13 +132,18 @@ Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
 
 Result<ResultSet> Database::ExecuteInternal(const sql::SelectStatement& stmt) {
   ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  ZV_ASSIGN_OR_RETURN(std::unique_ptr<ChunkScanner> scanner,
-                      PrepareChunkScan(stmt));
-  // ScanRange is const and thread-safe, so one scanner serves every block.
+  ZV_ASSIGN_OR_RETURN(std::unique_ptr<MultiChunkScanner> scanner,
+                      PrepareMultiChunkScan({&stmt}));
+  // ScanRange is const and thread-safe, so one scanner serves every block;
+  // the block's list is swapped in and out of the one-statement slot.
   return RunBlocked(*table, stmt,
                     [&scanner](uint32_t begin, uint32_t end,
                                std::vector<uint32_t>* out) {
-                      return scanner->ScanRange(begin, end, out);
+                      std::vector<std::vector<uint32_t>> outs(1);
+                      outs[0].swap(*out);
+                      Status status = scanner->ScanRange(begin, end, &outs);
+                      out->swap(outs[0]);
+                      return status;
                     });
 }
 
@@ -197,21 +181,14 @@ void Database::ScanBatch(
     const std::vector<sql::SelectStatement>& stmts, bool batched,
     const std::function<bool(size_t, Result<ResultSet>)>& sink,
     double* scan_ms) {
-  using Clock = std::chrono::steady_clock;
-  auto t0 = Clock::now();
-  auto flush_timer = [&] {
-    if (scan_ms != nullptr) {
-      *scan_ms +=
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    }
-  };
+  auto t0 = SteadyNow();
   if (batched) BeginRequest(stmts.size());
   for (size_t i = 0; i < stmts.size(); ++i) {
     if (!batched) BeginRequest(1);
     Result<ResultSet> rs = ExecuteInternal(stmts[i]);
-    flush_timer();
+    if (scan_ms != nullptr) *scan_ms += MsSince(t0);
     const bool keep_going = sink(i, std::move(rs));
-    t0 = Clock::now();
+    t0 = SteadyNow();
     if (!keep_going) return;
   }
 }

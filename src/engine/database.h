@@ -32,36 +32,20 @@
 
 namespace zv {
 
-/// \brief A statement's WHERE clause compiled for chunk-range evaluation —
-/// the per-chunk unit the shard worker pool (zql/scheduler.h) executes.
+/// \brief Statements' WHERE clauses compiled for chunk-range evaluation —
+/// the one row-selection unit every scan drives: the cross-query batch
+/// queue (engine/shared_scan.h) runs it chunk-parallel over a shared pass,
+/// and the reference blocked scan (Database::ExecuteInternal) runs a
+/// one-statement scanner per block.
 ///
-/// PrepareChunkScan compiles the statement once; ScanRange may then be
-/// called concurrently on disjoint row ranges (const, no shared mutable
-/// state). Each call appends the surviving row ids of [begin, end) to
-/// `out` in ascending order, so concatenating the per-chunk lists in chunk
-/// order reproduces exactly the row list a serial scan would select —
-/// FinishChunkScan then aggregates that list through the same blocked
-/// runner both backends share, keeping sharded results byte-identical to
-/// unsharded ones. ScanRange polls the calling thread's cancellation token
-/// (common/cancel.h) at least every ~64K rows and returns kCancelled.
-class ChunkScanner {
- public:
-  virtual ~ChunkScanner() = default;
-  virtual Status ScanRange(uint32_t begin, uint32_t end,
-                           std::vector<uint32_t>* out) const = 0;
-};
-
-/// \brief Several statements' WHERE clauses compiled for one shared
-/// chunk-range pass — the unit the cross-query batch queue
-/// (engine/shared_scan.h) executes.
-///
-/// Same contract as ChunkScanner, vectorized over statements: ScanRange is
-/// const and may run concurrently on disjoint ranges, and for each
-/// statement i it appends to (*outs)[i] exactly the ascending row ids that
-/// statement's own ChunkScanner would select — demultiplexing a shared
-/// pass therefore reproduces every solo scan byte-for-byte. Scanners are
-/// self-contained (they pin the table snapshot they were compiled
-/// against), so a pass may finish after the preparing query has gone away.
+/// ScanRange is const and may run concurrently on disjoint ranges; for
+/// each statement i it appends to (*outs)[i] the ascending ids of the rows
+/// in [begin, end) that satisfy statement i's WHERE — so concatenating
+/// per-range lists in range order reproduces exactly the rows a serial
+/// scan selects, and demultiplexing a shared pass reproduces every solo
+/// scan byte-for-byte. Scanners are self-contained (they pin the table
+/// snapshot they were compiled against), so a pass may finish after the
+/// preparing query has gone away.
 class MultiChunkScanner {
  public:
   virtual ~MultiChunkScanner() = default;
@@ -71,7 +55,8 @@ class MultiChunkScanner {
 
   /// Appends the surviving rows of [begin, end) per statement;
   /// outs->size() must equal num_statements(). Polls the calling thread's
-  /// cancellation token at least every ~64K rows, like ChunkScanner.
+  /// cancellation token (common/cancel.h) at least every ~64K rows and
+  /// returns kCancelled.
   virtual Status ScanRange(uint32_t begin, uint32_t end,
                            std::vector<std::vector<uint32_t>>* outs) const = 0;
 
@@ -127,13 +112,13 @@ class Database {
                  double* scan_ms = nullptr);
 
   /// --- Chunked scans ---------------------------------------------------
-  /// The three-call protocol the sharded FetchOp path drives instead of
-  /// ExecuteInternal: PrepareChunkScan once per statement, ScanRange per
-  /// chunk (concurrently, on the shard workers), FinishChunkScan on the
-  /// merged row list. Splitting selection from aggregation this way keeps
-  /// the aggregation block structure — a pure function of table size — out
-  /// of the fan-out, so float sums associate identically at any shard or
-  /// chunk count.
+  /// The protocol the shared chunk pass drives instead of ExecuteInternal:
+  /// PrepareMultiChunkScan once per flush, ScanRange per chunk (on the
+  /// batch queue's workers), FinishChunkScan per statement on the merged
+  /// row list. Splitting selection from aggregation this way keeps the
+  /// aggregation block structure — a pure function of table size — out of
+  /// the fan-out, so float sums associate identically at any chunk size,
+  /// worker count, or co-tenancy.
 
   /// Chunk partitioning of a registered table, built at RegisterTable time
   /// with the default chunk size (kNotFound for unknown tables). Returned
@@ -145,34 +130,26 @@ class Database {
   /// queries are executing against this Database.
   Status RebuildChunkMap(const std::string& table, size_t chunk_rows);
 
-  /// Compiles `stmt`'s WHERE clause for chunk-range evaluation. The base
-  /// implementation serves any backend whose selection semantics are
-  /// "CompiledPredicate over catalog rows" (the scan backend); the Roaring
-  /// backend overrides it to reuse its bitmap indexes.
-  virtual Result<std::unique_ptr<ChunkScanner>> PrepareChunkScan(
-      const sql::SelectStatement& stmt);
-
-  /// Compiles a statement batch for one shared chunk-range pass over this
-  /// backend — the cross-query batching entry point (engine/shared_scan.h).
-  /// All statements must target the same table. The base implementation
-  /// wraps the per-statement PrepareChunkScan scanners, so index-aware
-  /// overrides (Roaring's bitmap scanner) are picked up automatically;
-  /// ScanDatabase overrides it with a fused evaluator that tests every
-  /// statement's predicate in a single row loop. Fails with the first
-  /// statement's compile error.
+  /// Compiles a statement batch for chunk-range evaluation. All
+  /// statements must target the same table; fails with the first
+  /// statement's compile error. The base implementation compiles every
+  /// WHERE into a CompiledPredicate and tests them all inside a single row
+  /// loop (no WHERE = every row survives; a lone statement runs the plain
+  /// SelectRange loop); the Roaring backend overrides it to answer indexed
+  /// conjuncts from its bitmaps.
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
   /// Aggregates the merged (ascending) surviving-row list through the
-  /// shared blocked runner — the same code path both backends' unsharded
-  /// scans finish with.
+  /// shared blocked runner — the same code path the reference blocked scan
+  /// finishes with.
   Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
                                     const std::vector<uint32_t>& rows);
 
   /// Request/query accounting for scans that bypass Execute*/ScanBatch
-  /// (the sharded chunk path): one round trip carrying `num_queries`
+  /// (the shared chunk pass): one round trip carrying `num_queries`
   /// statements — identical counter and simulated-latency semantics, so
-  /// sql_queries/sql_requests deltas match the unsharded execution.
+  /// sql_queries/sql_requests deltas match the reference scan.
   void AccountRequest(size_t num_queries) { BeginRequest(num_queries); }
 
   /// --- Instrumentation -------------------------------------------------
@@ -205,10 +182,16 @@ class Database {
   uint64_t request_latency_micros() const { return request_latency_micros_; }
 
  protected:
-  /// Executes one statement without request accounting: the backend's
-  /// PrepareChunkScan selects each block's rows for RunBlocked, so both
-  /// backends aggregate through the same blocked runner and layouts.
+  /// Executes one statement without request accounting — the reference
+  /// blocked scan: a one-statement PrepareMultiChunkScan scanner selects
+  /// each block's rows for RunBlocked, so both backends aggregate through
+  /// the same blocked runner and layouts.
   virtual Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt);
+
+  /// The table a PrepareMultiChunkScan batch targets; fails on an empty
+  /// batch, statements spanning tables, or an unknown table.
+  Result<std::shared_ptr<Table>> BatchTable(
+      const std::vector<const sql::SelectStatement*>& stmts) const;
 
   Catalog catalog_;
 

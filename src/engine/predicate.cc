@@ -1,5 +1,8 @@
 #include "engine/predicate.h"
 
+#include <algorithm>
+
+#include "common/cancel.h"
 #include "common/strings.h"
 
 namespace zv {
@@ -244,6 +247,24 @@ bool CompiledPredicate::TestNode(int idx, size_t row) const {
     }
   }
   return false;
+}
+
+Status SelectRange(const CompiledPredicate* pred, uint32_t begin,
+                   uint32_t end, std::vector<uint32_t>* out) {
+  for (uint32_t lo = begin; lo < end;) {
+    ZV_RETURN_NOT_OK(CheckCancelled());
+    const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
+        end, static_cast<uint64_t>(lo) + kScanCancelPollRows));
+    if (pred != nullptr) {
+      for (uint32_t row = lo; row < hi; ++row) {
+        if (pred->Test(row)) out->push_back(row);
+      }
+    } else {
+      for (uint32_t row = lo; row < hi; ++row) out->push_back(row);
+    }
+    lo = hi;
+  }
+  return Status::OK();
 }
 
 }  // namespace zv

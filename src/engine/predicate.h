@@ -10,6 +10,7 @@
 #ifndef ZV_ENGINE_PREDICATE_H_
 #define ZV_ENGINE_PREDICATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -66,6 +67,17 @@ class CompiledPredicate {
   int root_ = -1;
   bool categorical_only_ = true;
 };
+
+/// Rows between cancellation polls in every scanner's row loop.
+inline constexpr uint32_t kScanCancelPollRows = 32768;
+
+/// The plain row loop behind every scanner: appends the ids in
+/// [begin, end) that satisfy `pred` — every id when `pred` is null — in
+/// ascending order, polling the calling thread's cancellation token
+/// (common/cancel.h) every kScanCancelPollRows rows and returning
+/// kCancelled.
+Status SelectRange(const CompiledPredicate* pred, uint32_t begin,
+                   uint32_t end, std::vector<uint32_t>* out);
 
 }  // namespace zv
 

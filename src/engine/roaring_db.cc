@@ -140,59 +140,105 @@ Result<RoaringDatabase::SplitPredicate> RoaringDatabase::SplitWhere(
 
 namespace {
 
-/// Chunk scanner over a bitmap selection: per chunk range, extract the
-/// filter's values (ascending) and keep the residual's survivors. Slices at
-/// container granularity so long extractions poll cancellation, mirroring
-/// the blocked scan's block-boundary polls.
-class RoaringChunkScanner : public ChunkScanner {
+/// Multi-statement scanner over bitmap selections. Statements keep their
+/// own loops — there is no fused row loop to share once a bitmap decides
+/// which rows to visit — but a shared pass still schedules them all as one
+/// set of chunk jobs.
+class RoaringMultiScanner : public MultiChunkScanner {
  public:
-  RoaringChunkScanner(std::shared_ptr<Table> table, RoaringBitmap filter,
-                      std::optional<CompiledPredicate> residual)
-      : table_(std::move(table)),
-        filter_(std::move(filter)),
-        residual_(std::move(residual)) {}
+  /// One statement's selection: the index-answerable filter plus the
+  /// residual row predicate, or — with no filter — the whole WHERE as a
+  /// row predicate (none at all = every row survives).
+  struct Part {
+    std::optional<RoaringBitmap> filter;
+    std::optional<CompiledPredicate> residual;
+  };
+
+  RoaringMultiScanner(std::shared_ptr<Table> table, std::vector<Part> parts)
+      : table_(std::move(table)), parts_(std::move(parts)) {}
+
+  size_t num_statements() const override { return parts_.size(); }
 
   Status ScanRange(uint32_t begin, uint32_t end,
-                   std::vector<uint32_t>* out) const override {
+                   std::vector<std::vector<uint32_t>>* outs) const override {
+    for (size_t i = 0; i < parts_.size(); ++i) {
+      const Part& part = parts_[i];
+      std::vector<uint32_t>* out = &(*outs)[i];
+      ZV_RETURN_NOT_OK(
+          part.filter.has_value()
+              ? ScanFiltered(part, begin, end, out)
+              : SelectRange(part.residual ? &*part.residual : nullptr, begin,
+                            end, out));
+    }
+    return Status::OK();
+  }
+
+  bool Absorb(std::unique_ptr<MultiChunkScanner>& other) override {
+    auto* peer = dynamic_cast<RoaringMultiScanner*>(other.get());
+    if (peer == nullptr || peer->table_ != table_) return false;
+    for (Part& part : peer->parts_) parts_.push_back(std::move(part));
+    other.reset();
+    return true;
+  }
+
+ private:
+  /// Extracts the filter's values in [begin, end), keeping the residual's
+  /// survivors. Slices at container granularity so long extractions poll
+  /// cancellation, mirroring the blocked scan's block-boundary polls.
+  static Status ScanFiltered(const Part& part, uint32_t begin, uint32_t end,
+                             std::vector<uint32_t>* out) {
     for (uint32_t lo = begin; lo < end;) {
       ZV_RETURN_NOT_OK(CheckCancelled());
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
           end, (static_cast<uint64_t>(lo) | 0xFFFF) + 1));
-      if (residual_.has_value()) {
-        const CompiledPredicate& pred = *residual_;
-        filter_.ForEachInRange(lo, hi, [out, &pred](uint32_t row) {
+      if (part.residual.has_value()) {
+        const CompiledPredicate& pred = *part.residual;
+        part.filter->ForEachInRange(lo, hi, [out, &pred](uint32_t row) {
           if (pred.Test(row)) out->push_back(row);
         });
       } else {
-        filter_.ForEachInRange(lo, hi,
-                               [out](uint32_t row) { out->push_back(row); });
+        part.filter->ForEachInRange(
+            lo, hi, [out](uint32_t row) { out->push_back(row); });
       }
       lo = hi;
     }
     return Status::OK();
   }
 
- private:
-  std::shared_ptr<Table> table_;  ///< keeps residual's column pointers alive
-  RoaringBitmap filter_;
-  std::optional<CompiledPredicate> residual_;
+  std::shared_ptr<Table> table_;  ///< keeps predicates' column pointers alive
+  std::vector<Part> parts_;
 };
 
 }  // namespace
 
-Result<std::unique_ptr<ChunkScanner>> RoaringDatabase::PrepareChunkScan(
-    const sql::SelectStatement& stmt) {
-  // No WHERE (all rows) and nothing-indexable (pure residual) both reduce
-  // to the generic predicate scanner — same survivors, no bitmap needed.
-  if (stmt.where == nullptr) return Database::PrepareChunkScan(stmt);
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  auto idx_it = indexes_.find(stmt.table);
+Result<std::unique_ptr<MultiChunkScanner>>
+RoaringDatabase::PrepareMultiChunkScan(
+    const std::vector<const sql::SelectStatement*>& stmts) {
+  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, BatchTable(stmts));
+  auto idx_it = indexes_.find(table->name());
   if (idx_it == indexes_.end()) return Status::Internal("missing index");
-  ZV_ASSIGN_OR_RETURN(SplitPredicate split,
-                      SplitWhere(*table, idx_it->second, *stmt.where));
-  if (!split.filter.has_value()) return Database::PrepareChunkScan(stmt);
-  return std::unique_ptr<ChunkScanner>(new RoaringChunkScanner(
-      std::move(table), std::move(*split.filter), std::move(split.residual)));
+  std::vector<RoaringMultiScanner::Part> parts;
+  parts.reserve(stmts.size());
+  for (const sql::SelectStatement* stmt : stmts) {
+    RoaringMultiScanner::Part part;
+    if (stmt->where != nullptr) {
+      ZV_ASSIGN_OR_RETURN(SplitPredicate split,
+                          SplitWhere(*table, idx_it->second, *stmt->where));
+      if (split.filter.has_value()) {
+        part.filter = std::move(split.filter);
+        part.residual = std::move(split.residual);
+      } else {
+        // Nothing indexable: the whole WHERE becomes the row predicate —
+        // same survivors, no bitmap needed.
+        ZV_ASSIGN_OR_RETURN(CompiledPredicate pred,
+                            CompiledPredicate::Compile(*table, *stmt->where));
+        part.residual = std::move(pred);
+      }
+    }
+    parts.push_back(std::move(part));
+  }
+  return std::unique_ptr<MultiChunkScanner>(
+      new RoaringMultiScanner(std::move(table), std::move(parts)));
 }
 
 }  // namespace zv

@@ -36,14 +36,15 @@ class RoaringDatabase : public Database {
   /// semantics).
   uint64_t container_conversions() const override;
 
-  /// Chunk-scan compilation reusing the bitmap indexes: the index-answerable
-  /// part of the WHERE becomes one Roaring filter (built once per
-  /// statement), and ScanRange extracts the filter's values inside each
-  /// chunk range, testing the residual predicate per survivor. It also
+  /// Chunk-scan compilation reusing the bitmap indexes: per statement, the
+  /// index-answerable part of the WHERE becomes one Roaring filter (built
+  /// once), and ScanRange extracts the filter's values inside each range,
+  /// testing the residual predicate per survivor; statements with no WHERE
+  /// or nothing indexable walk the rows like the base scanner. It also
   /// serves Execute (Database::ExecuteInternal), so every entry point
   /// selects the same rows.
-  Result<std::unique_ptr<ChunkScanner>> PrepareChunkScan(
-      const sql::SelectStatement& stmt) override;
+  Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const sql::SelectStatement*>& stmts) override;
 
  private:
   struct TableIndex {

@@ -44,7 +44,7 @@ class SelectRunner {
   /// Merges the accumulated state of `other` into this runner. `other`
   /// must be planned from the same statement over the same table and must
   /// have consumed a row range strictly after this runner's (projection
-  /// rows are appended in shard order). Aggregate states merge
+  /// rows are appended in block order). Aggregate states merge
   /// associatively (sum/count add; min/max fold), so a partitioned scan
   /// followed by merges produces exactly the serial Finish() output.
   void MergeFrom(SelectRunner&& other);
@@ -157,8 +157,9 @@ class SelectRunner {
 /// evaluation shared by both backends. The table's row space is split into
 /// contiguous blocks whose *count depends only on the row count* (never on
 /// the worker count); `select_block(begin, end, out)` appends each block's
-/// surviving rows, ascending, to `out` (the ChunkScanner::ScanRange
-/// contract), and the first failing block's error is returned.
+/// surviving rows, ascending, to `out` (the MultiChunkScanner::ScanRange
+/// contract for one statement), and the first failing block's error is
+/// returned.
 ///
 /// The association is fixed by the block structure: every group's rows
 /// fold per block, and the block partials add up in block order — or, for
@@ -179,9 +180,9 @@ Result<ResultSet> RunBlocked(
 /// RunBlocked over a sorted row-id list: each block takes the ids inside
 /// its [begin, end) range, located by binary search. Row ids stay in
 /// ascending order inside every block, so the result is byte-identical to a
-/// scan that selected the same rows in place — this is how the sharded
-/// chunk and shared-scan paths (engine/database.h FinishChunkScan)
-/// aggregate their merged row lists.
+/// scan that selected the same rows in place — this is how the shared
+/// chunk pass (engine/database.h FinishChunkScan) aggregates its merged
+/// row lists.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows);

@@ -52,6 +52,7 @@ struct BatchScanQueue::Request {
   std::vector<std::vector<uint32_t>> rows;
   uint64_t chunks_scanned = 0;
   double scan_ms = 0;
+  double job_ms = 0;
   bool shared = false;
   bool done = false;
 };
@@ -76,6 +77,7 @@ struct BatchScanQueue::Pass {
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   std::vector<Status> statuses;
+  std::vector<double> job_ms;                            ///< per job
   std::vector<std::vector<std::vector<uint32_t>>> outs;  ///< per job, per stmt
   std::mutex m;
   std::condition_variable cv;
@@ -163,6 +165,7 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
   sel.rows = std::move(req->rows);
   sel.chunks_scanned = req->chunks_scanned;
   sel.scan_ms = req->scan_ms;
+  sel.job_ms = req->job_ms;
   sel.shared = req->shared;
   return sel;
 }
@@ -245,7 +248,9 @@ void BatchScanQueue::RunJobs(Pass* pass) {
     const Pass::Unit& unit = pass->units[j / pass->chunks];
     const auto [begin, end] = pass->map.chunk_range(j % pass->chunks);
     pass->outs[j].resize(unit.scanner->num_statements());
+    const auto t0 = SteadyNow();
     pass->statuses[j] = unit.scanner->ScanRange(begin, end, &pass->outs[j]);
+    pass->job_ms[j] = MsSince(t0);
     if (pass->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         pass->total) {
       // Empty critical section pairs with the completion wait's predicate
@@ -290,6 +295,7 @@ void BatchScanQueue::ExecutePass(
   }
   pass->total = pass->units.size() * pass->chunks;
   pass->statuses.assign(pass->total, Status::OK());
+  pass->job_ms.assign(pass->total, 0);
   pass->outs.resize(pass->total);
 
   // Publish to the worker pool, scan alongside it, then wait out the last
@@ -313,10 +319,13 @@ void BatchScanQueue::ExecutePass(
   }
   const double wall_ms = MsBetween(t0, SteadyNow());
   pass_hist_->Record(wall_ms);
+  double job_ms = 0;
+  for (double ms : pass->job_ms) job_ms += ms;
 
   // Demultiplex: per member, per statement, concatenate the chunk lists in
   // chunk order — the positional merge that equals a serial scan. Errors
-  // surface as the first failing chunk index, mirroring the sharded path.
+  // surface as the first failing chunk index — the failure a serial scan,
+  // which visits rows in ascending order, would have hit first.
   for (size_t u = 0; u < pass->units.size(); ++u) {
     const Pass::Unit& unit_ref = pass->units[u];
     Status unit_status = Status::OK();
@@ -349,6 +358,7 @@ void BatchScanQueue::ExecutePass(
       req.chunks_scanned =
           static_cast<uint64_t>(pass->chunks) * req.num_stmts;
       req.scan_ms = wall_ms;
+      req.job_ms = job_ms;
       req.shared = members.size() > 1;
     }
   }

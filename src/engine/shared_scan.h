@@ -9,7 +9,7 @@
 /// concurrent selections into ~1 pass: callers enqueue their prepared
 /// MultiChunkScanners, a coordinator cuts a *pass* from everything waiting
 /// for the same (backend, table) group, fuses the scanners that can share
-/// a row loop (ScanDatabase tests all predicates per row; Roaring keeps
+/// a row loop (the base scanner tests all predicates per row; Roaring keeps
 /// its bitmap probes), fans the chunks out over a persistent worker pool,
 /// and demultiplexes per-statement row-id lists back to each caller.
 ///
@@ -22,7 +22,7 @@
 /// for wider sharing (useful when queries trickle in over a slow client).
 ///
 /// Determinism contract: selection stays in the scan (each statement's
-/// rows are exactly its solo ChunkScanner's, concatenated in chunk order)
+/// rows are exactly what it selects alone, concatenated in chunk order)
 /// and aggregation stays with the caller (FinishChunkScan's blocked
 /// runner, a pure function of table size) — so batched results are
 /// byte-identical to the unbatched oracle at any worker count, window,
@@ -90,13 +90,16 @@ class BatchScanQueue {
   struct Selection {
     Status status = Status::OK();
     /// Per statement: the ascending surviving-row list, identical to what
-    /// the statement's solo chunk scan would select. Empty on error.
+    /// the statement selects alone. Empty on error.
     std::vector<std::vector<uint32_t>> rows;
-    /// Chunk sub-scans attributable to this call (chunks × statements,
-    /// matching the per-statement accounting of the sharded path).
+    /// Chunk sub-scans attributable to this call (chunks × statements).
     uint64_t chunks_scanned = 0;
     /// Wall time of the covering pass (shared by every member).
     double scan_ms = 0;
+    /// Summed time of the covering pass's chunk jobs across every scanning
+    /// thread (shared by every member, like scan_ms); job_ms / scan_ms
+    /// approximates the fan-out the pass achieved.
+    double job_ms = 0;
     /// True when the pass also carried statements from other SelectRows
     /// calls — the redundant scans actually eliminated.
     bool shared = false;

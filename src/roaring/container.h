@@ -161,7 +161,7 @@ class Container {
   /// straight to the window: arrays binary-search the start, bitmaps mask
   /// the boundary words, runs clamp, and the all/inverted encodings emit
   /// dense loops. This is the boundary-chunk path of
-  /// RoaringBitmap::ForEachInRange (the sharded scan's range extraction).
+  /// RoaringBitmap::ForEachInRange (the chunk scan's range extraction).
   template <typename Fn>
   void ForEachInWindow(uint16_t lo, uint16_t hi, Fn&& fn) const {
     if (lo > hi) return;

@@ -76,7 +76,7 @@ class RoaringBitmap {
   /// fully inside the range iterate directly; the boundary containers (at
   /// most two per call) filter per value — so a range restricted to one
   /// 64K-aligned chunk costs one binary search plus that chunk's values.
-  /// This is the chunk-range extraction the sharded scan path relies on.
+  /// This is the chunk-range extraction the Roaring scanner relies on.
   template <typename Fn>
   void ForEachInRange(uint32_t lo, uint32_t hi, Fn&& fn) const {
     if (hi <= lo) return;

@@ -234,6 +234,9 @@ QueryService::QueryService(ServiceOptions options)
     bopts.window_ms = options.batch_window_ms;
     bopts.metrics = metrics_;
     batch_scans_ = std::make_unique<BatchScanQueue>(bopts);
+    // Every executor — and EXPLAIN, which plans against base_zql_ — sees
+    // the queue, so the rendered route is the one queries take.
+    base_zql_.batch_scans = batch_scans_.get();
   }
   current_.resize(max_inflight_);
   workers_.reserve(max_inflight_);
@@ -626,7 +629,6 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
   // The pool deduplicates in-flight builds even when the cache budget is
   // 0 (its cache probe just never hits).
   opts.context_pool = &context_pool_;
-  if (batch_scans_ != nullptr) opts.batch_scans = batch_scans_.get();
   if (task->opt_override.has_value()) {
     opts.optimization = *task->opt_override;
   }
@@ -656,7 +658,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
     c_cache_misses_->Increment();
   }
   // Stage histograms: pure scan and scoring time per executed query (the
-  // shard histogram only when the shard pool actually scanned chunks).
+  // shard histogram only when a shared chunk pass actually scanned).
   m_fetch_->Record(result.stats.fetch_ms);
   m_score_->Record(result.stats.score_ms);
   if (result.stats.chunks_scanned > 0) {

@@ -110,26 +110,24 @@ struct ZqlOptions {
   /// ResultSets the fetch thread may run ahead of the consumer before it
   /// blocks (memory bound per in-flight query).
   size_t pipeline_depth = 4;
-  /// Sharded scan fan-out (docs/architecture.md "Sharded execution"): when
-  /// the effective value is >1 and the table's ChunkMap has >=2 chunks,
-  /// each FetchOp statement is compiled once and its chunks are scanned by
-  /// a pool of min(shards, chunks) shard workers, the per-chunk row lists
-  /// merged positionally before the shared blocked aggregation runs. 0
-  /// resolves the ZV_SHARDS environment variable (default: min(4,
-  /// hardware concurrency) — wider-than-the-machine fan-out only pays
-  /// when chunk scans wait on a remote store); 1 disables sharding. A pure execution strategy: results are byte-identical at
-  /// any setting (tests/shard_test.cc locks the matrix).
+  /// Retired: selects nothing. Chunk-parallel row selection is the
+  /// batch queue's (batch_scans below); without one, flushes run the
+  /// reference blocked scan. Still declared only because the benchmark
+  /// harness's oracle (zvbench/oracle.h) assigns it; it goes together
+  /// with that assignment.
   size_t shards = 0;
   /// Cross-query shared-scan batching (docs/architecture.md "Batched
   /// execution"): when set, every flush's row selection is routed through
-  /// this queue (engine/shared_scan.h), which coalesces compatible
-  /// statements from concurrently executing queries over the same backend
-  /// and table into one shared chunk pass — the serving layer wires the
-  /// QueryService's queue in here. Selection stays in the scan and
-  /// aggregation in the table-size-pure blocked runner, so results are
-  /// byte-identical to the unbatched schedules regardless of which
-  /// queries happen to share a pass (tests/batch_test.cc locks the
-  /// matrix). Ignored for tables without a chunk map.
+  /// this queue (engine/shared_scan.h), which fans it out over the
+  /// table's chunks and coalesces compatible statements from concurrently
+  /// executing queries over the same backend and table into one shared
+  /// chunk pass — the serving layer wires the QueryService's queue in
+  /// here. Selection stays in the scan and aggregation in the
+  /// table-size-pure blocked runner, so results are byte-identical to the
+  /// reference blocked scan regardless of chunk size, queue width, or
+  /// which queries happen to share a pass (tests/shard_test.cc and
+  /// tests/batch_test.cc lock the matrices). Ignored for tables without a
+  /// chunk map.
   BatchScanQueue* batch_scans = nullptr;
   /// Single-flight ScoringContext construction across concurrent queries
   /// (tasks/context_pool.h): when set, context acquisition goes through
@@ -146,7 +144,7 @@ struct ZqlOptions {
   /// match the client-side binner exactly; for float-valued measures the
   /// summation *order* differs (blocked scan order vs fetched-row order),
   /// so sums can differ in final ulps between on and off. Each setting is
-  /// individually deterministic across threads/shards/schedules/batching,
+  /// individually deterministic across threads/schedules/batching,
   /// and integer measures are exact either way (tests/batch_test.cc locks
   /// on/off identity on integer data). Box-plot specs always bin
   /// client-side (they need the raw rows).
@@ -155,12 +153,12 @@ struct ZqlOptions {
   /// records a span tree under `trace_parent` (null = the trace root) —
   /// one "execute" span holding one span per plan operator
   /// (FetchOp/MaterializeOp/ScoreOp/ReduceOp/OutputOp, names matching the
-  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch"),
-  /// per chunk-scan pass ("ChunkScanPass"), and per shared-scan
-  /// group-commit pass ("SharedScanPass"). A pure observer: spans never
-  /// influence scheduling, results are byte-identical with tracing on or
-  /// off (tests/trace_test.cc locks the matrix), and the serving layer
-  /// keeps trace state out of QueryFingerprint and every cache.
+  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch")
+  /// and per shared-scan group-commit pass ("SharedScanPass"). A pure
+  /// observer: spans never influence scheduling, results are
+  /// byte-identical with tracing on or off (tests/trace_test.cc locks the
+  /// matrix), and the serving layer keeps trace state out of
+  /// QueryFingerprint and every cache.
   Trace* trace = nullptr;
   TraceSpan* trace_parent = nullptr;
 };
@@ -199,11 +197,14 @@ struct ZqlStats {
   /// (fetch_ms + score_ms) and total_ms is the overlap won.
   double fetch_ms = 0;
   double score_ms = 0;
-  /// Sharded-scan instrumentation: chunk sub-scans executed by the shard
-  /// worker pool, and the cumulative time those workers spent scanning
-  /// (summed across workers, so under parallel fan-out shard_ms exceeds
-  /// the wall time the scans took — the ratio is the fan-out won). Both
-  /// stay 0 when sharding is off or the table fits in one chunk.
+  /// Chunk-pass instrumentation (ZqlOptions::batch_scans): chunks_scanned
+  /// counts the chunk sub-scans of this query's statements (chunks ×
+  /// statements per pass), and shard_ms sums the covering passes' chunk
+  /// job times across every scanning thread — the whole pass's figure,
+  /// shared by every member, like fetch_ms — so under parallel fan-out
+  /// shard_ms exceeds the pass's wall time and shard_ms / fetch_ms
+  /// approximates the fan-out won. Both stay 0 on the reference blocked
+  /// scan (no batch queue, or an empty table).
   uint64_t chunks_scanned = 0;
   double shard_ms = 0;
   /// Shared-scan batching instrumentation (ZqlOptions::batch_scans):

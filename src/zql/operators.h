@@ -127,7 +127,7 @@ struct ExecState {
   /// Per-query trace (ZqlOptions::trace; null when tracing is off) and
   /// the "execute" span operator spans parent under. Wired by the
   /// executor before the scheduler runs and immutable afterwards — the
-  /// fetch thread and shard workers read them concurrently, the Trace
+  /// fetch thread reads them concurrently, the Trace
   /// itself synchronizes span creation.
   Trace* trace = nullptr;
   TraceSpan* trace_span = nullptr;

@@ -1,10 +1,8 @@
 #include "zql/plan.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <set>
-#include <thread>
+#include <utility>
 
 #include "common/strings.h"
 #include "zql/canonical.h"
@@ -295,27 +293,11 @@ class PlanEmitter {
 
 }  // namespace
 
-size_t ResolveShardWorkers(const ZqlOptions& options) {
-  if (options.shards > 0) return options.shards;
-  if (const char* env = std::getenv("ZV_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<size_t>(v);
-  }
-  // Shard workers are threads: defaulting past the core count only pays
-  // off when chunk scans wait on a remote store, which callers opt into
-  // explicitly (opts.shards / ZV_SHARDS). A CPU-bound local scan sharded
-  // wider than the machine just buys row-id materialization overhead.
-  const unsigned cores = std::thread::hardware_concurrency();
-  return cores == 0 ? 1 : std::min<size_t>(4, cores);
-}
-
 Result<PhysicalPlan> BuildPhysicalPlan(const ZqlQuery& query,
                                        const ZqlOptions& options) {
   PhysicalPlan plan;
   plan.optimization = options.optimization;
   plan.pipelined = options.pipelined_execution;
-  plan.shard_workers = ResolveShardWorkers(options);
   plan.shared_scans = options.batch_scans != nullptr;
   PlanEmitter emit(&plan);
 
@@ -388,15 +370,15 @@ std::string PhysicalPlan::Render(const ZqlQuery& query,
         std::string detail = optimization == OptLevel::kNoOpt
                                  ? "one scan per viz"
                                  : "batched scan";
-        // The fan-out the scheduler will use: sharding engages only when
-        // workers > 1 and the table splits into at least two chunks.
-        if (shard_workers > 1 && table_chunks >= 2) {
-          detail += StrFormat(", chunks=%zu, shards=%zu", table_chunks,
-                              std::min(shard_workers, table_chunks));
+        // Row selection goes through the cross-query batch queue, whose
+        // pass fans out over the table's chunks; whether a pass is
+        // actually shared depends on run-time co-tenancy.
+        if (shared_scans) {
+          detail += ", shared-scan";
+          if (table_chunks > 0) {
+            detail += StrFormat(", chunks=%zu", table_chunks);
+          }
         }
-        // Row selection goes through the cross-query batch queue; whether
-        // a pass is actually shared depends on run-time co-tenancy.
-        if (shared_scans) detail += ", shared-scan";
         out += StrFormat("  %-15s%s  [%s]\n", "FetchOp", name.c_str(),
                          detail.c_str());
         break;

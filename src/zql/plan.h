@@ -62,15 +62,10 @@ struct PhysicalPlan {
   std::vector<PlanStep> steps;
   /// kInterTask: wavefront wave per row; sequential levels leave it empty.
   std::vector<int> wave_of_row;
-  /// Requested shard worker count (ZqlOptions::shards with ZV_SHARDS
-  /// resolved; always >= 1). Still structural: whether sharding actually
-  /// engages depends on the table's chunk count, which the scheduler
-  /// resolves at run time — a plan never touches data.
-  size_t shard_workers = 1;
   /// True when the option set routes row selection through a cross-query
-  /// BatchScanQueue (ZqlOptions::batch_scans). Structural, like
-  /// shard_workers: whether a given flush actually shares its pass with
-  /// another query is decided by co-tenancy at run time.
+  /// BatchScanQueue (ZqlOptions::batch_scans) — the one route that fans
+  /// out over chunks. Structural: whether a given flush actually shares
+  /// its pass with another query is decided by co-tenancy at run time.
   bool shared_scans = false;
 
   /// EXPLAIN rendering: the operator tree, one line per operator, grouped
@@ -78,14 +73,10 @@ struct PhysicalPlan {
   /// ScoringContext scan / top-k pruned / serial user function). `query`
   /// must be the query the plan was built from. `table_chunks` — the
   /// target table's ChunkMap size, when the caller has a backend to ask —
-  /// annotates each FetchOp with its fan-out (`chunks=K, shards=N`); 0
-  /// (unknown, or a single-chunk table) renders the unsharded form.
+  /// annotates each shared-scan FetchOp with its fan-out (`chunks=K`); 0
+  /// (unknown) leaves it off, and so does the reference blocked scan.
   std::string Render(const ZqlQuery& query, size_t table_chunks = 0) const;
 };
-
-/// Effective shard worker count: options.shards when positive, else the
-/// ZV_SHARDS environment variable, else min(4, hardware concurrency).
-size_t ResolveShardWorkers(const ZqlOptions& options);
 
 /// Lowers `query` into its physical plan under `options`. Pure — consults
 /// no data. For Inter-Task optimization this computes the wavefront

@@ -34,22 +34,13 @@ PipelineScheduler::PipelineScheduler(const PhysicalPlan& plan,
                                      const ZqlQuery& query, ExecState* st)
     : plan_(plan), query_(query), st_(st) {
   cancel_flag_ = CurrentCancelFlag();
-  // Resolve the scan strategy once per query against the table's chunk
-  // catalog. Cross-query batching engages for any non-empty chunked table
-  // (the queue is chunk-parallel on its own, so it supersedes the
-  // per-query shard pool); otherwise sharding engages when the plan wants
-  // >1 worker and the table splits into >=2 chunks; otherwise the plain
-  // unsharded path runs.
-  if (st->db != nullptr) {
+  // Resolve the row-selection route once per query: the shared chunk pass
+  // when the options carry a batch queue and the table has at least one
+  // chunk, otherwise the reference blocked scan.
+  if (st->db != nullptr && st->opts->batch_scans != nullptr) {
     Result<ChunkMap> map = st->db->GetChunkMap(st->table_name);
-    if (map.ok() && map.value().num_chunks() >= 1 &&
-        st->opts->batch_scans != nullptr) {
+    if (map.ok() && map.value().num_chunks() >= 1) {
       batch_queue_ = st->opts->batch_scans;
-    } else if (map.ok() && map.value().num_chunks() >= 2 &&
-               plan.shard_workers > 1) {
-      chunk_map_ = map.value();
-      shard_workers_ = plan.shard_workers;
-      sharded_ = true;
     }
   }
 }
@@ -68,15 +59,6 @@ PipelineScheduler::~PipelineScheduler() {
       in_flight_.pop_front();
     }
     fetch_thread_.join();
-  }
-  // The shard pool outlives the fetch thread (which may be mid-
-  // ExecuteSharded): every dispatched chunk yields exactly one item — on
-  // abandon the workers answer with kCancelled items — so the fetch
-  // thread's merge loop always completes and the join above terminates.
-  // Only then is it safe to close the job queue and reap the workers.
-  if (!shard_threads_.empty()) {
-    chunk_jobs_->Close();
-    for (std::thread& t : shard_threads_) t.join();
   }
 }
 
@@ -176,11 +158,7 @@ Status PipelineScheduler::StepFlush() {
   std::vector<PendingFetch> pending = std::move(buffer_);
   buffer_.clear();
   Status first_error = Status::OK();
-  double scan_ms = 0;
-  uint64_t chunks_scanned = 0;
-  double shard_ms = 0;
-  uint64_t batched_scans = 0;
-  uint64_t scans_shared = 0;
+  ScanTally tally;
   RunBatch(
       stmts, batched,
       [&](size_t i, Result<ResultSet> rs) {
@@ -191,14 +169,9 @@ Status PipelineScheduler::StepFlush() {
         first_error = RouteFetch(pending[i], rs.value(), st_);
         return first_error.ok();
       },
-      &scan_ms, &chunks_scanned, &shard_ms, &batched_scans, &scans_shared,
-      flush_span.span(), /*track=*/0);
-  st_->stats.fetch_ms += scan_ms;
+      &tally, flush_span.span(), /*track=*/0);
+  AddTally(tally);
   st_->stats.exec_ms += MsSince(t0);
-  st_->stats.chunks_scanned += chunks_scanned;
-  st_->stats.shard_ms += shard_ms;
-  st_->stats.batched_scans += batched_scans;
-  st_->stats.scans_shared += scans_shared;
   return first_error;
 }
 
@@ -226,15 +199,11 @@ Status PipelineScheduler::DrainUpTo(size_t limit_tag) {
     }
     PendingFetch pf = std::move(in_flight_.front());
     in_flight_.pop_front();
-    st_->stats.fetch_ms += item.scan_ms;
-    st_->stats.chunks_scanned += item.chunks_scanned;
-    st_->stats.shard_ms += item.shard_ms;
-    st_->stats.batched_scans += item.batched_scans;
-    st_->stats.scans_shared += item.scans_shared;
+    AddTally(item.tally);
     if (!item.result.ok()) return item.result.status();
     const auto t0 = SteadyNow();
     const Status routed = RouteFetch(pf, item.result.value(), st_);
-    st_->stats.exec_ms += item.scan_ms + MsSince(t0);
+    st_->stats.exec_ms += item.tally.scan_ms + MsSince(t0);
     ZV_RETURN_NOT_OK(routed);
   }
   return Status::OK();
@@ -264,32 +233,16 @@ void PipelineScheduler::FetchWorkerMain() {
                             /*track=*/1);
       batch_span.SetInt("statements", static_cast<int64_t>(job.stmts.size()));
       batch_span.SetBool("batched", job.batched);
-      double scan_total = 0;
-      double scan_last = 0;
-      uint64_t chunks_total = 0;
-      uint64_t chunks_last = 0;
-      double shard_total = 0;
-      double shard_last = 0;
-      uint64_t batched_total = 0;
-      uint64_t batched_last = 0;
-      uint64_t shared_total = 0;
-      uint64_t shared_last = 0;
+      ScanTally tally;
       RunBatch(
           job.stmts, job.batched,
           [&](size_t, Result<ResultSet> rs) {
             const bool ok = rs.ok();
             FetchItem item;
             item.result = std::move(rs);
-            item.scan_ms = scan_total - scan_last;
-            scan_last = scan_total;
-            item.chunks_scanned = chunks_total - chunks_last;
-            chunks_last = chunks_total;
-            item.shard_ms = shard_total - shard_last;
-            shard_last = shard_total;
-            item.batched_scans = batched_total - batched_last;
-            batched_last = batched_total;
-            item.scans_shared = shared_total - shared_last;
-            shared_last = shared_total;
+            // Hand over what accrued since the previous statement; the
+            // batch keeps adding into the reset tally.
+            item.tally = std::exchange(tally, ScanTally{});
             results_->Push(std::move(item));
             ++produced;
             // Stop at the first failed statement (matching the staged
@@ -298,8 +251,7 @@ void PipelineScheduler::FetchWorkerMain() {
             return ok && !abandon_.load(std::memory_order_relaxed) &&
                    !CancellationRequested();
           },
-          &scan_total, &chunks_total, &shard_total, &batched_total,
-          &shared_total, batch_span.span(), /*track=*/1);
+          &tally, batch_span.span(), /*track=*/1);
     }
     // Exactly one item per statement, always: statements skipped by an
     // early stop yield placeholders so the coordinator's accounting (one
@@ -315,38 +267,11 @@ void PipelineScheduler::FetchWorkerMain() {
 void PipelineScheduler::RunBatch(
     const std::vector<sql::SelectStatement>& stmts, bool batched,
     const std::function<bool(size_t, Result<ResultSet>)>& sink,
-    double* scan_ms, uint64_t* chunks_scanned, double* shard_ms,
-    uint64_t* batched_scans, uint64_t* scans_shared, TraceSpan* span_parent,
-    int track) {
-  if (batch_queue_ != nullptr) {
-    RunBatchShared(stmts, batched, sink, scan_ms, chunks_scanned,
-                   batched_scans, scans_shared, span_parent, track);
+    ScanTally* tally, TraceSpan* span_parent, int track) {
+  if (batch_queue_ == nullptr) {
+    st_->db->ScanBatch(stmts, batched, sink, &tally->scan_ms);
     return;
   }
-  if (!sharded_) {
-    st_->db->ScanBatch(stmts, batched, sink, scan_ms);
-    return;
-  }
-  // Sharded execution of the batch. Accounting mirrors ScanBatch exactly:
-  // batched = one round trip for the whole batch, counted up front even if
-  // an early stop skips statements; unbatched = one round trip each.
-  StartShardPool();
-  if (batched) st_->db->AccountRequest(stmts.size());
-  for (size_t i = 0; i < stmts.size(); ++i) {
-    if (!batched) st_->db->AccountRequest(1);
-    const auto t0 = SteadyNow();
-    Result<ResultSet> rs =
-        ExecuteSharded(stmts[i], chunks_scanned, shard_ms, span_parent, track);
-    if (scan_ms != nullptr) *scan_ms += MsSince(t0);
-    if (!sink(i, std::move(rs))) return;
-  }
-}
-
-void PipelineScheduler::RunBatchShared(
-    const std::vector<sql::SelectStatement>& stmts, bool batched,
-    const std::function<bool(size_t, Result<ResultSet>)>& sink,
-    double* scan_ms, uint64_t* chunks_scanned, uint64_t* batched_scans,
-    uint64_t* scans_shared, TraceSpan* span_parent, int track) {
   // Accounting mirrors ScanBatch exactly: batched = one round trip for
   // the whole flush, counted up front; unbatched = one per statement,
   // stopped by an early sink exit. The shared pass changes how rows are
@@ -368,100 +293,33 @@ void PipelineScheduler::RunBatchShared(
     pass_span.SetInt("chunks", static_cast<int64_t>(sel.chunks_scanned));
     pass_span.SetDouble("pass_ms", sel.scan_ms);
   }
-  if (scan_ms != nullptr) *scan_ms += MsSince(t0);
-  if (chunks_scanned != nullptr) *chunks_scanned += sel.chunks_scanned;
-  if (batched_scans != nullptr) *batched_scans += stmts.size();
-  if (scans_shared != nullptr && sel.shared) *scans_shared += stmts.size();
+  tally->scan_ms += MsSince(t0);
+  tally->chunks_scanned += sel.chunks_scanned;
+  tally->shard_ms += sel.job_ms;
+  tally->batched_scans += stmts.size();
+  if (sel.shared) tally->scans_shared += stmts.size();
   for (size_t i = 0; i < stmts.size(); ++i) {
     if (!batched) st_->db->AccountRequest(1);
     if (!sel.status.ok()) {
       if (!sink(i, sel.status)) return;
       continue;
     }
-    // Same split as the sharded path: the pass selected the rows, the
-    // table-size-pure blocked runner aggregates them — so the bytes can
-    // not depend on who shared the pass.
+    // The pass selected the rows, the table-size-pure blocked runner
+    // aggregates them — so the bytes can not depend on who shared the
+    // pass or how many chunks it fanned over.
     const auto tf = SteadyNow();
     Result<ResultSet> rs = st_->db->FinishChunkScan(stmts[i], sel.rows[i]);
-    if (scan_ms != nullptr) *scan_ms += MsSince(tf);
+    tally->scan_ms += MsSince(tf);
     if (!sink(i, std::move(rs))) return;
   }
 }
 
-Result<ResultSet> PipelineScheduler::ExecuteSharded(
-    const sql::SelectStatement& stmt, uint64_t* chunks_scanned,
-    double* shard_ms, TraceSpan* span_parent, int track) {
-  TraceScope pass_span(st_->trace, span_parent, "ChunkScanPass", track);
-  ZV_ASSIGN_OR_RETURN(std::unique_ptr<ChunkScanner> scanner,
-                      st_->db->PrepareChunkScan(stmt));
-  const size_t chunks = chunk_map_.num_chunks();
-  pass_span.SetInt("chunks", static_cast<int64_t>(chunks));
-  pass_span.SetInt("workers",
-                   static_cast<int64_t>(std::min(shard_workers_, chunks)));
-  for (size_t c = 0; c < chunks; ++c) {
-    const auto [begin, end] = chunk_map_.chunk_range(c);
-    chunk_jobs_->Push({scanner.get(), c, begin, end});
-  }
-  // Collect exactly one item per chunk (the workers' guarantee), slotting
-  // by chunk index — the positional merge that makes the concatenated row
-  // list identical to a serial scan's.
-  std::vector<ChunkItem> slots(chunks);
-  for (size_t received = 0; received < chunks; ++received) {
-    ChunkItem item;
-    if (!chunk_results_->Pop(&item)) {
-      return Status::Internal("shard pool closed with chunks in flight");
-    }
-    slots[item.chunk] = std::move(item);
-  }
-  // First error by chunk index — the failure a serial scan, which visits
-  // rows in ascending order, would have hit first.
-  size_t total_rows = 0;
-  for (const ChunkItem& slot : slots) {
-    ZV_RETURN_NOT_OK(slot.status);
-    total_rows += slot.rows.size();
-  }
-  std::vector<uint32_t> rows;
-  rows.reserve(total_rows);
-  for (ChunkItem& slot : slots) {
-    rows.insert(rows.end(), slot.rows.begin(), slot.rows.end());
-    if (shard_ms != nullptr) *shard_ms += slot.scan_ms;
-  }
-  if (chunks_scanned != nullptr) *chunks_scanned += chunks;
-  pass_span.SetInt("rows", static_cast<int64_t>(total_rows));
-  return st_->db->FinishChunkScan(stmt, rows);
-}
-
-void PipelineScheduler::StartShardPool() {
-  if (!shard_threads_.empty()) return;
-  const size_t chunks = chunk_map_.num_chunks();
-  chunk_jobs_ = std::make_unique<BoundedQueue<ChunkJob>>(chunks);
-  chunk_results_ = std::make_unique<BoundedQueue<ChunkItem>>(chunks);
-  const size_t workers = std::min(shard_workers_, chunks);
-  shard_threads_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    shard_threads_.emplace_back([this] { ShardWorkerMain(); });
-  }
-}
-
-void PipelineScheduler::ShardWorkerMain() {
-  // Same mirroring as the fetch thread: chunk scans poll the coordinator's
-  // token inside ScanRange, so cancellation reaches every shard worker.
-  CancelScope scope(cancel_flag_);
-  ChunkJob job;
-  while (chunk_jobs_->Pop(&job)) {
-    ChunkItem item;
-    item.chunk = job.chunk;
-    const auto t0 = SteadyNow();
-    if (abandon_.load(std::memory_order_relaxed) || CancellationRequested()) {
-      item.status = Status(StatusCode::kCancelled, "query cancelled");
-    } else {
-      item.status = job.scanner->ScanRange(job.begin, job.end, &item.rows);
-    }
-    item.scan_ms = MsSince(t0);
-    // Never silent: every claimed chunk answers, so ExecuteSharded's
-    // accounting (one pop per dispatched chunk) always terminates.
-    chunk_results_->Push(std::move(item));
-  }
+void PipelineScheduler::AddTally(const ScanTally& tally) {
+  st_->stats.fetch_ms += tally.scan_ms;
+  st_->stats.chunks_scanned += tally.chunks_scanned;
+  st_->stats.shard_ms += tally.shard_ms;
+  st_->stats.batched_scans += tally.batched_scans;
+  st_->stats.scans_shared += tally.scans_shared;
 }
 
 }  // namespace zv::zql::exec

@@ -12,36 +12,31 @@
 ///    only the fetches tagged at or before its own row, so scoring of an
 ///    already-materialized row overlaps the backend scan of later rows.
 ///
-/// Under either schedule a flush's statements may additionally be
-/// *sharded* (docs/architecture.md "Sharded execution"): when the plan
-/// asks for >1 shard worker and the table's ChunkMap splits into >=2
-/// chunks, each statement is compiled once (Database::PrepareChunkScan)
-/// and its chunks fan out to a pool of shard workers whose per-chunk
-/// row lists come back through a bounded queue tagged by chunk index,
-/// merge positionally, and finish through the shared blocked aggregation
-/// (FinishChunkScan) — so the ResultSet bytes match the unsharded scan at
-/// any ZV_SHARDS / chunk size.
-///
-/// When the options carry a BatchScanQueue (docs/architecture.md "Batched
-/// execution"), a flush's row selection is instead routed through the
-/// cross-query shared-scan coordinator (engine/shared_scan.h): the whole
-/// flush joins one chunk-parallel pass, possibly alongside other queries'
-/// statements, and each statement still finishes through the same
-/// FinishChunkScan aggregation — so what a pass happens to share never
-/// shows up in the bytes.
+/// Under either schedule a flush selects its rows one of two ways
+/// (docs/architecture.md "Batched execution"). Without a BatchScanQueue in
+/// the options it runs the reference blocked scan (Database::ScanBatch).
+/// With one — every served query — the whole flush joins one chunk-
+/// parallel pass of the cross-query shared-scan coordinator
+/// (engine/shared_scan.h), possibly alongside other queries' statements,
+/// and each statement finishes through the shared blocked aggregation
+/// (FinishChunkScan) — so what a pass happens to share, and how many
+/// chunks it fans over, never shows up in the bytes.
 ///
 /// Determinism contract: everything except the backend scan — routing,
 /// derivations, scoring, reduction, variable binding — runs on the
 /// coordinating thread in plan order under both schedules, and a scan's
 /// ResultSet does not depend on when it executes (the query holds one
 /// table snapshot). Results are therefore byte-identical across schedules
-/// and across ZV_THREADS (tests/pipeline_test.cc) and across shard
-/// settings (tests/shard_test.cc). Errors surface as the first failing
-/// statement in dispatch order — and within a sharded statement, as the
+/// and across ZV_THREADS (tests/pipeline_test.cc) and across chunk sizes
+/// and queue widths (tests/shard_test.cc). Errors surface as the first
+/// failing statement in dispatch order — and within a chunk pass, as the
 /// lowest failing chunk index, mirroring a serial scan's row order;
 /// cancellation is polled at every step, per scanned statement on the
-/// fetch thread, per chunk range on every shard worker, and per scored
-/// combination.
+/// fetch thread, while waiting on a pass, and per scored combination.
+///
+/// Threads: the only thread a query creates is the pipelined fetch thread.
+/// Chunk passes run on the BatchScanQueue's own workers, and the blocked
+/// scan on the common/parallel pool.
 
 #ifndef ZV_ZQL_SCHEDULER_H_
 #define ZV_ZQL_SCHEDULER_H_
@@ -54,7 +49,6 @@
 
 #include "common/bounded_queue.h"
 #include "common/status.h"
-#include "engine/chunk_map.h"
 #include "zql/operators.h"
 #include "zql/plan.h"
 
@@ -77,42 +71,29 @@ class PipelineScheduler {
   Status Run();
 
  private:
+  /// Scan accounting accumulated by RunBatch and folded into ZqlStats as
+  /// results are routed: fetch_ms, chunks_scanned, shard_ms, batched_scans
+  /// and scans_shared.
+  struct ScanTally {
+    double scan_ms = 0;
+    uint64_t chunks_scanned = 0;
+    double shard_ms = 0;
+    uint64_t batched_scans = 0;
+    uint64_t scans_shared = 0;
+  };
   /// One scanned statement coming back from the fetch thread. Exactly one
   /// item is produced per dispatched statement, always — on cancellation
   /// the remaining statements of a batch yield kCancelled placeholders —
   /// so the coordinator can account for every dispatch.
   struct FetchItem {
     Result<ResultSet> result = Status::Internal("unset");
-    double scan_ms = 0;
-    /// Sharded-scan deltas for this statement (0 when unsharded).
-    uint64_t chunks_scanned = 0;
-    double shard_ms = 0;
-    /// Shared-scan deltas for this statement (0 when batching is off).
-    uint64_t batched_scans = 0;
-    uint64_t scans_shared = 0;
+    /// Accounting accrued since the previous item of the batch.
+    ScanTally tally;
   };
   /// One flush's statement batch, handed to the fetch thread.
   struct FetchJob {
     std::vector<sql::SelectStatement> stmts;
     bool batched = true;  ///< one request for the batch vs one per statement
-  };
-  /// One chunk sub-scan, handed to a shard worker. The scanner is owned by
-  /// ExecuteSharded's frame, which outlives the chunk (it blocks until
-  /// every dispatched chunk's item is back).
-  struct ChunkJob {
-    const ChunkScanner* scanner = nullptr;
-    size_t chunk = 0;
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
-  /// A chunk's surviving rows (ascending), tagged for positional merge.
-  /// Exactly one item comes back per dispatched chunk, always — workers
-  /// answer cancellation/teardown with kCancelled items, never silence.
-  struct ChunkItem {
-    size_t chunk = 0;
-    Status status = Status::OK();
-    std::vector<uint32_t> rows;
-    double scan_ms = 0;
   };
 
   Status StepFlush();
@@ -123,39 +104,24 @@ class PipelineScheduler {
   Status DrainUpTo(size_t limit_tag);
 
   /// Executes one flush's statement batch and feeds results to `sink` —
-  /// contract identical to Database::ScanBatch (which it delegates to when
-  /// sharding is inactive). Sharded: per statement, compile once, fan the
-  /// chunks out to the shard pool, merge positionally, aggregate through
-  /// FinishChunkScan; accounting mirrors ScanBatch via AccountRequest so
-  /// sql_queries/sql_requests deltas are unchanged. Runs on the
-  /// coordinator (staged) or the fetch thread (pipelined) — never both.
-  /// `span_parent`/`track` locate this batch's trace spans (per chunk-scan
-  /// pass, per shared-scan pass) in the query's span tree; null parent
-  /// with tracing off records nothing.
+  /// contract identical to Database::ScanBatch, which it delegates to when
+  /// the query has no batch queue. With one, the whole flush goes to the
+  /// queue in one SelectRows call — so its statements always share one
+  /// pass, possibly joined by other queries' — and each statement
+  /// finishes through FinishChunkScan on the calling thread, with
+  /// AccountRequest mirroring ScanBatch's round-trip accounting. Adds its
+  /// accounting into `tally`. Runs on the coordinator (staged) or the
+  /// fetch thread (pipelined) — never both. `span_parent`/`track` locate
+  /// the pass's trace span in the query's span tree; null parent with
+  /// tracing off records nothing.
   void RunBatch(const std::vector<sql::SelectStatement>& stmts, bool batched,
                 const std::function<bool(size_t, Result<ResultSet>)>& sink,
-                double* scan_ms, uint64_t* chunks_scanned, double* shard_ms,
-                uint64_t* batched_scans, uint64_t* scans_shared,
-                TraceSpan* span_parent, int track);
-  /// The cross-query batched form of RunBatch (engaged when the options
-  /// carry a BatchScanQueue and the table has a chunk map): the whole
-  /// flush goes to the queue in one SelectRows call — so its statements
-  /// always share one pass, possibly joined by other queries' — and each
-  /// statement finishes through FinishChunkScan on the calling thread,
-  /// with AccountRequest mirroring ScanBatch's round-trip accounting.
-  void RunBatchShared(
-      const std::vector<sql::SelectStatement>& stmts, bool batched,
-      const std::function<bool(size_t, Result<ResultSet>)>& sink,
-      double* scan_ms, uint64_t* chunks_scanned, uint64_t* batched_scans,
-      uint64_t* scans_shared, TraceSpan* span_parent, int track);
-  Result<ResultSet> ExecuteSharded(const sql::SelectStatement& stmt,
-                                   uint64_t* chunks_scanned, double* shard_ms,
-                                   TraceSpan* span_parent, int track);
+                ScanTally* tally, TraceSpan* span_parent, int track);
+  /// Folds one routed batch's accounting into the query's stats.
+  void AddTally(const ScanTally& tally);
 
   void FetchWorkerMain();
   void StartWorker();
-  void ShardWorkerMain();
-  void StartShardPool();
 
   const PhysicalPlan& plan_;
   const ZqlQuery& query_;
@@ -171,30 +137,15 @@ class PipelineScheduler {
   std::unique_ptr<BoundedQueue<FetchJob>> jobs_;
   std::unique_ptr<BoundedQueue<FetchItem>> results_;
   std::thread fetch_thread_;
-  /// The coordinator's cancel flag, mirrored onto the fetch thread and
-  /// every shard worker.
+  /// The coordinator's cancel flag, mirrored onto the fetch thread.
   const std::atomic<bool>* cancel_flag_ = nullptr;
-  /// Tells the fetch thread and shard workers to stop scanning (teardown
-  /// after an error).
+  /// Tells the fetch thread to stop scanning (teardown after an error).
   std::atomic<bool> abandon_{false};
 
-  // Sharded-scan machinery (resolved in the constructor; inactive unless
-  // the plan wants >1 worker and the table has >=2 chunks). The chunk map
-  // is copied in, pinning the partitioning for this query even if the
-  // backend's map is rebuilt. Queues are sized to the chunk count so a
-  // full fan-out can never wedge on its own results.
   /// Cross-query shared-scan batching (resolved in the constructor:
-  /// ZqlOptions::batch_scans when the table has a non-empty chunk map).
-  /// Takes precedence over the per-query shard pool — the queue has its
-  /// own chunk-parallel workers.
+  /// ZqlOptions::batch_scans when the table has a non-empty chunk map);
+  /// null = the reference blocked scan.
   BatchScanQueue* batch_queue_ = nullptr;
-
-  bool sharded_ = false;
-  ChunkMap chunk_map_;
-  size_t shard_workers_ = 0;
-  std::unique_ptr<BoundedQueue<ChunkJob>> chunk_jobs_;
-  std::unique_ptr<BoundedQueue<ChunkItem>> chunk_results_;
-  std::vector<std::thread> shard_threads_;
 };
 
 }  // namespace zv::zql::exec

@@ -2,9 +2,10 @@
 /// \brief The batched-execution contract (docs/architecture.md "Batched
 /// execution"): results served through the shared-scan coordinator are
 /// byte-identical to the per-query oracle across {batched, unbatched} ×
-/// {1, 4} sessions × both backends × ZV_THREADS {1, 4} × ZV_SHARDS
-/// {1, 4}. Plus: the fused multi-statement scanners select exactly what
-/// solo scanners select, a cancelled member leaves its pass siblings
+/// {1, 4} sessions × both backends × ZV_THREADS {1, 4}. Plus: the
+/// multi-statement scanners and the queue select, per statement, exactly
+/// what a plain whole-table predicate loop selects, a cancelled member
+/// leaves its pass siblings
 /// unaffected, a ReplaceDataset epoch bump mid-window isolates pre- and
 /// post-bump queries on their own snapshots, binning pushdown reproduces
 /// the client-side binner bit for bit on integer data, and a randomized
@@ -101,11 +102,11 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// The unbatched oracle: a private executor, serial, unsharded, staged.
+/// The unbatched oracle: a private executor without a queue (the reference
+/// blocked scan), serial, staged.
 ZqlResult Oracle(Database* db, const char* zql) {
   ScopedThreads threads(1);
   ZqlOptions opts;
-  opts.shards = 1;
   opts.pipelined_execution = false;
   ZqlExecutor exec(db, "sales", opts);
   Result<ZqlResult> r = exec.ExecuteText(zql);
@@ -126,49 +127,45 @@ void RunBatchIdentityMatrix() {
   for (bool shared : {false, true}) {
     for (size_t sessions : {size_t{1}, size_t{4}}) {
       for (size_t nthreads : {size_t{1}, size_t{4}}) {
-        for (size_t shards : {size_t{1}, size_t{4}}) {
-          ScopedThreads threads(nthreads);
-          server::ServiceOptions sopts;
-          sopts.result_cache = false;  // every submit must really execute
-          sopts.shared_scans = shared;
-          sopts.zql.shards = shards;
-          sopts.max_inflight = 4;
-          server::QueryService service(sopts);
-          auto db = std::make_shared<DbType>();
-          ZV_ASSERT_OK(db->RegisterTable(table));
-          ZV_ASSERT_OK(db->RebuildChunkMap("sales", 256));
-          ZV_ASSERT_OK(service.RegisterDataset(table, db));
-          std::vector<server::SessionId> sids;
-          for (size_t s = 0; s < sessions; ++s) {
-            ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
-                                    service.CreateSession());
-            sids.push_back(sid);
-          }
-          std::vector<server::QueryHandle> handles;
-          for (size_t i = 0; i < kNumQueries; ++i) {
-            ZV_ASSERT_OK_AND_ASSIGN(
-                server::QueryHandle h,
-                service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
-            handles.push_back(h);
-          }
-          uint64_t batched_total = 0;
-          for (size_t i = 0; i < handles.size(); ++i) {
-            ZV_ASSERT_OK(handles[i].Wait());
-            auto res = handles[i].result();
-            ASSERT_NE(res, nullptr);
-            EXPECT_TRUE(SameResult(oracle[i], *res))
-                << "query " << i << " shared=" << shared
-                << " sessions=" << sessions << " threads=" << nthreads
-                << " shards=" << shards;
-            batched_total += handles[i].stats().batched_scans;
-          }
-          if (shared) {
-            EXPECT_GT(batched_total, 0u);
-            EXPECT_GT(service.stats().batch_passes, 0u);
-          } else {
-            EXPECT_EQ(batched_total, 0u);
-            EXPECT_EQ(service.stats().batch_passes, 0u);
-          }
+        ScopedThreads threads(nthreads);
+        server::ServiceOptions sopts;
+        sopts.result_cache = false;  // every submit must really execute
+        sopts.shared_scans = shared;
+        sopts.max_inflight = 4;
+        server::QueryService service(sopts);
+        auto db = std::make_shared<DbType>();
+        ZV_ASSERT_OK(db->RegisterTable(table));
+        ZV_ASSERT_OK(db->RebuildChunkMap("sales", 256));
+        ZV_ASSERT_OK(service.RegisterDataset(table, db));
+        std::vector<server::SessionId> sids;
+        for (size_t s = 0; s < sessions; ++s) {
+          ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
+                                  service.CreateSession());
+          sids.push_back(sid);
+        }
+        std::vector<server::QueryHandle> handles;
+        for (size_t i = 0; i < kNumQueries; ++i) {
+          ZV_ASSERT_OK_AND_ASSIGN(
+              server::QueryHandle h,
+              service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
+          handles.push_back(h);
+        }
+        uint64_t batched_total = 0;
+        for (size_t i = 0; i < handles.size(); ++i) {
+          ZV_ASSERT_OK(handles[i].Wait());
+          auto res = handles[i].result();
+          ASSERT_NE(res, nullptr);
+          EXPECT_TRUE(SameResult(oracle[i], *res))
+              << "query " << i << " shared=" << shared
+              << " sessions=" << sessions << " threads=" << nthreads;
+          batched_total += handles[i].stats().batched_scans;
+        }
+        if (shared) {
+          EXPECT_GT(batched_total, 0u);
+          EXPECT_GT(service.stats().batch_passes, 0u);
+        } else {
+          EXPECT_EQ(batched_total, 0u);
+          EXPECT_EQ(service.stats().batch_passes, 0u);
         }
       }
     }
@@ -183,10 +180,10 @@ TEST(BatchTest, RoaringBackendByteIdentityMatrix) {
   RunBatchIdentityMatrix<RoaringDatabase>();
 }
 
-/// The fused multi-statement scanner primitives: PrepareMultiChunkScan +
-/// per-chunk ScanRange selects, per statement, exactly the rows that
-/// statement's solo ChunkScanner selects — on both backends (the base
-/// engine fuses into one row loop; Roaring wraps per-statement scanners).
+/// The multi-statement scanner primitives: PrepareMultiChunkScan +
+/// per-chunk ScanRange selects, per statement, exactly the rows a plain
+/// whole-table predicate loop selects — on both backends (the base engine
+/// fuses into one row loop; Roaring keeps per-statement bitmap loops).
 TEST(BatchTest, MultiScannerMatchesSoloSelection) {
   auto table = MediumSales();
   ScanDatabase scan_db;
@@ -219,18 +216,15 @@ TEST(BatchTest, MultiScannerMatchesSoloSelection) {
       ZV_ASSERT_OK(multi->ScanRange(begin, end, &outs));
     }
     for (size_t i = 0; i < stmts.size(); ++i) {
-      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                              db->PrepareChunkScan(stmts[i]));
-      std::vector<uint32_t> rows;
-      ZV_ASSERT_OK(solo->ScanRange(
-          0, static_cast<uint32_t>(table->num_rows()), &rows));
-      EXPECT_EQ(outs[i], rows) << db->name() << ": " << sqls[i];
+      EXPECT_EQ(outs[i], testing::ReferenceRows(*table, stmts[i]))
+          << db->name() << ": " << sqls[i];
     }
   }
 }
 
 /// The queue itself: one SelectRows call returns per-statement row lists
-/// identical to solo scans; an empty table short-circuits without a pass.
+/// identical to the reference selection; an empty table short-circuits
+/// without a pass.
 TEST(BatchTest, QueueSelectionMatchesSoloScan) {
   auto table = MediumSales();
   ScanDatabase db;
@@ -249,12 +243,7 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
   ASSERT_EQ(sel.rows.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     const sql::SelectStatement& stmt = i == 0 ? a : b;
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(stmt));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[i], rows);
+    EXPECT_EQ(sel.rows[i], testing::ReferenceRows(*table, stmt));
   }
   EXPECT_GT(sel.chunks_scanned, 0u);
   EXPECT_EQ(queue.passes(), 1u);
@@ -275,7 +264,7 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
 }
 
 /// Group commit with a positive window: concurrent callers land in one
-/// shared pass, and each still gets exactly its solo selection back.
+/// shared pass, and each still gets exactly its own selection back.
 TEST(BatchTest, ConcurrentCallersShareOnePass) {
   auto table = MediumSales();
   ScanDatabase db;
@@ -305,12 +294,8 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
   for (size_t i = 0; i < stmts.size(); ++i) {
     ZV_ASSERT_OK(sels[i].status);
     EXPECT_TRUE(sels[i].shared) << "caller " << i;
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(stmts[i]));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sels[i].rows[0], rows) << "caller " << i;
+    EXPECT_EQ(sels[i].rows[0], testing::ReferenceRows(*table, stmts[i]))
+        << "caller " << i;
   }
   EXPECT_EQ(queue.passes(), 1u);
   EXPECT_EQ(queue.shared_passes(), 1u);
@@ -319,7 +304,7 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
 
 /// Mid-batch cancellation, queue level: a member cancelled while its pass
 /// is held open abandons with kCancelled; the sibling completes with its
-/// exact solo selection.
+/// exact reference selection.
 TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   auto table = MediumSales();
   ScanDatabase db;
@@ -343,12 +328,7 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   std::thread survivor_caller([&] {
     BatchScanQueue::Selection sel = queue.SelectRows(&db, "sales", {&survivor});
     ZV_ASSERT_OK(sel.status);
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(survivor));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[0], rows);
+    EXPECT_EQ(sel.rows[0], testing::ReferenceRows(*table, survivor));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   token.Cancel();

@@ -80,6 +80,36 @@ TEST(RawClockTest, FlagsSystemClock) {
   EXPECT_EQ(vs[0].rule, "raw-clock");
 }
 
+TEST(RawClockTest, FlagsSteadyClockAlias) {
+  // Reads through an alias (`Clock::now()`) never spell steady_clock::now,
+  // so the alias itself fires — both spellings.
+  const auto vs = LintFile(
+      File("src/engine/database.cc",
+           "using Clock = std::chrono::steady_clock;\n"
+           "typedef std::chrono::steady_clock SteadyClock;\n"
+           "auto t0 = Clock::now();\n"));
+  ASSERT_EQ(vs.size(), 2u);
+  EXPECT_EQ(vs[0].rule, "raw-clock");
+  EXPECT_EQ(vs[0].line, 1);
+  EXPECT_EQ(vs[1].rule, "raw-clock");
+  EXPECT_EQ(vs[1].line, 2);
+}
+
+TEST(RawClockTest, MemberTypeAliasDoesNotFire) {
+  const auto vs = LintFile(
+      File("src/engine/shared_scan.cc",
+           "using TimePoint = std::chrono::steady_clock::time_point;\n"));
+  EXPECT_TRUE(vs.empty());
+}
+
+TEST(RawClockTest, SuppressionSilencesAlias) {
+  const auto vs = LintFile(
+      File("src/engine/database.cc",
+           "using Clock = std::chrono::steady_clock;  "
+           "// zv-lint: raw-clock injected elsewhere\n"));
+  EXPECT_TRUE(vs.empty());
+}
+
 TEST(RawClockTest, ClockHomeIsExempt) {
   const auto vs = LintFile(
       File("src/common/clock.h",

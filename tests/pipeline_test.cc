@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/parallel.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "engine/shared_scan.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -143,27 +145,33 @@ std::shared_ptr<Table> SharedSales() {
   return table;
 }
 
+/// `queued` gives the executor a private BatchScanQueue, so every flush
+/// takes the shared chunk pass instead of the reference blocked scan.
 Result<ZqlResult> RunCase(Database* db, const Case& c, bool pipelined,
-                          OptLevel level, size_t shards = 1) {
+                          OptLevel level, bool queued = false) {
+  std::unique_ptr<BatchScanQueue> queue;
   ZqlOptions opts;
   opts.optimization = level;
   opts.named_sets = MakeP();
   opts.pipelined_execution = pipelined;
-  opts.shards = shards;
+  if (queued) {
+    queue = std::make_unique<BatchScanQueue>();
+    opts.batch_scans = queue.get();
+  }
   ZqlExecutor exec(db, "sales", opts);
   if (c.needs_sketch) exec.SetUserInput("q", MakeSketch());
   return exec.ExecuteText(c.zql);
 }
 
 /// The oracle matrix: serial staged execution (ZV_THREADS=1, pipelining
-/// off, one shard) is the reference; staged/pipelined at ZV_THREADS in
-/// {1, 4} and shard fan-out in {1, 3} (over 512-row chunks) must reproduce
-/// it byte for byte — same visuals, same SQL counts — at every
-/// optimization level.
+/// off, no queue) is the reference; staged/pipelined at ZV_THREADS in
+/// {1, 4} with and without a private batch queue (a chunk pass over
+/// 512-row chunks) must reproduce it byte for byte — same visuals, same
+/// SQL counts — at every optimization level.
 TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));
-  // 6000 rows in 512-row chunks: 12 chunks, so shards=3 genuinely fans out.
+  // 6000 rows in 512-row chunks: 12 chunks, so a queued pass fans out.
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 512));
   for (const Case& c : kCases) {
     for (OptLevel level : {OptLevel::kNoOpt, OptLevel::kIntraTask,
@@ -176,14 +184,14 @@ TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
       }
       for (size_t nthreads : {size_t{1}, size_t{4}}) {
         for (bool pipelined : {false, true}) {
-          for (size_t shards : {size_t{1}, size_t{3}}) {
+          for (bool queued : {false, true}) {
             ScopedThreads threads(nthreads);
             ZV_ASSERT_OK_AND_ASSIGN(
-                ZqlResult got, RunCase(&db, c, pipelined, level, shards));
+                ZqlResult got, RunCase(&db, c, pipelined, level, queued));
             EXPECT_TRUE(SameResult(baseline, got))
                 << c.name << " opt=" << OptLevelToString(level)
                 << " threads=" << nthreads << " pipelined=" << pipelined
-                << " shards=" << shards;
+                << " queued=" << queued;
             EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries)
                 << c.name;
             EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests)

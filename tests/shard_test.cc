@@ -1,14 +1,17 @@
 /// \file shard_test.cc
-/// \brief The sharded-execution contract: results are byte-identical to the
-/// unsharded oracle across chunk sizes (including table < 1 chunk, chunk =
-/// 1 row, and an empty table), both backends, both schedules, and
-/// ZV_THREADS in {1, 4} — with the same sql_queries/sql_requests deltas.
-/// Plus: mid-scan cancellation reaches every shard worker promptly, the
-/// chunk-scan primitives match a serial scan row for row, EXPLAIN renders
-/// the fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
+/// \brief The chunk-parallel contract: a flush served by the shared chunk
+/// pass (a BatchScanQueue in the options) is byte-identical to the
+/// reference blocked scan (no queue, staged, ZV_THREADS=1) across chunk
+/// sizes (including table < 1 chunk, chunk = 1 row, a chunk boundary on
+/// the last row, and an empty table), queue widths (including more
+/// workers than chunks), both backends, both schedules, and ZV_THREADS in
+/// {1, 4} — with the same sql_queries/sql_requests deltas. Plus:
+/// cancellation mid-pass resolves promptly, a scanner's per-chunk
+/// selection matches a plain whole-table predicate loop row for row,
+/// served queries report their chunk and job time, EXPLAIN renders the
+/// fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
 /// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// shard workers, the chunk queues, and the fetch thread race-check
-/// together.
+/// the queue's workers and the fetch thread race-check together.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +23,10 @@
 #include "common/cancel.h"
 #include "common/parallel.h"
 #include "engine/chunk_map.h"
+#include "common/metrics.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "engine/shared_scan.h"
 #include "server/query_service.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
@@ -68,9 +73,10 @@ bool SameVisualization(const Visualization& a, const Visualization& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Query shapes covering the fetch paths sharding touches: a predicate
-/// fetch over a named set, a task pipeline with reuse, and a no-WHERE
-/// full-table aggregation (the bitmap fast path on the Roaring backend).
+/// Query shapes covering the fetch paths a chunk pass touches: a
+/// predicate fetch over a named set, a task pipeline with reuse, and a
+/// no-WHERE full-table aggregation (the all-rows loop on the Roaring
+/// backend).
 const char* const kSetQuery =
     "f1 | 'year' | 'sales' | v1 <- P | location='US' | bar.(y=agg('sum')) "
     "| v2 <- argany_v1[t > 0] T(f1)\n"
@@ -101,14 +107,31 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-Result<ZqlResult> RunZql(Database* db, const char* zql, size_t shards,
-                      bool pipelined) {
+/// Runs `zql` through a direct executor. `workers` > 0 gives it a private
+/// BatchScanQueue of that width, so every flush takes the shared chunk
+/// pass; 0 runs the reference blocked scan.
+Result<ZqlResult> RunZql(Database* db, const char* zql, size_t workers,
+                         bool pipelined) {
+  std::unique_ptr<BatchScanQueue> queue;
   ZqlOptions opts;
   opts.named_sets = MakeP(8);
   opts.pipelined_execution = pipelined;
-  opts.shards = shards;
+  if (workers > 0) {
+    BatchScanOptions bopts;
+    bopts.workers = workers;
+    queue = std::make_unique<BatchScanQueue>(bopts);
+    opts.batch_scans = queue.get();
+  }
   ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
+}
+
+/// The reference: no queue, staged, serial.
+ZqlResult Reference(Database* db, const char* zql) {
+  ScopedThreads threads(1);
+  Result<ZqlResult> r = RunZql(db, zql, /*workers=*/0, /*pipelined=*/false);
+  EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
+  return r.ok() ? std::move(r).value() : ZqlResult{};
 }
 
 template <typename DbType>
@@ -116,35 +139,32 @@ void RunIdentityMatrix() {
   DbType db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   for (const char* zql : {kSetQuery, kNoWhereQuery}) {
-    // Oracle: serial, unsharded, staged (chunk size irrelevant at 1 shard).
-    ZqlResult baseline;
-    {
-      ScopedThreads threads(1);
-      ZV_ASSERT_OK_AND_ASSIGN(
-          baseline, RunZql(&db, zql, /*shards=*/1, /*pipelined=*/false));
-    }
+    // The reference's blocks depend on table size only, never on the
+    // chunk map, so one run serves every chunk size.
+    const ZqlResult baseline = Reference(&db, zql);
     // Chunk sizes: 1 row per chunk (maximal fan-out), a mid split, an
     // exact divisor of the 3000-row table (1500: the last chunk boundary
     // lands exactly on the last row — no ragged tail chunk), and the
-    // default 2^18 rows — which the table fits inside, so the "table < 1
-    // chunk" case degenerates to the unsharded path. Shard counts include
-    // 8, which exceeds the chunk count at chunk_rows=1500 (2 chunks):
-    // surplus shard workers must idle out without disturbing the bytes.
+    // default 2^18 rows — which the table fits inside, so the pass is a
+    // single chunk. Queue widths include 8, which exceeds the chunk count
+    // at chunk_rows=1500 (2 chunks): surplus workers must idle without
+    // disturbing the bytes.
     for (size_t chunk_rows :
          {size_t{1}, size_t{256}, size_t{1500}, size_t{0}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
-      for (size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
         for (size_t nthreads : {size_t{1}, size_t{4}}) {
           for (bool pipelined : {false, true}) {
             ScopedThreads threads(nthreads);
             ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
-                                    RunZql(&db, zql, shards, pipelined));
+                                    RunZql(&db, zql, workers, pipelined));
             EXPECT_TRUE(SameResult(baseline, got))
                 << db.name() << " chunk_rows=" << chunk_rows
-                << " shards=" << shards << " threads=" << nthreads
+                << " workers=" << workers << " threads=" << nthreads
                 << " pipelined=" << pipelined;
             EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries);
             EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests);
+            EXPECT_GT(got.stats.chunks_scanned, 0u);
           }
         }
       }
@@ -161,18 +181,46 @@ TEST(ShardTest, RoaringBackendByteIdentityMatrix) {
   RunIdentityMatrix<RoaringDatabase>();
 }
 
-/// chunks_scanned accounts every chunk of every fetched statement when
-/// sharding engages, and stays 0 when it cannot (one chunk / one shard).
+/// chunks_scanned accounts every chunk of every fetched statement and
+/// shard_ms the pass's job time when the chunk pass runs; both stay 0 on
+/// the reference blocked scan.
 TEST(ShardTest, ChunkStatsPopulated) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 500));  // 6 chunks
   ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult sharded, RunZql(&db, kSetQuery, 4, true));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult unsharded, RunZql(&db, kSetQuery, 1, true));
-  EXPECT_EQ(sharded.stats.chunks_scanned, 6 * sharded.stats.sql_queries);
-  EXPECT_EQ(unsharded.stats.chunks_scanned, 0u);
-  EXPECT_EQ(unsharded.stats.shard_ms, 0.0);
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed, RunZql(&db, kSetQuery, 4, true));
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult reference,
+                          RunZql(&db, kSetQuery, 0, true));
+  EXPECT_EQ(passed.stats.chunks_scanned, 6 * passed.stats.sql_queries);
+  EXPECT_GT(passed.stats.shard_ms, 0.0);
+  EXPECT_EQ(reference.stats.chunks_scanned, 0u);
+  EXPECT_EQ(reference.stats.shard_ms, 0.0);
+}
+
+/// A served query over several chunks reports the pass's chunk job time
+/// in shard_ms and records it into zv_shard_scan_ms.
+TEST(ShardTest, ServedQueryReportsShardMs) {
+  MetricsRegistry registry;
+  server::ServiceOptions sopts;
+  sopts.metrics = &registry;
+  sopts.result_cache = false;
+  server::QueryService service(sopts);
+  auto db = std::make_shared<ScanDatabase>();
+  ZV_ASSERT_OK(db->RegisterTable(MediumSales()));
+  ZV_ASSERT_OK(db->RebuildChunkMap("sales", 1000));  // 3 chunks
+  ZV_ASSERT_OK(service.RegisterDataset(MediumSales(), db));
+  ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid, service.CreateSession());
+  ZV_ASSERT_OK_AND_ASSIGN(server::QueryHandle handle,
+                          service.Submit(sid, "sales", kNoWhereQuery));
+  ZV_ASSERT_OK(handle.Wait());
+  const ZqlStats stats = handle.stats();
+  EXPECT_EQ(stats.chunks_scanned, 3 * stats.sql_queries);
+  EXPECT_GT(stats.shard_ms, 0.0);
+  const Histogram::Snapshot hist =
+      registry.GetHistogram("zv_shard_scan_ms")->snapshot();
+  EXPECT_EQ(hist.count, 1u);
+  EXPECT_GT(hist.sum_ms, 0.0);
 }
 
 /// Chunk-boundary edge geometry. An exact divisor leaves no ragged tail:
@@ -201,19 +249,15 @@ TEST(ShardTest, ChunkBoundaryExactlyOnLastRow) {
   }
 }
 
-/// More shard workers than chunks: with 2 chunks and 8 shards the surplus
-/// workers find no chunk to claim and exit idle; results and the
-/// chunks_scanned accounting match the exactly-subscribed run.
-TEST(ShardTest, MoreShardsThanChunks) {
+/// More queue workers than chunks: with 2 chunks and 8 workers the
+/// surplus workers find no job to claim and go back to waiting; results
+/// and the chunks_scanned accounting match the exactly-subscribed run.
+TEST(ShardTest, MoreWorkersThanChunks) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 1500));  // exactly 2 chunks
+  const ZqlResult baseline = Reference(&db, kSetQuery);
   ScopedThreads threads(4);
-  ZqlResult baseline;
-  {
-    ScopedThreads serial(1);
-    ZV_ASSERT_OK_AND_ASSIGN(baseline, RunZql(&db, kSetQuery, 1, false));
-  }
   ZV_ASSERT_OK_AND_ASSIGN(ZqlResult matched, RunZql(&db, kSetQuery, 2, true));
   ZV_ASSERT_OK_AND_ASSIGN(ZqlResult surplus, RunZql(&db, kSetQuery, 8, true));
   EXPECT_TRUE(SameResult(baseline, matched));
@@ -221,9 +265,10 @@ TEST(ShardTest, MoreShardsThanChunks) {
   EXPECT_EQ(surplus.stats.chunks_scanned, matched.stats.chunks_scanned);
 }
 
-/// An empty table has zero chunks; sharded options must degrade to the
-/// unsharded path and produce the oracle's (empty-series) outputs.
-TEST(ShardTest, EmptyTableDegradesToUnsharded) {
+/// An empty table has zero chunks; an executor carrying a queue must fall
+/// back to the reference blocked scan and produce its (empty-series)
+/// outputs.
+TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
   Schema schema({{"year", ColumnType::kCategorical},
                  {"product", ColumnType::kCategorical},
                  {"location", ColumnType::kCategorical},
@@ -244,19 +289,21 @@ TEST(ShardTest, EmptyTableDegradesToUnsharded) {
     // A fixed visualization (value iteration over an empty table would be
     // an empty Z set, rejected upstream of fetch on both paths alike).
     const char* fixed = "*f1 | 'year' | 'sales' | | | bar.(y=agg('sum')) |";
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline, RunZql(db, fixed, 1, false));
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult sharded, RunZql(db, fixed, 4, true));
-    EXPECT_TRUE(SameResult(baseline, sharded)) << db->name();
-    EXPECT_EQ(sharded.stats.chunks_scanned, 0u);
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline, RunZql(db, fixed, 0, false));
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult queued, RunZql(db, fixed, 4, true));
+    EXPECT_TRUE(SameResult(baseline, queued)) << db->name();
+    EXPECT_EQ(queued.stats.chunks_scanned, 0u);
+    EXPECT_EQ(queued.stats.batched_scans, 0u);
   }
 }
 
-/// The chunk-scan primitives themselves: PrepareChunkScan + per-chunk
-/// ScanRange + positional concat select exactly the rows a serial
-/// ExecuteInternal would, on both backends, for predicate and no-WHERE
-/// statements — including a residual (measure) conjunct on the Roaring
-/// backend, which splits bitmap + row-wise.
-TEST(ShardTest, ChunkScannerMatchesSerialSelection) {
+/// The chunk-scan primitives themselves: PrepareMultiChunkScan + per-chunk
+/// ScanRange + positional concat select exactly the rows a plain
+/// whole-table predicate loop selects, on both backends, for predicate
+/// and no-WHERE statements — including a residual (measure) conjunct on
+/// the Roaring backend, which splits bitmap + row-wise — and the finished
+/// result equals the reference execution's bytes.
+TEST(ShardTest, MultiScannerMatchesReferenceSelection) {
   auto table = MediumSales();
   ScanDatabase scan_db;
   RoaringDatabase roaring_db;
@@ -268,28 +315,27 @@ TEST(ShardTest, ChunkScannerMatchesSerialSelection) {
       "year",
       "SELECT year, SUM(profit) FROM sales WHERE location = 'US' AND sales "
       "> 100 GROUP BY year",
+      "SELECT year, SUM(profit) FROM sales WHERE sales > 100 GROUP BY year",
   };
   for (Database* db : {static_cast<Database*>(&scan_db),
                        static_cast<Database*>(&roaring_db)}) {
     for (const char* text : sqls) {
       ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt,
                               sql::ParseSelect(text));
-      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> scanner,
-                              db->PrepareChunkScan(stmt));
+      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> scanner,
+                              db->PrepareMultiChunkScan({&stmt}));
+      ASSERT_EQ(scanner->num_statements(), 1u);
       const ChunkMap map = ChunkMap::Build(table->num_rows(), 170);
-      std::vector<uint32_t> rows;
+      std::vector<std::vector<uint32_t>> outs(1);
       for (size_t c = 0; c < map.num_chunks(); ++c) {
         const auto [begin, end] = map.chunk_range(c);
-        ZV_ASSERT_OK(scanner->ScanRange(begin, end, &rows));
+        ZV_ASSERT_OK(scanner->ScanRange(begin, end, &outs));
       }
-      // Whole-table range in one call must equal the chunked concat.
-      std::vector<uint32_t> whole;
-      ZV_ASSERT_OK(scanner->ScanRange(
-          0, static_cast<uint32_t>(table->num_rows()), &whole));
-      EXPECT_EQ(rows, whole) << db->name() << ": " << text;
-      // And the finished result must equal the serial execution's bytes.
+      EXPECT_EQ(outs[0], testing::ReferenceRows(*table, stmt))
+          << db->name() << ": " << text;
+      // And the finished result must equal the reference execution's.
       ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
-                              db->FinishChunkScan(stmt, rows));
+                              db->FinishChunkScan(stmt, outs[0]));
       ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, db->Execute(stmt));
       EXPECT_EQ(finished.columns, serial.columns) << db->name() << ": "
                                                   << text;
@@ -298,11 +344,10 @@ TEST(ShardTest, ChunkScannerMatchesSerialSelection) {
   }
 }
 
-/// Cancellation mid-scan: shard workers poll the mirrored token inside
-/// ScanRange, so cancelling during a wide fan-out (20000 rows in 64-row
-/// chunks, ~313 in-flight chunk jobs per statement) resolves promptly
-/// with kCancelled — never a partial OK result.
-TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
+/// Cancellation mid-pass: a wide fan-out (20000 rows in 64-row chunks,
+/// ~313 chunk jobs per statement) behind 20 ms round trips resolves
+/// promptly with kCancelled — never a partial OK result.
+TEST(ShardTest, CancelMidChunkPassReturnsPromptly) {
   SalesDataOptions data_opts;
   data_opts.num_rows = 20000;
   data_opts.num_products = 30;
@@ -311,10 +356,13 @@ TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 64));
   db.set_request_latency_micros(20000);  // 20 ms per round trip
 
+  BatchScanOptions bopts;
+  bopts.workers = 4;
+  BatchScanQueue queue(bopts);
   ZqlOptions opts;
   opts.optimization = OptLevel::kNoOpt;  // one request per visualization
   opts.pipelined_execution = true;
-  opts.shards = 4;
+  opts.batch_scans = &queue;
   ZqlExecutor exec(&db, "sales", opts);
   const char* query = "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | |";
 
@@ -337,29 +385,35 @@ TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
   EXPECT_LT(elapsed_ms, 400.0) << "cancellation latency far too high";
 }
 
-/// EXPLAIN's FetchOp fan-out annotation: rendered when the caller supplies
-/// a chunk count and the plan wants >1 worker; plain otherwise. shards
-/// reports min(workers, chunks) — the pool the scheduler actually starts.
+/// EXPLAIN's FetchOp fan-out annotation: `chunks=K` rides next to
+/// `shared-scan` when the caller supplies a chunk count; the reference
+/// blocked scan renders neither.
 TEST(ShardTest, ExplainRendersFanOut) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(kNoWhereQuery));
+  BatchScanQueue queue;
   ZqlOptions opts;
-  opts.shards = 4;
+  opts.batch_scans = &queue;
   ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, BuildPhysicalPlan(q, opts));
-  EXPECT_NE(plan.Render(q, 38).find("[batched scan, chunks=38, shards=4]"),
+  EXPECT_NE(plan.Render(q, 38).find("[batched scan, shared-scan, chunks=38]"),
             std::string::npos);
-  EXPECT_NE(plan.Render(q, 3).find("chunks=3, shards=3"), std::string::npos);
+  EXPECT_NE(plan.Render(q, 1).find("shared-scan, chunks=1]"),
+            std::string::npos);
+  EXPECT_NE(plan.Render(q).find("[batched scan, shared-scan]"),
+            std::string::npos);
   EXPECT_EQ(plan.Render(q).find("chunks="), std::string::npos);
-  opts.shards = 1;
-  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan unsharded, BuildPhysicalPlan(q, opts));
-  EXPECT_EQ(unsharded.Render(q, 38).find("chunks="), std::string::npos);
+  EXPECT_EQ(plan.Render(q, 38).find("shards="), std::string::npos);
+  opts.batch_scans = nullptr;
+  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan reference, BuildPhysicalPlan(q, opts));
+  EXPECT_EQ(reference.Render(q, 38).find("chunks="), std::string::npos);
+  EXPECT_EQ(reference.Render(q, 38).find("shared-scan"), std::string::npos);
 }
 
 /// ReplaceDataset swaps table and backend atomically; the fresh backend's
-/// RegisterTable rebuilds the chunk catalog, so post-swap sharded queries
-/// partition the *new* row space and reproduce the unsharded oracle.
+/// RegisterTable rebuilds the chunk catalog, so post-swap served queries
+/// partition the *new* row space and reproduce the reference scan.
 TEST(ShardTest, ReplaceDatasetRebuildsChunkMap) {
   server::ServiceOptions service_opts;
-  service_opts.zql.shards = 4;
+  service_opts.result_cache = false;
   server::QueryService service(service_opts);
 
   SalesDataOptions small;
@@ -381,14 +435,17 @@ TEST(ShardTest, ReplaceDatasetRebuildsChunkMap) {
   ZV_ASSERT_OK_AND_ASSIGN(ChunkMap after, db1->GetChunkMap("sales"));
   EXPECT_EQ(after.num_rows(), 2500u);
 
-  // Sharded execution against the swapped dataset matches the oracle.
+  // A served query against the swapped dataset fans out over its chunks
+  // and matches the reference scan.
   ZV_ASSERT_OK(db1->RebuildChunkMap("sales", 250));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline,
-                          RunZql(db1.get(), kNoWhereQuery, 1, false));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult sharded,
-                          RunZql(db1.get(), kNoWhereQuery, 4, true));
-  EXPECT_TRUE(SameResult(baseline, sharded));
-  EXPECT_GT(sharded.stats.chunks_scanned, 0u);
+  const ZqlResult baseline = Reference(db1.get(), kNoWhereQuery);
+  ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid, service.CreateSession());
+  ZV_ASSERT_OK_AND_ASSIGN(server::QueryHandle handle,
+                          service.Submit(sid, "sales", kNoWhereQuery));
+  ZV_ASSERT_OK(handle.Wait());
+  ASSERT_NE(handle.result(), nullptr);
+  EXPECT_TRUE(SameResult(baseline, *handle.result()));
+  EXPECT_EQ(handle.stats().chunks_scanned, 10 * handle.stats().sql_queries);
 }
 
 }  // namespace

@@ -5,10 +5,16 @@
 #ifndef ZV_TESTS_TEST_UTIL_H_
 #define ZV_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/predicate.h"
+#include "sql/ast.h"
 #include "storage/table.h"
 
 namespace zv::testing {
@@ -65,6 +71,29 @@ inline std::shared_ptr<Table> MakeTinySales() {
                     .ok());
   }
   return b.Finish();
+}
+
+/// Reference row selection for scanner tests: the ascending ids of the
+/// rows satisfying `stmt`'s WHERE, found by testing its compiled predicate
+/// on every row in one plain loop — no chunking, fusion, or bitmap code,
+/// so it shares nothing with the scanners it checks beyond the predicate.
+inline std::vector<uint32_t> ReferenceRows(const Table& table,
+                                           const sql::SelectStatement& stmt) {
+  std::optional<CompiledPredicate> pred;
+  if (stmt.where != nullptr) {
+    Result<CompiledPredicate> compiled =
+        CompiledPredicate::Compile(table, *stmt.where);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    if (!compiled.ok()) return {};
+    pred = std::move(compiled).value();
+  }
+  std::vector<uint32_t> rows;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    if (!pred.has_value() || pred->Test(row)) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  return rows;
 }
 
 #define ZV_ASSERT_OK(expr)                                       \

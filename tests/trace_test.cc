@@ -1,15 +1,16 @@
 /// \file trace_test.cc
 /// \brief The tracing contract: a traced query's operator spans match its
 /// physical plan step for step; results are byte-identical with tracing on
-/// vs off across the full schedule matrix (staged/pipelined x shards 1/4 x
-/// both backends); the serving layer's span tree carries queue_wait /
-/// cache_lookup / execute in the right shape (including the cache-hit fast
-/// path); the slow-query ring caps at kSlowRingCapacity most-recent-first;
-/// the wire `metrics` request kind and trace response payloads round-trip;
-/// and the Chrome trace_event export parses. Runs under the tsan/asan
-/// ctest gates (tools/run_tsan.sh, tools/run_asan.sh): spans are opened
-/// concurrently from the coordinator, the pipelined fetch thread, and the
-/// shard workers, so the trace mutex race-checks with real traffic.
+/// vs off across the full schedule matrix (staged/pipelined x {no queue,
+/// private queue} x both backends); the serving layer's span tree carries
+/// queue_wait / cache_lookup / execute in the right shape (including the
+/// cache-hit fast path); the slow-query ring caps at kSlowRingCapacity
+/// most-recent-first; the wire `metrics` request kind and trace response
+/// payloads round-trip; and the Chrome trace_event export parses. Runs
+/// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
+/// spans are opened concurrently from the coordinator, the pipelined fetch
+/// thread, and the serving workers, so the trace mutex race-checks with
+/// real traffic.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "common/trace.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "engine/shared_scan.h"
 #include "server/query_service.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -91,11 +93,17 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
+/// `queued` gives the executor a private BatchScanQueue (the shared chunk
+/// pass); otherwise it runs the reference blocked scan.
 Result<zql::ZqlResult> RunZql(Database* db, const char* zql, bool pipelined,
-                              size_t shards, Trace* trace) {
+                              bool queued, Trace* trace) {
+  std::unique_ptr<BatchScanQueue> queue;
   zql::ZqlOptions opts;
   opts.pipelined_execution = pipelined;
-  opts.shards = shards;
+  if (queued) {
+    queue = std::make_unique<BatchScanQueue>();
+    opts.batch_scans = queue.get();
+  }
   opts.trace = trace;
   zql::ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
@@ -134,7 +142,7 @@ TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
     Trace trace;
     ZV_ASSERT_OK_AND_ASSIGN(
         zql::ZqlResult result,
-        RunZql(&db, zql, /*pipelined=*/false, /*shards=*/1, &trace));
+        RunZql(&db, zql, /*pipelined=*/false, /*queued=*/false, &trace));
     (void)result;
 
     const TraceSpan* exec = trace.root()->FindChild("execute");
@@ -144,7 +152,6 @@ TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
     ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlQuery query, zql::ParseQuery(zql));
     zql::ZqlOptions plan_opts;
     plan_opts.pipelined_execution = false;
-    plan_opts.shards = 1;
     ZV_ASSERT_OK_AND_ASSIGN(zql::PhysicalPlan plan,
                             zql::BuildPhysicalPlan(query, plan_opts));
 
@@ -180,7 +187,7 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/true, /*shards=*/1, &trace));
+      RunZql(&db, kPipelineQuery, /*pipelined=*/true, /*queued=*/false, &trace));
   (void)result;
 
   const TraceSpan* exec = trace.root()->FindChild("execute");
@@ -204,18 +211,37 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   EXPECT_EQ(coordinator.back(), "OutputOp");
 }
 
-/// Chunk-sharded scans open one ChunkScanPass per dispatched statement,
-/// annotated with the chunk fan-out.
-TEST(TraceGolden, ShardedScanOpensChunkScanPass) {
+/// A queued flush opens one SharedScanPass under its Flush span,
+/// annotated with the chunk fan-out (chunks × statements) and the pass's
+/// wall time.
+TEST(TraceGolden, QueuedScanOpensSharedScanPass) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));  // 3000 rows -> 4 chunks
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, /*shards=*/4, &trace));
-  (void)result;
-  EXPECT_GE(CountSpans(*trace.root(), "ChunkScanPass"), 1u);
+      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, /*queued=*/true,
+             &trace));
+  EXPECT_EQ(CountSpans(*trace.root(), "SharedScanPass"), 1u);
+  const TraceSpan* exec = trace.root()->FindChild("execute");
+  ASSERT_NE(exec, nullptr);
+  const TraceSpan* flush = exec->FindChild("Flush");
+  ASSERT_NE(flush, nullptr);
+  const TraceSpan* pass = flush->FindChild("SharedScanPass");
+  ASSERT_NE(pass, nullptr);
+  bool saw_chunks = false, saw_pass_ms = false;
+  for (const auto& [key, value] : pass->attrs) {
+    if (key == "chunks") {
+      saw_chunks = true;
+      EXPECT_EQ(std::get<int64_t>(value),
+                static_cast<int64_t>(result.stats.chunks_scanned));
+    }
+    if (key == "pass_ms") saw_pass_ms = true;
+  }
+  EXPECT_TRUE(saw_chunks);
+  EXPECT_TRUE(saw_pass_ms);
+  EXPECT_EQ(result.stats.chunks_scanned, 4 * result.stats.sql_queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,18 +256,18 @@ void RunTraceIdentityMatrix() {
   for (const char* zql : {kPipelineQuery, kNoWhereQuery}) {
     ZV_ASSERT_OK_AND_ASSIGN(
         zql::ZqlResult baseline,
-        RunZql(&db, zql, /*pipelined=*/false, /*shards=*/1, nullptr));
+        RunZql(&db, zql, /*pipelined=*/false, /*queued=*/false, nullptr));
     const std::string expect = Canon(baseline);
     for (bool pipelined : {false, true}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
+      for (bool queued : {false, true}) {
         for (bool traced : {false, true}) {
           Trace trace;
           ZV_ASSERT_OK_AND_ASSIGN(
               zql::ZqlResult got,
-              RunZql(&db, zql, pipelined, shards, traced ? &trace : nullptr));
+              RunZql(&db, zql, pipelined, queued, traced ? &trace : nullptr));
           EXPECT_EQ(Canon(got), expect)
               << db.name() << " pipelined=" << pipelined
-              << " shards=" << shards << " traced=" << traced;
+              << " queued=" << queued << " traced=" << traced;
         }
       }
     }
@@ -516,7 +542,7 @@ TEST(ChromeExport, ParsesWithCompleteEvents) {
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/false, /*shards=*/1, &trace));
+      RunZql(&db, kPipelineQuery, /*pipelined=*/false, /*queued=*/false, &trace));
   (void)result;
 
   const std::string chrome = ToChromeTrace(*trace.root());

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Docs drift gate (run by ctest): every primitive, mechanism, distance
 # metric, and chart type the code registers must be mentioned in
-# docs/zql_reference.md, and every field of the wire protocol's
-# request/response structs must be mentioned in docs/api_reference.md.
-# The lists are extracted from the sources, not hardcoded, so adding e.g.
-# a new metric or a new protocol field without documenting it fails CI.
+# docs/zql_reference.md, every field of the wire protocol's
+# request/response structs must be mentioned in docs/api_reference.md, and
+# README's knob table must list exactly the ZV_* environment variables
+# still read. The lists are extracted from the sources, not hardcoded, so
+# adding e.g. a new metric, protocol field or env knob without documenting
+# it — or retiring a knob without dropping its row — fails CI.
 #
 # Usage: tools/check_docs.sh [repo_root]
 
@@ -180,6 +182,37 @@ for c in $container_types; do
   fi
 done
 
+# Knob drift: every ZV_* environment variable src/ reads (a "ZV_*" string
+# literal — the getenv argument) needs a row in README.md's knob table, and
+# every row must name a variable something still reads: a "ZV_*" literal in
+# src/ or bench/, or a $ZV_* / ${ZV_*} expansion in a tools/ script.
+README_DOC="$ROOT/README.md"
+knob_rows="$(grep -oE '^\| `ZV_[A-Z0-9_]+`' "$README_DOC" |
+             grep -oE 'ZV_[A-Z0-9_]+' | sort -u)"
+src_knobs="$(grep -rhoE '"ZV_[A-Z0-9_]+"' "$ROOT/src" | tr -d '"' | sort -u)"
+[[ -n "$knob_rows" && -n "$src_knobs" ]] || {
+  echo "check_docs: no env knobs extracted from README.md or src/" >&2
+  exit 1
+}
+read_knobs="$({ grep -rhoE '"ZV_[A-Z0-9_]+"' "$ROOT/src" "$ROOT/bench" |
+                  tr -d '"'
+                grep -hoE '\$\{?ZV_[A-Z0-9_]+' "$ROOT"/tools/*.sh | tr -d '${'
+              } | sort -u)"
+for k in $src_knobs; do
+  if ! grep -qx "$k" <<<"$knob_rows"; then
+    echo "check_docs: env knob '$k' (read in src/) has no row in" \
+         "README.md's knob table" >&2
+    fail=1
+  fi
+done
+for k in $knob_rows; do
+  if ! grep -qx "$k" <<<"$read_knobs"; then
+    echo "check_docs: README.md knob row '$k' names a variable nothing in" \
+         "src/, bench/ or tools/ reads" >&2
+    fail=1
+  fi
+done
+
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
@@ -190,4 +223,5 @@ echo "check_docs: OK (primitives: $(echo $prims | tr '\n' ' ')| mechanisms:" \
      "$(echo $stats_fields | tr '\n' ' ')| lint rules:" \
      "$(echo $lint_rules | tr '\n' ' ')| kernel variants:" \
      "$(echo $kernel_variants | tr '\n' ' ')| container types:" \
-     "$(echo $container_types | tr '\n' ' '))"
+     "$(echo $container_types | tr '\n' ' ')| env knobs:" \
+     "$(echo $knob_rows | tr '\n' ' '))"

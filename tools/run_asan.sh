@@ -6,8 +6,8 @@
 #   api_test          (protocol encode/decode, end-to-end wire path)
 #   zql_builder_test  (AST construction + canonical serialization)
 #   server_test       (task lifecycle: shared QueryTask state, caches)
-#   shard_test        (per-chunk row-id buffers crossing the shard
-#                      worker queues; ChunkScanner lifetime)
+#   shard_test        (per-chunk row-id buffers demultiplexed out of
+#                      chunk passes; MultiChunkScanner lifetime)
 #   batch_test        (per-statement row-id buffers fanning out of shared
 #                      scan passes; MultiChunkScanner + snapshot lifetime
 #                      across epoch bumps and abandoning members)

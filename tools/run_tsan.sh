@@ -6,15 +6,16 @@
 #   server_test    (sessions, caches, async execution, admission control)
 #   pipeline_test  (fetch thread + bounded hand-off queue byte-identity,
 #                   mid-pipeline cancellation)
-#   shard_test     (chunk-sharded scans: worker pool, chunk job/result
-#                   queues, mid-scan cancellation fan-out)
+#   shard_test     (chunk-parallel passes on a private batch queue: queue
+#                   workers + coordinator vs the fetch thread, mid-pass
+#                   cancellation)
 #   batch_test     (cross-query shared scans: group-commit coordinator,
 #                   fused-pass worker pool, ScoringContextPool
 #                   single-flight, mid-batch cancellation)
 #   zql_roundtrip_test (canonical serialization / fingerprint property
 #                   suite — serial, but cheap enough to keep in the gate)
 #   trace_test     (trace spans opened concurrently from the coordinator,
-#                   fetch thread, and shard workers; trace mutex)
+#                   fetch thread, and serving workers; trace mutex)
 #   metrics_test   (lock-free histogram recording hammered from many
 #                   threads; registry mutex)
 #

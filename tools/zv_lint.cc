@@ -178,6 +178,22 @@ bool HasSteadyClockNow(const std::string& code) {
   return false;
 }
 
+/// A `using`/`typedef` line naming steady_clock itself (`using Clock =
+/// std::chrono::steady_clock;`): reads through the alias (`Clock::now()`)
+/// would slip past HasSteadyClockNow, so the alias is the violation.
+/// Aliases of member types (`steady_clock::time_point`) are fine.
+bool HasSteadyClockAlias(const std::string& code) {
+  if (FindIdent(code, "using") == npos && FindIdent(code, "typedef") == npos) {
+    return false;
+  }
+  size_t pos = 0;
+  while ((pos = FindIdent(code, "steady_clock", pos)) != npos) {
+    pos += std::strlen("steady_clock");
+    if (code.compare(SkipSpace(code, pos), 2, "::") != 0) return true;
+  }
+  return false;
+}
+
 /// `rand(` / `srand(` as a call (not a longer identifier), or any mention
 /// of random_device.
 bool HasRawRand(const std::string& code) {
@@ -437,7 +453,8 @@ std::vector<ScannedLine> ScanSource(const std::string& content) {
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
       {"raw-clock",
-       "steady_clock::now()/system_clock outside common/clock.{h,cc}"},
+       "steady_clock::now(), a steady_clock alias, or system_clock outside "
+       "common/clock.{h,cc}"},
       {"raw-rand", "rand()/srand()/std::random_device outside common/rng.h"},
       {"unordered-iter",
        "unordered-container iteration without an order-independent "
@@ -485,7 +502,8 @@ std::vector<Violation> LintFile(const SourceFile& f,
     if (code.empty()) continue;
 
     if (!clock_home &&
-        (HasSteadyClockNow(code) || FindIdent(code, "system_clock") != npos) &&
+        (HasSteadyClockNow(code) || HasSteadyClockAlias(code) ||
+         FindIdent(code, "system_clock") != npos) &&
         !Suppressed(lines, i, "raw-clock")) {
       out.push_back(MakeViolation(
           "raw-clock", f.path, i, code,

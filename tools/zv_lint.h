@@ -2,7 +2,7 @@
 /// \brief Project-invariant static analysis ("zv-lint") over src/.
 ///
 /// The determinism contract — results byte-identical across ZV_THREADS,
-/// ZV_SHARDS, batching, backends, and schedules — is enforced dynamically
+/// chunk sizes, batching, backends, and schedules — is enforced dynamically
 /// by the identity suites, but a dynamic test only catches the paths it
 /// happens to exercise. zv-lint closes the gap statically: it flags the
 /// *sources* of nondeterminism and layering rot at the offending line, so
@@ -11,7 +11,8 @@
 /// The analysis is deliberately libclang-free: a comment/string-aware
 /// line scanner plus an include-graph builder, linting these invariants:
 ///
-///   raw-clock       steady_clock::now() / system_clock outside
+///   raw-clock       steady_clock::now(), a using/typedef alias of
+///                   steady_clock, or system_clock outside
 ///                   common/clock.{h,cc} — route through SteadyNow(),
 ///                   MsSince(), MsBetween(), or Clock.
 ///   raw-rand        rand()/srand()/std::random_device outside
