@@ -1,40 +1,47 @@
 #include "common/csv.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "common/strings.h"
 
 namespace zv {
 
-Result<CsvTable> ParseCsv(const std::string& text) {
-  CsvTable table;
+Status ForEachCsvRecord(
+    std::string_view text,
+    const std::function<Status(const std::vector<std::string>& fields)>& fn) {
   std::vector<std::string> current;
   std::string field;
+  size_t records = 0;  // the header is record 0
+  size_t arity = 0;
   bool in_quotes = false;
   bool row_has_content = false;
-
   auto end_field = [&]() {
     current.push_back(field);
     field.clear();
   };
   auto end_row = [&]() -> Status {
     end_field();
-    if (table.header.empty()) {
-      table.header = std::move(current);
-    } else {
-      if (current.size() != table.header.size()) {
-        return Status::ParseError(StrFormat(
-            "CSV row %zu has %zu fields, expected %zu", table.rows.size() + 1,
-            current.size(), table.header.size()));
-      }
-      table.rows.push_back(std::move(current));
+    if (records == 0) {
+      arity = current.size();
+    } else if (current.size() != arity) {
+      return Status::ParseError(
+          StrFormat("CSV row %zu has %zu fields, expected %zu", records,
+                    current.size(), arity));
     }
+    ZV_RETURN_NOT_OK(fn(current));
+    ++records;
     current.clear();
     row_has_content = false;
     return Status::OK();
   };
-
+  // Appends the run of characters from i up to the next one `stop`
+  // accepts, leaving i on the run's last character.
+  auto append_run = [&](size_t& i, auto stop) {
+    size_t end = i + 1;
+    while (end < text.size() && !stop(text[end])) ++end;
+    field.append(text.data() + i, end - i);
+    i = end - 1;
+  };
   for (size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     if (in_quotes) {
@@ -46,7 +53,7 @@ Result<CsvTable> ParseCsv(const std::string& text) {
           in_quotes = false;
         }
       } else {
-        field += c;
+        append_run(i, [](char x) { return x == '"'; });
       }
       continue;
     }
@@ -63,31 +70,51 @@ Result<CsvTable> ParseCsv(const std::string& text) {
         break;
       case '\n': {
         if (row_has_content || !field.empty() || !current.empty()) {
-          Status s = end_row();
-          if (!s.ok()) return s;
+          ZV_RETURN_NOT_OK(end_row());
         }
         break;
       }
       default:
-        field += c;
+        append_run(i, [](char x) {
+          return x == ',' || x == '"' || x == '\r' || x == '\n';
+        });
         row_has_content = true;
     }
   }
   if (in_quotes) return Status::ParseError("unterminated quoted CSV field");
   if (row_has_content || !field.empty() || !current.empty()) {
-    Status s = end_row();
-    if (!s.ok()) return s;
+    ZV_RETURN_NOT_OK(end_row());
   }
-  if (table.header.empty()) return Status::ParseError("empty CSV input");
+  if (records == 0) return Status::ParseError("empty CSV input");
+  return Status::OK();
+}
+
+Result<CsvTable> ParseCsv(const std::string& text) {
+  CsvTable table;
+  bool header = true;
+  ZV_RETURN_NOT_OK(ForEachCsvRecord(
+      text, [&](const std::vector<std::string>& fields) {
+        if (header) {
+          table.header = fields;
+          header = false;
+        } else {
+          table.rows.push_back(fields);
+        }
+        return Status::OK();
+      }));
   return table;
 }
 
-Result<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open CSV file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ParseCsv(ss.str());
+Result<std::string> ReadCsvText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return Status::NotFound("cannot open CSV file: " + path);
+  std::string text(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), size)) {
+    return Status::NotFound("cannot read CSV file: " + path);
+  }
+  return text;
 }
 
 namespace {

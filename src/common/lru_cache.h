@@ -80,6 +80,24 @@ class ShardedLruCache {
     }
   }
 
+  /// Drops every entry whose key satisfies `pred` (not counted as
+  /// evictions).
+  template <typename Pred>
+  void EraseIf(Pred pred) {
+    for (Shard& s : shard_data_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      for (auto it = s.lru.begin(); it != s.lru.end();) {
+        if (pred(it->key)) {
+          s.bytes -= it->bytes;
+          s.index.erase(it->key);
+          it = s.lru.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+  }
+
   void Clear() {
     for (Shard& s : shard_data_) {
       std::lock_guard<std::mutex> lock(s.mu);

@@ -1,12 +1,9 @@
 #include "engine/database.h"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
-#include "common/cancel.h"
 #include "common/clock.h"
 #include "engine/predicate.h"
 #include "engine/select_runner.h"
@@ -16,43 +13,27 @@ namespace zv {
 
 namespace {
 
-/// The base scanner: one row loop, every statement's predicate tested per
-/// row (no predicate = every row survives). A shared pass over N batched
-/// statements walks the column data once instead of N times; fusion
-/// shares only the row iteration, never a selection decision, so each
-/// statement's list is exactly what it would select alone.
+/// The base scanner: one batch walk, every statement's predicate evaluated
+/// per batch (no WHERE = every row survives), so a batch's column data
+/// stays cache-resident across the fused statements. Fusion shares only
+/// the walk, never a selection decision, so each statement's list is
+/// exactly what it would select alone.
 class FusedPredicateScanner : public MultiChunkScanner {
  public:
   FusedPredicateScanner(std::shared_ptr<Table> table,
-                        std::vector<std::optional<CompiledPredicate>> preds)
+                        std::vector<CompiledPredicate> preds)
       : table_(std::move(table)), preds_(std::move(preds)) {}
 
   size_t num_statements() const override { return preds_.size(); }
 
   Status ScanRange(uint32_t begin, uint32_t end,
                    std::vector<std::vector<uint32_t>>* outs) const override {
-    const size_t n = preds_.size();
-    if (n == 1) {
-      // A lone statement — every block of the reference scan — takes the
-      // plain loop: the fused loop's per-row statement dispatch costs up
-      // to 3x when there is nothing to fuse.
-      return SelectRange(preds_[0] ? &*preds_[0] : nullptr, begin, end,
-                         &(*outs)[0]);
-    }
-    for (uint32_t lo = begin; lo < end;) {
-      ZV_RETURN_NOT_OK(CheckCancelled());
-      const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
-          end, static_cast<uint64_t>(lo) + kScanCancelPollRows));
-      for (uint32_t row = lo; row < hi; ++row) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!preds_[i].has_value() || preds_[i]->Test(row)) {
-            (*outs)[i].push_back(row);
-          }
-        }
+    PredicateScratch scratch;
+    return ForEachBatch(begin, end, [&](uint32_t lo, uint32_t n) {
+      for (size_t i = 0; i < preds_.size(); ++i) {
+        preds_[i].SelectBatch(lo, n, &scratch, &(*outs)[i]);
       }
-      lo = hi;
-    }
-    return Status::OK();
+    });
   }
 
   bool Absorb(std::unique_ptr<MultiChunkScanner>& other) override {
@@ -66,7 +47,7 @@ class FusedPredicateScanner : public MultiChunkScanner {
  private:
   /// Keeps the compiled predicates' column pointers alive.
   std::shared_ptr<Table> table_;
-  std::vector<std::optional<CompiledPredicate>> preds_;
+  std::vector<CompiledPredicate> preds_;
 };
 
 }  // namespace
@@ -109,15 +90,11 @@ Result<std::shared_ptr<Table>> Database::BatchTable(
 Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
     const std::vector<const sql::SelectStatement*>& stmts) {
   ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, BatchTable(stmts));
-  std::vector<std::optional<CompiledPredicate>> preds;
-  preds.reserve(stmts.size());
-  for (const sql::SelectStatement* stmt : stmts) {
-    if (stmt->where == nullptr) {
-      preds.emplace_back(std::nullopt);
-    } else {
-      ZV_ASSIGN_OR_RETURN(CompiledPredicate pred,
-                          CompiledPredicate::Compile(*table, *stmt->where));
-      preds.emplace_back(std::move(pred));
+  std::vector<CompiledPredicate> preds(stmts.size());
+  for (size_t i = 0; i < stmts.size(); ++i) {
+    if (stmts[i]->where != nullptr) {
+      ZV_ASSIGN_OR_RETURN(preds[i],
+                          CompiledPredicate::Compile(*table, *stmts[i]->where));
     }
   }
   return std::unique_ptr<MultiChunkScanner>(

@@ -133,10 +133,10 @@ class Database {
   /// Compiles a statement batch for chunk-range evaluation. All
   /// statements must target the same table; fails with the first
   /// statement's compile error. The base implementation compiles every
-  /// WHERE into a CompiledPredicate and tests them all inside a single row
-  /// loop (no WHERE = every row survives; a lone statement runs the plain
-  /// SelectRange loop); the Roaring backend overrides it to answer indexed
-  /// conjuncts from its bitmaps.
+  /// WHERE into a CompiledPredicate and evaluates them all, one batch of
+  /// rows at a time, in a single walk over the range (no WHERE = every row
+  /// survives), whatever the statement count; the Roaring backend
+  /// overrides it to answer indexed conjuncts from its bitmaps.
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 

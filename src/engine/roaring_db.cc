@@ -131,9 +131,8 @@ Result<RoaringDatabase::SplitPredicate> RoaringDatabase::SplitWhere(
     clones.reserve(residual_parts.size());
     for (const Expr* e : residual_parts) clones.push_back(e->Clone());
     auto conj = Expr::And(std::move(clones));
-    ZV_ASSIGN_OR_RETURN(CompiledPredicate pred,
+    ZV_ASSIGN_OR_RETURN(split.residual,
                         CompiledPredicate::Compile(table, *conj));
-    split.residual = std::move(pred);
   }
   return split;
 }
@@ -146,12 +145,12 @@ namespace {
 /// set of chunk jobs.
 class RoaringMultiScanner : public MultiChunkScanner {
  public:
-  /// One statement's selection: the index-answerable filter plus the
-  /// residual row predicate, or — with no filter — the whole WHERE as a
-  /// row predicate (none at all = every row survives).
+  /// One statement's selection: the index-answerable filter, if any, and
+  /// the residual predicate — with no filter, the whole WHERE (no WHERE =
+  /// every row survives).
   struct Part {
     std::optional<RoaringBitmap> filter;
-    std::optional<CompiledPredicate> residual;
+    CompiledPredicate residual;
   };
 
   RoaringMultiScanner(std::shared_ptr<Table> table, std::vector<Part> parts)
@@ -161,14 +160,13 @@ class RoaringMultiScanner : public MultiChunkScanner {
 
   Status ScanRange(uint32_t begin, uint32_t end,
                    std::vector<std::vector<uint32_t>>* outs) const override {
+    PredicateScratch scratch;
     for (size_t i = 0; i < parts_.size(); ++i) {
       const Part& part = parts_[i];
       std::vector<uint32_t>* out = &(*outs)[i];
-      ZV_RETURN_NOT_OK(
-          part.filter.has_value()
-              ? ScanFiltered(part, begin, end, out)
-              : SelectRange(part.residual ? &*part.residual : nullptr, begin,
-                            end, out));
+      ZV_RETURN_NOT_OK(part.filter.has_value()
+                           ? ScanFiltered(part, begin, end, &scratch, out)
+                           : SelectRange(part.residual, begin, end, out));
     }
     return Status::OK();
   }
@@ -182,24 +180,27 @@ class RoaringMultiScanner : public MultiChunkScanner {
   }
 
  private:
-  /// Extracts the filter's values in [begin, end), keeping the residual's
-  /// survivors. Slices at container granularity so long extractions poll
-  /// cancellation, mirroring the blocked scan's block-boundary polls.
+  /// Extracts the filter's values in [begin, end) into candidate batches,
+  /// keeping the residual's survivors. Slices at container granularity so
+  /// long extractions poll cancellation, mirroring the blocked scan's
+  /// block-boundary polls.
   static Status ScanFiltered(const Part& part, uint32_t begin, uint32_t end,
+                             PredicateScratch* scratch,
                              std::vector<uint32_t>* out) {
+    uint32_t candidates[kPredicateBatchRows] = {};
     for (uint32_t lo = begin; lo < end;) {
       ZV_RETURN_NOT_OK(CheckCancelled());
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
           end, (static_cast<uint64_t>(lo) | 0xFFFF) + 1));
-      if (part.residual.has_value()) {
-        const CompiledPredicate& pred = *part.residual;
-        part.filter->ForEachInRange(lo, hi, [out, &pred](uint32_t row) {
-          if (pred.Test(row)) out->push_back(row);
-        });
-      } else {
-        part.filter->ForEachInRange(
-            lo, hi, [out](uint32_t row) { out->push_back(row); });
-      }
+      uint32_t n = 0;
+      part.filter->ForEachInRange(lo, hi, [&](uint32_t row) {
+        candidates[n++] = row;
+        if (n == kPredicateBatchRows) {
+          part.residual.SelectCandidates(candidates, n, scratch, out);
+          n = 0;
+        }
+      });
+      part.residual.SelectCandidates(candidates, n, scratch, out);
       lo = hi;
     }
     return Status::OK();
@@ -222,18 +223,12 @@ RoaringDatabase::PrepareMultiChunkScan(
   for (const sql::SelectStatement* stmt : stmts) {
     RoaringMultiScanner::Part part;
     if (stmt->where != nullptr) {
+      // Nothing indexable leaves no filter and the conjunction of every
+      // conjunct — the whole WHERE — as the residual.
       ZV_ASSIGN_OR_RETURN(SplitPredicate split,
                           SplitWhere(*table, idx_it->second, *stmt->where));
-      if (split.filter.has_value()) {
-        part.filter = std::move(split.filter);
-        part.residual = std::move(split.residual);
-      } else {
-        // Nothing indexable: the whole WHERE becomes the row predicate —
-        // same survivors, no bitmap needed.
-        ZV_ASSIGN_OR_RETURN(CompiledPredicate pred,
-                            CompiledPredicate::Compile(*table, *stmt->where));
-        part.residual = std::move(pred);
-      }
+      part.filter = std::move(split.filter);
+      part.residual = std::move(split.residual);
     }
     parts.push_back(std::move(part));
   }

@@ -5,7 +5,8 @@
 /// bitmap per distinct value (built at RegisterTable), measure columns stay
 /// un-indexed arrays — the paper's default policy. Selection predicates over
 /// indexed columns are evaluated with bit-parallel AND/OR/ANDNOT; residual
-/// (measure) predicates are tested row-wise on the bitmap's survivors.
+/// (measure) predicates are evaluated a batch at a time over the bitmap's
+/// survivors.
 
 #ifndef ZV_ENGINE_ROARING_DB_H_
 #define ZV_ENGINE_ROARING_DB_H_
@@ -39,10 +40,10 @@ class RoaringDatabase : public Database {
   /// Chunk-scan compilation reusing the bitmap indexes: per statement, the
   /// index-answerable part of the WHERE becomes one Roaring filter (built
   /// once), and ScanRange extracts the filter's values inside each range,
-  /// testing the residual predicate per survivor; statements with no WHERE
-  /// or nothing indexable walk the rows like the base scanner. It also
-  /// serves Execute (Database::ExecuteInternal), so every entry point
-  /// selects the same rows.
+  /// evaluating the residual predicate over them a batch at a time;
+  /// statements with no WHERE or nothing indexable walk the rows like the
+  /// base scanner. It also serves Execute (Database::ExecuteInternal), so
+  /// every entry point selects the same rows.
   Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts) override;
 
@@ -59,11 +60,12 @@ class RoaringDatabase : public Database {
                                                   const TableIndex& index,
                                                   const sql::Expr& expr) const;
 
-  /// A WHERE clause split into its index-answerable bitmap and the residual
-  /// row-wise predicate (either part may be absent, never both).
+  /// A WHERE clause split into its index-answerable bitmap (absent when
+  /// no conjunct is indexable) and the compiled residual predicate (every
+  /// row when every conjunct is).
   struct SplitPredicate {
     std::optional<roaring::RoaringBitmap> filter;
-    std::optional<CompiledPredicate> residual;
+    CompiledPredicate residual;
   };
 
   /// Splits a top-level conjunction into conjuncts TryBitmap can answer

@@ -1,9 +1,10 @@
 /// \file scan_db.h
 /// \brief Full-scan backend — the PostgreSQL stand-in.
 ///
-/// WHERE clauses compile to per-row predicates (dictionary accept-vectors
-/// for categorical leaves) evaluated in sequential row loops, feeding the
-/// shared SelectRunner. No indexes are maintained: this backend is the
+/// WHERE clauses compile to batch predicates over the typed columns
+/// (dictionary accept-vectors for categorical leaves) evaluated in
+/// sequential batch walks, feeding the shared SelectRunner. No indexes are
+/// maintained: this backend is the
 /// Database base behavior unchanged (PrepareMultiChunkScan's fused
 /// predicate scanner).
 

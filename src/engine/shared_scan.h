@@ -9,8 +9,9 @@
 /// concurrent selections into ~1 pass: callers enqueue their prepared
 /// MultiChunkScanners, a coordinator cuts a *pass* from everything waiting
 /// for the same (backend, table) group, fuses the scanners that can share
-/// a row loop (the base scanner tests all predicates per row; Roaring keeps
-/// its bitmap probes), fans the chunks out over a persistent worker pool,
+/// a batch walk (the base scanner evaluates every predicate per batch of
+/// rows; Roaring keeps its bitmap probes), fans the chunks out over a
+/// persistent worker pool,
 /// and demultiplexes per-statement row-id lists back to each caller.
 ///
 /// Batching model: *group commit*. With the default window of 0 a lone

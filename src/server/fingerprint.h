@@ -9,7 +9,7 @@
 ///    AND a ZqlBuilder-built equivalent of typed text all share one entry;
 ///  - the dataset name AND its epoch — any table mutation bumps the epoch,
 ///    so a stale entry's key simply stops being generated and can never be
-///    served again (it ages out of the LRU);
+///    served again (ReplaceDataset also releases it);
 ///  - the effective optimization level and backend name;
 ///  - a content hash of the session's registered user-input sketches, since
 ///    `-f1` rows bind data that exists nowhere in the table. Sessions with

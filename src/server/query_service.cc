@@ -295,14 +295,18 @@ Status QueryService::ReplaceDataset(std::shared_ptr<Table> table,
     db = std::make_shared<RoaringDatabase>();
     ZV_RETURN_NOT_OK(db->RegisterTable(table));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(table->name());
-  if (it == datasets_.end()) {
-    return Status::NotFound("no such dataset: " + table->name());
+  const std::string name = table->name();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = datasets_.find(name);
+    if (it == datasets_.end()) {
+      return Status::NotFound("no such dataset: " + name);
+    }
+    it->second.table = std::move(table);
+    it->second.db = std::move(db);
+    ++it->second.epoch;  // every old fingerprint is now unreachable
   }
-  it->second.table = std::move(table);
-  it->second.db = std::move(db);
-  ++it->second.epoch;  // every old fingerprint is now unreachable
+  result_cache_.EraseDataset(name);
   return Status::OK();
 }
 
@@ -520,7 +524,7 @@ Result<QueryHandle> QueryService::SubmitCanonical(
       std::shared_ptr<const zql::ZqlResult> hit;
       {
         TraceScope lookup(task->trace.get(), nullptr, "cache_lookup");
-        hit = result_cache_.Probe(task->fingerprint);
+        hit = result_cache_.Probe(task->dataset, task->fingerprint);
         lookup.SetBool("hit", hit != nullptr);
       }
       if (hit != nullptr) {
@@ -603,7 +607,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
     std::shared_ptr<const zql::ZqlResult> hit;
     {
       TraceScope lookup(trace, nullptr, "cache_lookup");
-      hit = result_cache_.Get(task->fingerprint);
+      hit = result_cache_.Get(task->dataset, task->fingerprint);
       lookup.SetBool("hit", hit != nullptr);
     }
     if (hit != nullptr) {
@@ -669,7 +673,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
   // poison the cache with a result we'll report as kCancelled elsewhere —
   // it didn't: execution completed. Cache it; it is a full, valid result.
   if (result_cache_enabled_) {
-    result_cache_.Put(task->fingerprint, shared);
+    result_cache_.Put(task->dataset, task->fingerprint, shared);
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   c_completed_->Increment();

@@ -214,7 +214,8 @@ class QueryService {
 
   /// Atomically replaces the dataset of the same name and bumps its epoch:
   /// queries already executing keep their snapshot; every later query sees
-  /// the new table, and no cached result from the old epoch can be served.
+  /// the new table, and no cached result from the old epoch can be served
+  /// — the dataset's cached results are released at once.
   Status ReplaceDataset(std::shared_ptr<Table> table,
                         std::shared_ptr<Database> db = nullptr);
 

@@ -6,10 +6,11 @@
 /// under concurrent readers, and immune to eviction races (the pointer
 /// keeps the entry alive for whoever already holds it).
 ///
-/// Invalidation is structural, not imperative: the fingerprint embeds the
-/// dataset epoch, so a table mutation makes every old key unreachable
-/// rather than requiring a scan-and-delete. Unreachable entries age out of
-/// the LRU tail under byte pressure.
+/// Invalidation is structural: the fingerprint embeds the dataset epoch, so
+/// a table mutation makes every old key unreachable, and no lookup can ever
+/// see a stale result. The service then reclaims the dataset's entries
+/// (EraseDataset), so dead results neither hold memory nor push live
+/// entries of other datasets out of the LRU.
 
 #ifndef ZV_SERVER_RESULT_CACHE_H_
 #define ZV_SERVER_RESULT_CACHE_H_
@@ -50,21 +51,30 @@ class ResultCache {
   explicit ResultCache(size_t max_bytes, size_t shards = 8)
       : cache_(max_bytes, shards) {}
 
-  std::shared_ptr<const zql::ZqlResult> Get(const std::string& fingerprint) {
-    return cache_.Get(fingerprint);
+  std::shared_ptr<const zql::ZqlResult> Get(const std::string& dataset,
+                                            const std::string& fingerprint) {
+    return cache_.Get(Key(dataset, fingerprint));
   }
 
   /// Opportunistic lookup (the Submit fast path): counts hits but not
   /// misses — a missing entry falls through to the worker, whose Get
   /// records the one authoritative miss.
-  std::shared_ptr<const zql::ZqlResult> Probe(const std::string& fingerprint) {
-    return cache_.Get(fingerprint, /*count_miss=*/false);
+  std::shared_ptr<const zql::ZqlResult> Probe(const std::string& dataset,
+                                              const std::string& fingerprint) {
+    return cache_.Get(Key(dataset, fingerprint), /*count_miss=*/false);
   }
 
-  void Put(const std::string& fingerprint,
+  void Put(const std::string& dataset, const std::string& fingerprint,
            std::shared_ptr<const zql::ZqlResult> result) {
     const size_t bytes = ApproxResultBytes(*result);
-    cache_.Put(fingerprint, std::move(result), bytes);
+    cache_.Put(Key(dataset, fingerprint), std::move(result), bytes);
+  }
+
+  /// Drops every entry of `dataset` — all unreachable once its epoch moves.
+  void EraseDataset(const std::string& dataset) {
+    cache_.EraseIf([&dataset](const std::string& key) {
+      return key.compare(key.find('/') + 1, std::string::npos, dataset) == 0;
+    });
   }
 
   void Clear() { cache_.Clear(); }
@@ -76,6 +86,12 @@ class ResultCache {
   size_t max_bytes_total() const { return cache_.max_bytes(); }
 
  private:
+  /// The fingerprint is hex, so the first '/' ends it.
+  static std::string Key(const std::string& dataset,
+                         const std::string& fingerprint) {
+    return fingerprint + '/' + dataset;
+  }
+
   ShardedLruCache<zql::ZqlResult> cache_;
 };
 

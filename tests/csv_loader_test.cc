@@ -1,3 +1,6 @@
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "engine/scan_db.h"
@@ -76,6 +79,51 @@ TEST(CsvLoaderTest, LoadedTableAnswersZql) {
 
 TEST(CsvLoaderTest, MissingFileFails) {
   EXPECT_FALSE(TableFromCsvFile("t", "/no/such/file.csv").ok());
+}
+
+/// The file path streams the text twice instead of keeping a parsed copy;
+/// it must load exactly what ParseCsv + TableFromCsv load, and fail the
+/// same way.
+TEST(CsvLoaderTest, FileLoadMatchesParsedLoad) {
+  std::string text = "id,\"name\",score,year,note\r\n";
+  for (int i = 0; i < 150; ++i) {
+    text += std::to_string(i) + ",\"n, \"\"" + std::to_string(i % 7) +
+            "\"\"\"," + std::to_string(i * 0.25) + "," +
+            std::to_string(2010 + i % 3) + "," + (i % 5 ? "x" : "") + "\r\n";
+    if (i % 40 == 0) text += "\n";  // blank lines are skipped
+  }
+  const std::string path = ::testing::TempDir() + "/csv_loader_test.csv";
+  const auto write = [&path](const std::string& body) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fclose(f);
+  };
+  write(text);
+  ZV_ASSERT_OK_AND_ASSIGN(CsvTable csv, ParseCsv(text));
+  ZV_ASSERT_OK_AND_ASSIGN(auto expected, TableFromCsv("t", csv));
+  ZV_ASSERT_OK_AND_ASSIGN(auto loaded, TableFromCsvFile("t", path));
+  ASSERT_EQ(loaded->num_rows(), 150u);
+  ASSERT_EQ(loaded->schema().num_columns(), expected->schema().num_columns());
+  for (size_t c = 0; c < loaded->schema().num_columns(); ++c) {
+    EXPECT_EQ(loaded->schema().column(c).name,
+              expected->schema().column(c).name);
+    EXPECT_EQ(loaded->column_type(c), expected->column_type(c));
+    for (size_t r = 0; r < loaded->num_rows(); ++r) {
+      EXPECT_EQ(loaded->ValueAt(r, c).ToString(),
+                expected->ValueAt(r, c).ToString());
+    }
+  }
+  EXPECT_EQ(loaded->column_type(0), ColumnType::kInt);
+  EXPECT_EQ(loaded->column_type(2), ColumnType::kDouble);
+  EXPECT_EQ(loaded->ValueAt(3, 1), Value::Str("n, \"3\""));
+
+  write("a,b\n1,2\n3\n");
+  const Status parsed = ParseCsv("a,b\n1,2\n3\n").status();
+  const Status streamed = TableFromCsvFile("t", path).status();
+  EXPECT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.ToString(), parsed.ToString());
+  std::remove(path.c_str());
 }
 
 TEST(ZqlSqlTraceTest, TraceShowsParagraph51Shape) {

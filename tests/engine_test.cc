@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/predicate.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
 #include "sql/parser.h"
@@ -401,6 +403,262 @@ TEST(EngineEquivalenceTest, RandomQueriesAgree) {
         }
       }
     }
+  }
+}
+
+/// Randomized differential test of row selection. Random AND/OR/NOT trees
+/// over a double column holding NaN, an int column and two categorical
+/// columns (strings; ints) run through both backends'
+/// PrepareMultiChunkScan + ScanRange, alone and fused, on unaligned ranges
+/// around the batch size, and must select exactly the rows the naive
+/// oracle (testing::ReferenceMatches) selects.
+class SelectionDifferentialTest : public ::testing::Test {
+ protected:
+  /// Spans two Roaring containers, so filtered scans cross one.
+  static constexpr uint32_t kRows = 70000;
+  static constexpr uint32_t kBatch = kPredicateBatchRows;
+
+  void SetUp() override {
+    TableBuilder b("t", Schema({{"d", ColumnType::kDouble},
+                                {"i", ColumnType::kInt},
+                                {"c", ColumnType::kCategorical},
+                                {"y", ColumnType::kCategorical}}));
+    Rng rng(17);
+    for (uint32_t r = 0; r < kRows; ++r) {
+      const double d = rng.Uniform(8) == 0
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : 0.5 * static_cast<double>(rng.UniformInt(-4, 20));
+      ZV_ASSERT_OK(b.AddRow({Value::Double(d),
+                             Value::Int(rng.UniformInt(-5, 20)),
+                             Value::Str(kWords[rng.Uniform(kWords.size())]),
+                             Value::Int(rng.UniformInt(2010, 2015))}));
+    }
+    table_ = b.Finish();
+    ZV_ASSERT_OK(scan_.RegisterTable(table_));
+    ZV_ASSERT_OK(roaring_.RegisterTable(table_));
+  }
+
+  static Value Number(Rng& rng) {
+    switch (rng.Uniform(6)) {
+      case 0:
+        return Value::Int(rng.UniformInt(-5, 20));
+      case 1:
+        return Value::Double(std::numeric_limits<double>::quiet_NaN());
+      case 2:
+        return Value::Double(0.25 + 0.5 * static_cast<double>(
+                                            rng.UniformInt(-4, 20)));
+      default:
+        return Value::Double(0.5 * static_cast<double>(rng.UniformInt(-4, 20)));
+    }
+  }
+
+  static Value Word(Rng& rng) {
+    switch (rng.Uniform(8)) {
+      case 0:
+        return Value::Str("blueberry");  // not in the dictionary
+      case 1:
+        return Value::Int(3);  // a number sorts before every string
+      default:
+        return Value::Str(kWords[rng.Uniform(kWords.size())]);
+    }
+  }
+
+  static Value Year(Rng& rng) {
+    switch (rng.Uniform(5)) {
+      case 0:
+        return Value::Double(2012.5);
+      case 1:
+        return Value::Str("2012");  // a string never equals a number
+      case 2:
+        return Value::Double(
+            static_cast<double>(rng.UniformInt(2009, 2016)));
+      default:
+        return Value::Int(rng.UniformInt(2009, 2016));
+    }
+  }
+
+  static std::unique_ptr<sql::Expr> RandomLeaf(Rng& rng) {
+    static const char* const kColumns[] = {"d", "i", "c", "y"};
+    static const char* const kPatterns[] = {"a%",  "%rr%", "_a%", "%e",
+                                            "b_rry", "%",  ""};
+    const std::string col = kColumns[rng.Uniform(4)];
+    const auto constant = [&rng, &col] {
+      return col == "c" ? Word(rng) : col == "y" ? Year(rng) : Number(rng);
+    };
+    switch (rng.Uniform(col == "c" ? 5 : 4)) {
+      case 0:
+      case 1:
+        return sql::Expr::Compare(
+            col, static_cast<sql::CompareOp>(rng.Uniform(6)), constant());
+      case 2: {
+        Value lo = constant();
+        Value hi = constant();
+        return sql::Expr::Between(col, std::move(lo), std::move(hi));
+      }
+      case 3: {
+        std::vector<Value> list;
+        for (uint64_t k = rng.Uniform(4); k > 0; --k) {
+          list.push_back(constant());
+        }
+        auto in = sql::Expr::In(col, std::move(list));
+        return rng.Uniform(3) == 0 ? sql::Expr::Not(std::move(in))
+                                   : std::move(in);
+      }
+      default:
+        return sql::Expr::Like(col, kPatterns[rng.Uniform(7)]);
+    }
+  }
+
+  static std::unique_ptr<sql::Expr> RandomExpr(Rng& rng, int depth) {
+    if (depth == 0 || rng.Uniform(3) == 0) return RandomLeaf(rng);
+    if (rng.Uniform(4) == 0) {
+      return sql::Expr::Not(RandomExpr(rng, depth - 1));
+    }
+    std::vector<std::unique_ptr<sql::Expr>> children;
+    for (uint64_t k = 2 + rng.Uniform(2); k > 0; --k) {
+      children.push_back(RandomExpr(rng, depth - 1));
+    }
+    return rng.Uniform(2) == 0 ? sql::Expr::And(std::move(children))
+                               : sql::Expr::Or(std::move(children));
+  }
+
+  static sql::SelectStatement Statement(std::unique_ptr<sql::Expr> where) {
+    sql::SelectStatement stmt;
+    stmt.items = {{"*", sql::AggFunc::kCount}};
+    stmt.table = "t";
+    stmt.where = std::move(where);
+    return stmt;
+  }
+
+  std::vector<uint32_t> Reference(const sql::SelectStatement& stmt,
+                                  uint32_t begin, uint32_t end) const {
+    std::vector<uint32_t> rows;
+    for (uint32_t r = begin; r < end; ++r) {
+      if (stmt.where == nullptr ||
+          testing::ReferenceMatches(*table_, r, *stmt.where)) {
+        rows.push_back(r);
+      }
+    }
+    return rows;
+  }
+
+  /// Scans [begin, end) with every statement of `stmts` fused into one
+  /// scanner per backend — the first half prepared together, the rest
+  /// absorbed — and checks each statement's rows against the oracle.
+  void CheckRange(const std::vector<sql::SelectStatement>& stmts,
+                  uint32_t begin, uint32_t end) {
+    SCOPED_TRACE(::testing::Message() << "rows [" << begin << ", " << end
+                                      << ")");
+    std::vector<const sql::SelectStatement*> head, tail;
+    for (size_t i = 0; i < stmts.size(); ++i) {
+      (i < (stmts.size() + 1) / 2 ? head : tail).push_back(&stmts[i]);
+    }
+    for (Database* db : {static_cast<Database*>(&scan_),
+                         static_cast<Database*>(&roaring_)}) {
+      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> scanner,
+                              db->PrepareMultiChunkScan(head));
+      if (!tail.empty()) {
+        ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> rest,
+                                db->PrepareMultiChunkScan(tail));
+        ASSERT_TRUE(scanner->Absorb(rest)) << db->name();
+      }
+      ASSERT_EQ(scanner->num_statements(), stmts.size());
+      std::vector<std::vector<uint32_t>> outs(stmts.size());
+      ZV_ASSERT_OK(scanner->ScanRange(begin, end, &outs));
+      for (size_t i = 0; i < stmts.size(); ++i) {
+        EXPECT_EQ(outs[i], Reference(stmts[i], begin, end))
+            << db->name() << ": "
+            << (stmts[i].where ? stmts[i].where->ToSql() : "no WHERE");
+      }
+    }
+  }
+
+  /// Every range size the batch walk treats differently, each at an
+  /// unaligned start — one of them across the Roaring container edge.
+  void CheckRanges(Rng& rng, const std::vector<sql::SelectStatement>& stmts) {
+    const uint32_t sizes[] = {0, 1, kBatch - 1, kBatch, kBatch + 1,
+                              3 * kBatch + 7};
+    for (uint32_t size : sizes) {
+      const uint32_t begin =
+          rng.Uniform(4) == 0
+              ? 65536 - size / 2 - 3
+              : static_cast<uint32_t>(1 + rng.Uniform(kRows - size - 1));
+      CheckRange(stmts, begin, begin + size);
+    }
+  }
+
+  static inline const std::vector<std::string> kWords = {
+      "apple", "apricot", "banana", "berry", "cherry", "date", "fig",
+      "grape"};
+  std::shared_ptr<Table> table_;
+  ScanDatabase scan_;
+  RoaringDatabase roaring_;
+};
+
+TEST_F(SelectionDifferentialTest, PinnedCases) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<sql::SelectStatement> pinned;
+  const auto add = [&pinned](std::unique_ptr<sql::Expr> where) {
+    pinned.push_back(Statement(std::move(where)));
+  };
+  using sql::CompareOp;
+  using sql::Expr;
+  // NaN satisfies only <>; NOT (d < 2) keeps NaN rows, d >= 2 does not.
+  add(Expr::Compare("d", CompareOp::kNe, Value::Double(1.5)));
+  add(Expr::Not(Expr::Compare("d", CompareOp::kLt, Value::Int(2))));
+  add(Expr::Compare("d", CompareOp::kGe, Value::Int(2)));
+  add(Expr::Compare("d", CompareOp::kNe, Value::Double(nan)));
+  add(Expr::Compare("d", CompareOp::kEq, Value::Double(nan)));
+  add(Expr::Between("d", Value::Double(-1), Value::Double(nan)));
+  // Int columns compare as double.
+  add(Expr::Compare("i", CompareOp::kGt, Value::Double(3.5)));
+  add(Expr::In("i", {Value::Int(3), Value::Double(4.0), Value::Double(2.5)}));
+  add(Expr::Between("i", Value::Double(2.5), Value::Int(7)));
+  // Empty IN lists select nothing; NOT of one selects everything.
+  add(Expr::In("d", {}));
+  add(Expr::Not(Expr::In("i", {})));
+  add(Expr::In("c", {}));
+  add(Expr::Not(Expr::In("y", {})));
+  add(Expr::In("d", {Value::Double(nan), Value::Double(1.5)}));
+  // Empty connectives are their identities.
+  add(Expr::And({}));
+  add(Expr::Or({}));
+  // Categorical leaves, alone and as the Roaring filter of a residual.
+  add(Expr::Not(Expr::In("c", {Value::Str("apple"), Value::Str("fig")})));
+  add(Expr::Like("c", "b%"));
+  std::vector<std::unique_ptr<Expr>> both;
+  both.push_back(Expr::Compare("c", CompareOp::kEq, Value::Str("cherry")));
+  both.push_back(Expr::Compare("d", CompareOp::kLt, Value::Double(3)));
+  add(Expr::And(std::move(both)));
+  add(nullptr);
+
+  // The data really holds NaN, so the first two differ.
+  EXPECT_NE(Reference(pinned[1], 0, kRows), Reference(pinned[2], 0, kRows));
+  Rng rng(5);
+  for (const sql::SelectStatement& stmt : pinned) {
+    std::vector<sql::SelectStatement> alone;
+    alone.push_back(stmt);
+    CheckRanges(rng, alone);
+    CheckRange(alone, 0, kRows);
+  }
+  CheckRanges(rng, pinned);
+}
+
+TEST_F(SelectionDifferentialTest, RandomTreesAgree) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 150; ++trial) {
+    std::vector<sql::SelectStatement> stmts;
+    stmts.push_back(Statement(RandomExpr(rng, 3)));
+    CheckRanges(rng, stmts);
+  }
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<sql::SelectStatement> stmts;
+    for (uint64_t k = 2 + rng.Uniform(4); k > 0; --k) {
+      stmts.push_back(
+          Statement(rng.Uniform(5) == 0 ? nullptr : RandomExpr(rng, 3)));
+    }
+    CheckRanges(rng, stmts);
+    if (trial % 10 == 0) CheckRange(stmts, 0, kRows);
   }
 }
 

@@ -73,13 +73,14 @@ std::string Canon(const zql::ZqlResult& r) {
 /// A table of `num_series` random-walk series, each `width` points long —
 /// the shape that makes DTW scans expensive (O(width^2) per pair).
 std::shared_ptr<Table> MakeWaves(size_t num_series, size_t width,
-                                 uint64_t seed = 5, double drift = 0.0) {
+                                 uint64_t seed = 5, double drift = 0.0,
+                                 const char* name = "waves") {
   Schema schema({
       {"t", ColumnType::kCategorical},
       {"sid", ColumnType::kCategorical},
       {"y", ColumnType::kDouble},
   });
-  TableBuilder b("waves", schema);
+  TableBuilder b(name, schema);
   std::mt19937 rng(static_cast<uint32_t>(seed));
   std::normal_distribution<double> step(0.0, 1.0);
   for (size_t s = 0; s < num_series; ++s) {
@@ -184,6 +185,14 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   // Entries larger than the budget are not cached at all.
   cache.Put("huge", val("huge"), 500);
   EXPECT_EQ(cache.Get("huge"), nullptr);
+  // EraseIf drops matching keys and their bytes, without counting
+  // evictions.
+  cache.EraseIf([](const std::string& key) { return key == "a"; });
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_NE(cache.Get("c"), nullptr);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.bytes(), 40u);
+  EXPECT_EQ(cache.evictions(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,10 +485,23 @@ TEST(QueryServiceTest, EpochBumpInvalidatesCachedResults) {
   ZV_ASSERT_OK(before.Wait());
   ZV_ASSERT_OK_AND_ASSIGN(uint64_t epoch1, service.DatasetEpoch("waves"));
   EXPECT_EQ(epoch1, 1u);
+  // A second dataset's entry must outlive the bump of the first.
+  ZV_ASSERT_OK(service.RegisterDataset(
+      MakeWaves(6, 16, /*seed=*/7, /*drift=*/0.0, "other")));
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle other_before,
+                          service.Submit(session, "other", q));
+  ZV_ASSERT_OK(other_before.Wait());
+  EXPECT_EQ(service.stats().result_cache_entries, 2u);
 
   ZV_ASSERT_OK(service.ReplaceDataset(v2));
   ZV_ASSERT_OK_AND_ASSIGN(uint64_t epoch2, service.DatasetEpoch("waves"));
   EXPECT_EQ(epoch2, 2u);
+  // The bumped dataset's entry is released at once, not left to age out.
+  EXPECT_EQ(service.stats().result_cache_entries, 1u);
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle other_after,
+                          service.Submit(session, "other", q));
+  ZV_ASSERT_OK(other_after.Wait());
+  EXPECT_EQ(other_after.stats().cache_hits, 1u);
 
   ZV_ASSERT_OK_AND_ASSIGN(QueryHandle after,
                           service.Submit(session, "waves", q));

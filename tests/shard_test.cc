@@ -301,7 +301,7 @@ TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
 /// ScanRange + positional concat select exactly the rows a plain
 /// whole-table predicate loop selects, on both backends, for predicate
 /// and no-WHERE statements — including a residual (measure) conjunct on
-/// the Roaring backend, which splits bitmap + row-wise — and the finished
+/// the Roaring backend, which splits bitmap + residual — and the finished
 /// result equals the reference execution's bytes.
 TEST(ShardTest, MultiScannerMatchesReferenceSelection) {
   auto table = MediumSales();

@@ -7,13 +7,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "engine/predicate.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 
@@ -73,23 +72,113 @@ inline std::shared_ptr<Table> MakeTinySales() {
   return b.Finish();
 }
 
+/// SQL LIKE by direct recursion on the pattern: % matches any run, _ any
+/// one character.
+inline bool ReferenceLike(std::string_view s, std::string_view p) {
+  if (p.empty()) return s.empty();
+  if (p[0] == '%') {
+    return ReferenceLike(s, p.substr(1)) ||
+           (!s.empty() && ReferenceLike(s.substr(1), p));
+  }
+  return !s.empty() && (p[0] == '_' || p[0] == s[0]) &&
+         ReferenceLike(s.substr(1), p.substr(1));
+}
+
+/// Whether row `row` satisfies `e`, evaluated the naive way: every leaf
+/// reads its cell through Table::ValueAt, with no CompiledPredicate code.
+/// Categorical leaves use Value's comparisons — the semantics
+/// CategoricalAcceptSet specifies — and measure leaves compare doubles
+/// with IEEE semantics (NaN satisfies only `<>`), an int cell read as
+/// double. Value::Compare cannot serve the latter: it calls NaN equal to
+/// everything.
+inline bool ReferenceMatches(const Table& table, size_t row,
+                             const sql::Expr& e) {
+  using Kind = sql::Expr::Kind;
+  using Op = sql::CompareOp;
+  switch (e.kind) {
+    case Kind::kAnd:
+      for (const auto& child : e.children) {
+        if (!ReferenceMatches(table, row, *child)) return false;
+      }
+      return true;
+    case Kind::kOr:
+      for (const auto& child : e.children) {
+        if (ReferenceMatches(table, row, *child)) return true;
+      }
+      return false;
+    case Kind::kNot:
+      return !ReferenceMatches(table, row, *e.children.at(0));
+    default:
+      break;
+  }
+  const int col = table.schema().Find(e.column);
+  EXPECT_GE(col, 0) << "unknown column " << e.column;
+  if (col < 0) return false;
+  const Value v = table.ValueAt(row, static_cast<size_t>(col));
+  if (table.column_type(static_cast<size_t>(col)) ==
+      ColumnType::kCategorical) {
+    switch (e.kind) {
+      case Kind::kCompare:
+        switch (e.op) {
+          case Op::kEq: return v == e.value;
+          case Op::kNe: return v != e.value;
+          case Op::kLt: return v < e.value;
+          case Op::kLe: return v <= e.value;
+          case Op::kGt: return v > e.value;
+          case Op::kGe: return v >= e.value;
+        }
+        return false;
+      case Kind::kIn:
+        for (const Value& candidate : e.values) {
+          if (v == candidate) return true;
+        }
+        return false;
+      case Kind::kBetween:
+        return v >= e.values[0] && v <= e.values[1];
+      case Kind::kLike:
+        return v.is_string() &&
+               ReferenceLike(v.AsString(), e.value.AsString());
+      default:
+        ADD_FAILURE() << "unexpected leaf " << e.ToSql();
+        return false;
+    }
+  }
+  const double x = v.AsDouble();
+  switch (e.kind) {
+    case Kind::kCompare: {
+      const double c = e.value.AsDouble();
+      switch (e.op) {
+        case Op::kEq: return x == c;
+        case Op::kNe: return x != c;
+        case Op::kLt: return x < c;
+        case Op::kLe: return x <= c;
+        case Op::kGt: return x > c;
+        case Op::kGe: return x >= c;
+      }
+      return false;
+    }
+    case Kind::kIn:
+      for (const Value& candidate : e.values) {
+        if (x == candidate.AsDouble()) return true;
+      }
+      return false;
+    case Kind::kBetween:
+      return x >= e.values[0].AsDouble() && x <= e.values[1].AsDouble();
+    default:
+      ADD_FAILURE() << "unexpected measure leaf " << e.ToSql();
+      return false;
+  }
+}
+
 /// Reference row selection for scanner tests: the ascending ids of the
-/// rows satisfying `stmt`'s WHERE, found by testing its compiled predicate
-/// on every row in one plain loop — no chunking, fusion, or bitmap code,
-/// so it shares nothing with the scanners it checks beyond the predicate.
+/// rows satisfying `stmt`'s WHERE, found by ReferenceMatches on every row
+/// in one plain loop — no chunking, fusion, bitmap or predicate-compiler
+/// code, so it shares nothing with the scanners it checks.
 inline std::vector<uint32_t> ReferenceRows(const Table& table,
                                            const sql::SelectStatement& stmt) {
-  std::optional<CompiledPredicate> pred;
-  if (stmt.where != nullptr) {
-    Result<CompiledPredicate> compiled =
-        CompiledPredicate::Compile(table, *stmt.where);
-    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    if (!compiled.ok()) return {};
-    pred = std::move(compiled).value();
-  }
   std::vector<uint32_t> rows;
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    if (!pred.has_value() || pred->Test(row)) {
+    if (stmt.where == nullptr || ReferenceMatches(table, row, *stmt.where)) {
       rows.push_back(static_cast<uint32_t>(row));
     }
   }

@@ -13,6 +13,12 @@
 #                      across epoch bumps and abandoning members)
 #   zql_roundtrip_test (parser + canonical serializer over generated
 #                      inputs — string-buffer heavy, cheap to keep)
+#   engine_test       (batch predicate kernels indexing raw column arrays
+#                      and candidate buffers; the randomized selection
+#                      differential over unaligned batch-edge ranges)
+#   param_roaring_test (Roaring containers and bitmap-filtered scans whose
+#                      candidate batches feed the residual kernels)
+#   parallel_test     (thread pool job buffers and chunked ParallelFor)
 #   trace_test        (span-tree ownership across threads; Chrome/JSON
 #                      trace exports; wire metrics payloads)
 #   metrics_test      (registry-owned metric lifetimes, snapshot copies)
@@ -32,7 +38,8 @@ set -euo pipefail
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD="${2:-$ROOT/build-asan}"
 SUITES="json_test api_test zql_builder_test server_test shard_test \
-batch_test zql_roundtrip_test trace_test metrics_test"
+batch_test zql_roundtrip_test trace_test metrics_test engine_test \
+param_roaring_test parallel_test"
 
 echo "== configuring ASan tree at $BUILD =="
 cmake -B "$BUILD" -S "$ROOT" -DZV_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -52,7 +59,7 @@ echo "== running under AddressSanitizer =="
 # first report into a test failure instead of a log line.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
 (cd "$BUILD" && ctest --output-on-failure \
-  -R '^(json_test|api_test|zql_builder_test|server_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test)$')
+  -R '^(json_test|api_test|zql_builder_test|server_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test|engine_test|param_roaring_test|parallel_test)$')
 
 echo "== running the randomized soak (stress configuration) =="
 (cd "$BUILD" && ctest --output-on-failure -C stress -L stress)
