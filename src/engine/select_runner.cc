@@ -7,6 +7,7 @@
 #include "common/cancel.h"
 #include "common/parallel.h"
 #include "common/strings.h"
+#include "engine/predicate.h"
 
 namespace zv {
 
@@ -45,6 +46,7 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
     }
     r.group_cols_.push_back(col);
     r.group_bin_widths_.push_back(bin);
+    r.group_codes_.push_back(nullptr);
     if (bin > 0) {
       // Binned keys carry computed Value tuples, so they always take the
       // generic path regardless of the column's physical type.
@@ -58,6 +60,8 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
     } else if (table.column_type(static_cast<size_t>(col)) ==
                ColumnType::kCategorical) {
       r.group_dict_sizes_.push_back(table.DictSize(static_cast<size_t>(col)));
+      r.group_codes_.back() =
+          table.CategoricalColumn(static_cast<size_t>(col)).data();
     } else {
       r.groups_categorical_ = false;
       r.group_dict_sizes_.push_back(0);
@@ -159,8 +163,7 @@ double SelectRunner::AggInput(const ItemPlan& item, size_t row) const {
   return table_->NumericAt(row, static_cast<size_t>(item.col));
 }
 
-template <typename InputFn>
-void SelectRunner::FoldRow(AggState* states, InputFn&& input) const {
+void SelectRunner::AccumulateInto(AggState* states, size_t row) const {
   for (const ItemPlan& item : items_) {
     if (!item.is_agg) continue;
     AggState& s = states[item.agg_slot];
@@ -168,18 +171,12 @@ void SelectRunner::FoldRow(AggState* states, InputFn&& input) const {
       ++s.count;
       continue;
     }
-    const double v = input(item);
+    const double v = AggInput(item, row);
     s.sum += v;
     ++s.count;
     if (v < s.min) s.min = v;
     if (v > s.max) s.max = v;
   }
-}
-
-void SelectRunner::AccumulateInto(AggState* states, size_t row) const {
-  FoldRow(states, [this, row](const ItemPlan& item) {
-    return AggInput(item, row);
-  });
 }
 
 void SelectRunner::Consume(size_t row) {
@@ -305,99 +302,73 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
 
 namespace {
 
+/// Dense group spaces wider than this always take the wide layout.
+constexpr uint64_t kWideLayoutGroups = 1u << 15;
 /// A dense group space this many times narrower than a block's rows is
-/// replicated per block; anything wider is aggregated key-partitioned.
+/// replicated per block; anything wider takes the wide layout.
 constexpr uint64_t kReplicaRowsPerGroup = 4;
 
 }  // namespace
 
-bool SelectRunner::KeyPartitioned(size_t rows_per_block) const {
+bool SelectRunner::WideLayout(size_t rows_per_block) const {
   if (!aggregation_ || !dense_ || group_cols_.empty()) return false;
-  return total_groups_ > kBlockAssociationGroupLimit ||
+  return total_groups_ > kWideLayoutGroups ||
          total_groups_ * kReplicaRowsPerGroup >= rows_per_block;
 }
 
-Status SelectRunner::ConsumeByKeyRange(const std::vector<BlockRows>& blocks) {
+Status SelectRunner::ConsumeWide(const uint32_t* rows, size_t count) {
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
-  const size_t groups = static_cast<size_t>(total_groups_);
-  // Part p owns the keys whose run of kKeyRunBits-aligned keys has index
-  // p mod parts: parts are balanced, and no two write one cache line.
-  constexpr unsigned kKeyRunBits = 6;
-  constexpr size_t kMaxParts = 64;
-  size_t parts = 1;
-  while (parts < std::min(ParallelWorkerCount(), kMaxParts)) parts <<= 1;
-  const uint32_t part_mask = static_cast<uint32_t>(parts - 1);
-  size_t inputs_per_row = 0;
-  for (const ItemPlan& item : items_) inputs_per_row += item.is_agg && item.col >= 0;
-
-  // Scatter: every block routes each row's key and aggregate inputs to
-  // its owning part, so the fold below reads only its own rows, in order.
-  struct Bucket {
-    std::vector<uint32_t> keys;
-    std::vector<double> inputs;
-  };
-  std::vector<Bucket> buckets(blocks.size() * parts);
-  ParallelFor(blocks.size(), [&](size_t b) {
-    Bucket* out = &buckets[b * parts];
-    const size_t expect =
-        static_cast<size_t>(blocks[b].end - blocks[b].begin) / parts;
-    for (size_t p = 0; p < parts; ++p) {
-      out[p].keys.reserve(expect);
-      out[p].inputs.reserve(expect * inputs_per_row);
+  // Dense keys are below kDenseGroupLimit, so they fit 32 bits.
+  uint32_t keys[kPredicateBatchRows] = {};
+  return ForEachBatch(0, static_cast<uint32_t>(count), [&](uint32_t lo,
+                                                           uint32_t n) {
+    const uint32_t* batch = rows + lo;
+    // DenseKey's mixed radix, one group column at a time.
+    for (uint32_t i = 0; i < n; ++i) keys[i] = 0;
+    for (size_t g = 0; g < group_codes_.size(); ++g) {
+      const int32_t* codes = group_codes_[g];
+      const uint32_t radix = static_cast<uint32_t>(group_dict_sizes_[g]);
+      for (uint32_t i = 0; i < n; ++i) {
+        keys[i] = keys[i] * radix + static_cast<uint32_t>(codes[batch[i]]);
+      }
     }
-    for (const uint32_t* row = blocks[b].begin; row != blocks[b].end; ++row) {
-      const uint32_t key = static_cast<uint32_t>(DenseKey(*row));
-      Bucket& bucket = out[(key >> kKeyRunBits) & part_mask];
-      bucket.keys.push_back(key);
-      for (const ItemPlan& item : items_) {
-        if (item.is_agg && item.col >= 0) {
-          bucket.inputs.push_back(AggInput(item, *row));
+    for (uint32_t i = 0; i < n; ++i) dense_seen_[keys[i]] = 1;
+    for (const ItemPlan& item : items_) {
+      if (!item.is_agg) continue;
+      AggState* states = dense_states_.data() + item.agg_slot;
+      if (item.agg == AggFunc::kCount) {
+        for (uint32_t i = 0; i < n; ++i) ++states[keys[i] * naggs].count;
+        continue;
+      }
+      // input(i) is the batch's i-th row's value of the aggregated column.
+      // Each function updates only the fields FinalizeAgg reads.
+      const bool sums = item.agg == AggFunc::kSum || item.agg == AggFunc::kAvg;
+      const bool counts = item.agg != AggFunc::kSum;
+      const bool mins = item.agg == AggFunc::kMin;
+      const bool maxes = item.agg == AggFunc::kMax;
+      const auto fold = [&](auto input) {
+        for (uint32_t i = 0; i < n; ++i) {
+          AggState& s = states[keys[i] * naggs];
+          const double v = input(i);
+          if (sums) s.sum += v;
+          if (counts) ++s.count;
+          if (mins && v < s.min) s.min = v;
+          if (maxes && v > s.max) s.max = v;
         }
+      };
+      if (item.dptr != nullptr) {
+        fold([&](uint32_t i) { return item.dptr[batch[i]]; });
+      } else if (item.iptr != nullptr) {
+        fold([&](uint32_t i) {
+          return static_cast<double>(item.iptr[batch[i]]);
+        });
+      } else {
+        fold([&](uint32_t i) {
+          return table_->NumericAt(batch[i], static_cast<size_t>(item.col));
+        });
       }
     }
   });
-  ZV_RETURN_NOT_OK(CheckCancelled());
-
-  // partial_block[k] is the block whose partial group k holds (0 = none).
-  const bool per_block = total_groups_ <= kBlockAssociationGroupLimit;
-  std::vector<AggState> partials(per_block ? groups * naggs : 0);
-  std::vector<uint8_t> partial_block(per_block ? groups : 0, 0);
-  ParallelFor(parts, [&](size_t p) {
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      const Bucket& bucket = buckets[b * parts + p];
-      const double* in = bucket.inputs.data();
-      const auto next_input = [&in](const ItemPlan&) { return *in++; };
-      for (const uint32_t key : bucket.keys) {
-        dense_seen_[key] = 1;
-        AggState* final_states = &dense_states_[key * naggs];
-        if (b == 0 || !per_block) {
-          FoldRow(final_states, next_input);
-          continue;
-        }
-        AggState* partial = &partials[key * naggs];
-        if (partial_block[key] != b) {
-          if (partial_block[key] != 0) {
-            MergeStates(final_states, partial, naggs);
-          }
-          std::fill(partial, partial + naggs, AggState());
-          partial_block[key] = static_cast<uint8_t>(b);
-        }
-        FoldRow(partial, next_input);
-      }
-    }
-    if (!per_block) return;
-    for (size_t run = p << kKeyRunBits; run < groups;
-         run += parts << kKeyRunBits) {
-      const size_t run_end = std::min(groups, run + (size_t{1} << kKeyRunBits));
-      for (size_t key = run; key < run_end; ++key) {
-        if (partial_block[key] != 0) {
-          MergeStates(&dense_states_[key * naggs], &partials[key * naggs],
-                      naggs);
-        }
-      }
-    }
-  });
-  return CheckCancelled();
 }
 
 Value SelectRunner::GroupColValue(int group_pos, uint64_t key) const {
@@ -617,34 +588,36 @@ namespace {
 constexpr size_t kScanBlockRows = 16384;
 constexpr size_t kMaxScanBlocks = 32;
 
-/// Yields block [begin, end)'s selected rows: a view into a caller-owned
-/// list, or rows selected into `scratch`.
-using BlockSource = std::function<Result<SelectRunner::BlockRows>(
-    uint32_t begin, uint32_t end, std::vector<uint32_t>* scratch)>;
-
-Result<ResultSet> RunBlockedImpl(const Table& table,
-                                 const sql::SelectStatement& stmt,
-                                 const BlockSource& source) {
-  ZV_RETURN_NOT_OK(CheckCancelled());
-  ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
-  const size_t n = table.num_rows();
-  const size_t blocks =
-      std::min(kMaxScanBlocks, std::max<size_t>(1, n / kScanBlockRows));
-  const auto block_begin = [n, blocks](size_t b) {
-    return static_cast<uint32_t>(n * b / blocks);
-  };
-  if (runner.KeyPartitioned(n / blocks)) {
-    std::vector<std::vector<uint32_t>> scratch(blocks);
-    std::vector<SelectRunner::BlockRows> rows(blocks);
-    ZV_RETURN_NOT_OK(ParallelForStatus(blocks, [&](size_t b) -> Status {
-      ZV_ASSIGN_OR_RETURN(
-          rows[b], source(block_begin(b), block_begin(b + 1), &scratch[b]));
-      return Status::OK();
-    }));
-    ZV_RETURN_NOT_OK(runner.ConsumeByKeyRange(rows));
-    return runner.Finish();
+/// The table's blocks: `count` contiguous row ranges.
+struct BlockGrid {
+  explicit BlockGrid(size_t num_rows)
+      : rows(num_rows),
+        count(std::min(kMaxScanBlocks,
+                       std::max<size_t>(1, num_rows / kScanBlockRows))) {}
+  uint32_t begin(size_t b) const {
+    return static_cast<uint32_t>(rows * b / count);
   }
+  size_t rows;
+  size_t count;
+};
 
+/// One block's selected row ids, ascending.
+struct BlockRows {
+  const uint32_t* begin = nullptr;
+  const uint32_t* end = nullptr;
+};
+
+/// Yields block b's selected rows: a view into a caller-owned list, or
+/// rows selected into `scratch`.
+using BlockSource =
+    std::function<Result<BlockRows>(size_t b, std::vector<uint32_t>* scratch)>;
+
+/// The per-block layout: block b's rows aggregate into their own runner
+/// (`runner` serves block 0), and the runners merge in block order.
+Result<ResultSet> RunPerBlock(const Table& table,
+                              const sql::SelectStatement& stmt,
+                              SelectRunner runner, size_t blocks,
+                              const BlockSource& source) {
   std::vector<SelectRunner> runners;
   runners.reserve(blocks);
   runners.push_back(std::move(runner));
@@ -655,8 +628,7 @@ Result<ResultSet> RunBlockedImpl(const Table& table,
   }
   ZV_RETURN_NOT_OK(ParallelForStatus(blocks, [&](size_t b) -> Status {
     std::vector<uint32_t> scratch;
-    ZV_ASSIGN_OR_RETURN(SelectRunner::BlockRows rows,
-                        source(block_begin(b), block_begin(b + 1), &scratch));
+    ZV_ASSIGN_OR_RETURN(BlockRows rows, source(b, &scratch));
     for (const uint32_t* row = rows.begin; row != rows.end; ++row) {
       runners[b].Consume(*row);
     }
@@ -674,28 +646,46 @@ Result<ResultSet> RunBlocked(
     const Table& table, const sql::SelectStatement& stmt,
     const std::function<Status(uint32_t begin, uint32_t end,
                                std::vector<uint32_t>* out)>& select_block) {
-  return RunBlockedImpl(
-      table, stmt,
-      [&select_block](uint32_t begin, uint32_t end,
-                      std::vector<uint32_t>* scratch)
-          -> Result<SelectRunner::BlockRows> {
-        ZV_RETURN_NOT_OK(select_block(begin, end, scratch));
-        return SelectRunner::BlockRows{scratch->data(),
-                                       scratch->data() + scratch->size()};
+  ZV_RETURN_NOT_OK(CheckCancelled());
+  ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
+  const BlockGrid grid(table.num_rows());
+  if (runner.WideLayout(grid.rows / grid.count)) {
+    std::vector<std::vector<uint32_t>> selected(grid.count);
+    ZV_RETURN_NOT_OK(ParallelForStatus(grid.count, [&](size_t b) {
+      return select_block(grid.begin(b), grid.begin(b + 1), &selected[b]);
+    }));
+    for (const std::vector<uint32_t>& rows : selected) {
+      ZV_RETURN_NOT_OK(runner.ConsumeWide(rows.data(), rows.size()));
+    }
+    return runner.Finish();
+  }
+  return RunPerBlock(
+      table, stmt, std::move(runner), grid.count,
+      [&](size_t b, std::vector<uint32_t>* scratch) -> Result<BlockRows> {
+        ZV_RETURN_NOT_OK(select_block(grid.begin(b), grid.begin(b + 1),
+                                      scratch));
+        return BlockRows{scratch->data(), scratch->data() + scratch->size()};
       });
 }
 
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows) {
-  return RunBlockedImpl(
-      table, stmt,
-      [&rows](uint32_t begin, uint32_t end, std::vector<uint32_t>*)
-          -> Result<SelectRunner::BlockRows> {
-        const auto lo = std::lower_bound(rows.begin(), rows.end(), begin);
-        const auto hi = std::lower_bound(lo, rows.end(), end);
-        return SelectRunner::BlockRows{rows.data() + (lo - rows.begin()),
-                                       rows.data() + (hi - rows.begin())};
+  ZV_RETURN_NOT_OK(CheckCancelled());
+  ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
+  const BlockGrid grid(table.num_rows());
+  if (runner.WideLayout(grid.rows / grid.count)) {
+    ZV_RETURN_NOT_OK(runner.ConsumeWide(rows.data(), rows.size()));
+    return runner.Finish();
+  }
+  return RunPerBlock(
+      table, stmt, std::move(runner), grid.count,
+      [&](size_t b, std::vector<uint32_t>*) -> Result<BlockRows> {
+        const auto lo =
+            std::lower_bound(rows.begin(), rows.end(), grid.begin(b));
+        const auto hi = std::lower_bound(lo, rows.end(), grid.begin(b + 1));
+        return BlockRows{rows.data() + (lo - rows.begin()),
+                         rows.data() + (hi - rows.begin())};
       });
 }
 

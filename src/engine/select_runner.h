@@ -6,6 +6,9 @@
 /// survive its own WHERE evaluation (scan loop or bitmap iteration), and
 /// calls Finish(). Both backends share this code so measured differences
 /// between them isolate row *selection*, which is what Figure 7.5 studies.
+/// RunBlocked fixes how a statement's rows fold: narrow group spaces
+/// aggregate per block and merge in block order, wide dense spaces fold
+/// serially in row order (ConsumeWide).
 
 #ifndef ZV_ENGINE_SELECT_RUNNER_H_
 #define ZV_ENGINE_SELECT_RUNNER_H_
@@ -29,9 +32,6 @@ class SelectRunner {
  public:
   /// Max group count for the dense (array-addressed) aggregation path.
   static constexpr uint64_t kDenseGroupLimit = 1u << 20;
-  /// Dense group spaces wider than this associate every sum serially (as
-  /// one block) instead of per block; see RunBlocked.
-  static constexpr uint64_t kBlockAssociationGroupLimit = 1u << 15;
 
   /// Validates the statement against the table and builds the plan.
   static Result<SelectRunner> Plan(const Table& table,
@@ -49,28 +49,20 @@ class SelectRunner {
   /// followed by merges produces exactly the serial Finish() output.
   void MergeFrom(SelectRunner&& other);
 
-  /// One block's selected row ids, ascending.
-  struct BlockRows {
-    const uint32_t* begin = nullptr;
-    const uint32_t* end = nullptr;
-  };
+  /// True when RunBlocked folds this statement in the wide layout: a dense
+  /// group space wider than 2^15 groups, or one whose per-block replica
+  /// would rival the `rows_per_block` rows it aggregates (replicating and
+  /// merging it would cost more than the fold itself).
+  bool WideLayout(size_t rows_per_block) const;
 
-  /// True when RunBlocked aggregates this statement key-partitioned: a
-  /// dense group space wider than kBlockAssociationGroupLimit, or one
-  /// whose per-block replica would rival the `rows_per_block` rows it
-  /// aggregates (replicating and merging it would cost more than the
-  /// fold itself).
-  bool KeyPartitioned(size_t rows_per_block) const;
-
-  /// The key-partitioned fold: every worker owns a contiguous range of
-  /// dense keys and walks all blocks' rows in order, folding its own.
-  /// Block-0 rows fold into the final state; a later block's rows fold
-  /// into a partial that is added to the final state when the group's
-  /// block changes — exactly the association of per-block runners merged
-  /// in block order. Above kBlockAssociationGroupLimit every row folds
-  /// into the final state (the serial association). Requires
-  /// KeyPartitioned; a cancelled fold returns kCancelled.
-  Status ConsumeByKeyRange(const std::vector<BlockRows>& blocks);
+  /// The wide layout's fold: folds rows[0, count) — ascending, after every
+  /// row consumed before — into each group's state in row order, serially
+  /// on the calling thread. Each batch's dense keys come from the group
+  /// columns' code arrays, then every aggregate folds its input column,
+  /// updating only the state fields its function finalizes from. Polls
+  /// the calling thread's cancellation token every kScanCancelPollRows
+  /// rows and returns kCancelled. Requires WideLayout.
+  Status ConsumeWide(const uint32_t* rows, size_t count);
 
   /// Builds the final result (applies ORDER BY and LIMIT).
   Result<ResultSet> Finish();
@@ -99,10 +91,6 @@ class SelectRunner {
   uint64_t DenseKey(size_t row) const;
   /// The value aggregate `item` (which reads a column) takes from `row`.
   double AggInput(const ItemPlan& item, size_t row) const;
-  /// Folds one row into `states`; input(item) supplies AggInput for each
-  /// aggregate that reads a column, in item order.
-  template <typename InputFn>
-  void FoldRow(AggState* states, InputFn&& input) const;
   void AccumulateInto(AggState* states, size_t row) const;
   Value GroupColValue(int group_pos, uint64_t key) const;
   Value FinalizeAgg(const AggState& s, sql::AggFunc f) const;
@@ -127,6 +115,9 @@ class SelectRunner {
   /// positive width forces the generic path (computed Value keys).
   std::vector<double> group_bin_widths_;
   std::vector<uint64_t> group_dict_sizes_;
+  /// Parallel to group_cols_: each categorical key column's code array
+  /// (nullptr for other columns), read by ConsumeWide.
+  std::vector<const int32_t*> group_codes_;
   /// Mixed-radix divisor per group position (suffix products of
   /// group_dict_sizes_), precomputed once at Plan() time so GroupColValue
   /// does not rebuild the divisor loop for every emitted group x item.
@@ -153,36 +144,34 @@ class SelectRunner {
   std::vector<std::vector<Value>> projected_rows_;
 };
 
-/// Drives a blocked — and, when ZV_THREADS allows, parallel — SELECT
-/// evaluation shared by both backends. The table's row space is split into
-/// contiguous blocks whose *count depends only on the row count* (never on
-/// the worker count); `select_block(begin, end, out)` appends each block's
-/// surviving rows, ascending, to `out` (the MultiChunkScanner::ScanRange
-/// contract for one statement), and the first failing block's error is
-/// returned.
-///
-/// The association is fixed by the block structure: every group's rows
-/// fold per block, and the block partials add up in block order — or, for
-/// dense group spaces above kBlockAssociationGroupLimit, fold serially.
-/// Floats therefore associate identically at every thread count, in both
-/// layouts, and on both backends. The layouts:
-///  - per-block runners (narrow group spaces, projections, computed keys):
-///    each block aggregates into its own SelectRunner, and the runners
-///    merge in block order — one serial runner for a single block;
-///  - key-partitioned (SelectRunner::KeyPartitioned): the blocks' rows are
-///    collected, then SelectRunner::ConsumeByKeyRange folds them with each
-///    worker owning a key range.
+/// Drives a blocked SELECT evaluation shared by both backends. The table's
+/// row space is split into contiguous blocks whose *count depends only on
+/// the row count* (never on the worker count); `select_block(begin, end,
+/// out)` appends each block's surviving rows, ascending, to `out` (the
+/// MultiChunkScanner::ScanRange contract for one statement). Blocks select
+/// in parallel when ZV_THREADS allows, and the first failing block's error
+/// is returned. The aggregation takes one of two layouts:
+///  - per-block runners (projections, computed and hashed keys, narrow
+///    dense group spaces): each block aggregates into its own SelectRunner
+///    in parallel, and the runners merge in block order — every group's
+///    rows fold per block, and the block partials add up in block order;
+///  - the wide layout (SelectRunner::WideLayout): the blocks' lists fold
+///    in block order through SelectRunner::ConsumeWide on the calling
+///    thread — every group's rows fold serially in row order.
+/// The layout depends only on the table's row count and the group columns'
+/// dictionary sizes, so floats associate identically at every thread count
+/// and on both backends.
 Result<ResultSet> RunBlocked(
     const Table& table, const sql::SelectStatement& stmt,
     const std::function<Status(uint32_t begin, uint32_t end,
                                std::vector<uint32_t>* out)>& select_block);
 
-/// RunBlocked over a sorted row-id list: each block takes the ids inside
-/// its [begin, end) range, located by binary search. Row ids stay in
-/// ascending order inside every block, so the result is byte-identical to a
-/// scan that selected the same rows in place — this is how the shared
-/// chunk pass (engine/database.h FinishChunkScan) aggregates its merged
-/// row lists.
+/// RunBlocked over a sorted row-id list: a per-block runner takes the ids
+/// inside its block's [begin, end) range, located by binary search, and the
+/// wide layout folds the whole list at once. Either way every group sees
+/// the same rows in the same order as a scan that selected them in place,
+/// so the result is byte-identical — this is how the shared chunk pass
+/// (engine/database.h FinishChunkScan) aggregates its merged row lists.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows);

@@ -1,9 +1,9 @@
 /// \file parallel_test.cc
 /// \brief The parallel scoring subsystem: ParallelFor edge cases and error
 /// propagation, thread-count-invariant ZQL results, partitioned-scan
-/// aggregation merges, wide aggregation against a block-order reference,
-/// and ScoringContext's exactness contract against the legacy pairwise
-/// Distance().
+/// aggregation merges, both aggregation layouts against an independent
+/// reference, and ScoringContext's exactness contract against the legacy
+/// pairwise Distance().
 
 #include <atomic>
 #include <cstdlib>
@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,9 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "engine/select_runner.h"
 #include "sql/parser.h"
 #include "tasks/distance.h"
 #include "tasks/series_cache.h"
@@ -362,7 +366,7 @@ TEST(ParallelScanTest, ShardedAggregationMatchesSerial) {
   }
 }
 
-// --- wide aggregation: association pinned by an independent reference -------
+// --- aggregation layouts: associations pinned by an independent reference ---
 
 /// Per-group aggregate state of the reference below.
 struct RefAgg {
@@ -372,16 +376,20 @@ struct RefAgg {
   double max = -std::numeric_limits<double>::infinity();
 };
 
+/// Rendered group-key values -> one RefAgg per input column.
+using RefGroups = std::map<std::vector<std::string>, std::vector<RefAgg>>;
+
 /// The association the engine promises, written without any SelectRunner
-/// code: the table splits into min(32, max(1, rows / 16384)) equal blocks,
-/// each group's rows fold per block in row order, and the block partials
-/// add up in block order. Dense group spaces above 2^15 fold serially.
-/// Keys are the group columns' rendered values; one RefAgg per input
-/// column, in `inputs` order.
-std::map<std::vector<std::string>, std::vector<RefAgg>> ReferenceAggregate(
-    const Table& t, const std::vector<std::string>& group_by,
-    const std::vector<std::string>& inputs,
-    const std::vector<uint32_t>& rows) {
+/// code. The table splits into min(32, max(1, rows / 16384)) equal blocks.
+/// A group space wider than 2^15 groups, or with groups * 4 >= rows /
+/// blocks, folds as one block: every group's rows in row order. Any other
+/// space folds each group's rows per block in row order, and the block
+/// partials add up in block order. The group columns must be categorical;
+/// one RefAgg per input column, in `inputs` order.
+RefGroups ReferenceAggregate(const Table& t,
+                             const std::vector<std::string>& group_by,
+                             const std::vector<std::string>& inputs,
+                             const std::vector<uint32_t>& rows) {
   std::vector<size_t> gcols, icols;
   uint64_t groups = 1;
   for (const std::string& g : group_by) {
@@ -392,15 +400,16 @@ std::map<std::vector<std::string>, std::vector<RefAgg>> ReferenceAggregate(
     icols.push_back(static_cast<size_t>(t.schema().Find(in)));
   }
   const size_t n = t.num_rows();
-  const size_t blocks =
-      groups > (1u << 15)
-          ? 1
-          : std::min<size_t>(32, std::max<size_t>(1, n / 16384));
-  std::map<std::vector<std::string>, std::vector<RefAgg>> total;
+  const size_t table_blocks =
+      std::min<size_t>(32, std::max<size_t>(1, n / 16384));
+  const bool one_block =
+      groups > (1u << 15) || groups * 4 >= n / table_blocks;
+  const size_t blocks = one_block ? 1 : table_blocks;
+  RefGroups total;
   size_t next = 0;
   for (size_t b = 0; b < blocks; ++b) {
     const size_t end = n * (b + 1) / blocks;
-    std::map<std::vector<std::string>, std::vector<RefAgg>> partial;
+    RefGroups partial;
     for (; next < rows.size() && rows[next] < end; ++next) {
       std::vector<std::string> key;
       for (size_t c : gcols) key.push_back(t.ValueAt(rows[next], c).ToString());
@@ -434,7 +443,93 @@ uint64_t Bits(double d) {
   return u;
 }
 
-TEST(WideAggregationTest, MatchesBlockOrderReferenceBitForBit) {
+/// One output column after the group keys: `agg` over the reference's
+/// input column `input` (COUNT(*) reads any input's count).
+struct RefOut {
+  sql::AggFunc agg;
+  size_t input;
+};
+
+/// Expects `rs` — `num_keys` group-key columns, then one column per `outs`
+/// entry — to hold exactly `ref`'s groups, every aggregate equal bit for
+/// bit.
+void ExpectMatchesReference(const ResultSet& rs, size_t num_keys,
+                            const RefGroups& ref,
+                            const std::vector<RefOut>& outs) {
+  ASSERT_EQ(rs.num_rows(), ref.size());
+  std::set<std::vector<std::string>> seen;
+  for (const auto& row : rs.rows) {
+    std::vector<std::string> key;
+    for (size_t i = 0; i < num_keys; ++i) key.push_back(row[i].ToString());
+    ASSERT_TRUE(seen.insert(key).second);
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end());
+    for (size_t o = 0; o < outs.size(); ++o) {
+      const RefAgg& a = it->second[outs[o].input];
+      const Value& got = row[num_keys + o];
+      switch (outs[o].agg) {
+        case sql::AggFunc::kSum:
+          EXPECT_EQ(Bits(got.AsDouble()), Bits(a.sum)) << o;
+          break;
+        case sql::AggFunc::kAvg:
+          EXPECT_EQ(Bits(got.AsDouble()),
+                    Bits(a.sum / static_cast<double>(a.count)))
+              << o;
+          break;
+        case sql::AggFunc::kCount:
+          EXPECT_EQ(got.AsInt(), a.count) << o;
+          break;
+        case sql::AggFunc::kMin:
+          EXPECT_EQ(Bits(got.AsDouble()), Bits(a.min)) << o;
+          break;
+        case sql::AggFunc::kMax:
+          EXPECT_EQ(Bits(got.AsDouble()), Bits(a.max)) << o;
+          break;
+        case sql::AggFunc::kNone:
+          FAIL() << "no aggregate for output " << o;
+      }
+    }
+  }
+}
+
+/// Runs `sql` on every database through both entry points — ExecuteSql,
+/// and FinishChunkScan over `rows`, the rows its WHERE selects — at
+/// ZV_THREADS 1 and 8, expecting every result to match `ref`.
+void ExpectEveryPathMatches(const std::vector<Database*>& dbs,
+                            const std::string& sql,
+                            const std::vector<uint32_t>& rows,
+                            size_t num_keys, const RefGroups& ref,
+                            const std::vector<RefOut>& outs) {
+  SCOPED_TRACE(sql);
+  ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+  for (size_t threads : {1, 8}) {
+    SetParallelThreads(threads);
+    for (Database* db : dbs) {
+      for (bool chunked : {false, true}) {
+        SCOPED_TRACE(db->name() + " threads=" + std::to_string(threads) +
+                     (chunked ? " FinishChunkScan" : " ExecuteSql"));
+        ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs,
+                                chunked ? db->FinishChunkScan(stmt, rows)
+                                        : db->ExecuteSql(sql));
+        ExpectMatchesReference(rs, num_keys, ref, outs);
+      }
+    }
+  }
+}
+
+/// SUM(sales), AVG(profit), COUNT(*), MIN(revenue), MAX(weight) over the
+/// inputs {sales, profit, revenue, weight}.
+const std::vector<std::string> kSalesInputs = {"sales", "profit", "revenue",
+                                               "weight"};
+const std::vector<RefOut> kSalesOuts = {{sql::AggFunc::kSum, 0},
+                                        {sql::AggFunc::kAvg, 1},
+                                        {sql::AggFunc::kCount, 0},
+                                        {sql::AggFunc::kMin, 2},
+                                        {sql::AggFunc::kMax, 3}};
+const char kSalesAggs[] =
+    "SUM(sales), AVG(profit), COUNT(*), MIN(revenue), MAX(weight)";
+
+TEST(AggregationLayoutTest, WideFoldsInRowOrderNarrowPerBlock) {
   ThreadGuard guard;
   SalesDataOptions opts;
   opts.num_rows = 200000;  // 12 blocks of ~16.7K rows
@@ -444,6 +539,12 @@ TEST(WideAggregationTest, MatchesBlockOrderReferenceBitForBit) {
   RoaringDatabase roaring;
   ZV_ASSERT_OK(scan.RegisterTable(table));
   ZV_ASSERT_OK(roaring.RegisterTable(table));
+  ASSERT_EQ(table->DictSize(static_cast<size_t>(
+                table->schema().Find("product"))), 2000u);
+  ASSERT_EQ(table->DictSize(static_cast<size_t>(
+                table->schema().Find("category"))), 8u);
+  ASSERT_EQ(table->DictSize(static_cast<size_t>(
+                table->schema().Find("year"))), 10u);
 
   // The selection both entry points aggregate: weight > 20 AND country <>
   // 'UK' (on Roaring, a complement bitmap plus a residual predicate).
@@ -456,58 +557,145 @@ TEST(WideAggregationTest, MatchesBlockOrderReferenceBitForBit) {
       rows.push_back(r);
     }
   }
-  const std::string where = " WHERE weight > 20 AND country <> 'UK'";
-  const std::vector<std::string> inputs = {"sales", "profit", "revenue",
-                                           "weight"};
-
-  struct Case {
-    std::vector<std::string> group_by;
-    std::string sql;
-  };
-  const std::vector<Case> cases = {
-      // 2000 x 10 = 20K groups: key-partitioned, per-block association.
-      {{"product", "year"},
-       "SELECT product, year, SUM(sales), AVG(profit), COUNT(*), "
-       "MIN(revenue), MAX(weight) FROM sales" +
-           where + " GROUP BY product, year"},
-      // 2000 x 10 x 12 = 240K groups (> 2^15): serial association.
-      {{"product", "year", "month"},
-       "SELECT product, year, month, SUM(sales), AVG(profit), COUNT(*), "
-       "MIN(revenue), MAX(weight) FROM sales" +
-           where + " GROUP BY product, year, month"},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.sql);
-    const auto ref = ReferenceAggregate(*table, c.group_by, inputs, rows);
-    ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(c.sql));
-    for (size_t threads : {1, 8}) {
-      SetParallelThreads(threads);
-      for (Database* db : std::vector<Database*>{&scan, &roaring}) {
-        for (bool chunked : {false, true}) {
-          SCOPED_TRACE(db->name() + " threads=" + std::to_string(threads) +
-                       (chunked ? " FinishChunkScan" : " ExecuteSql"));
-          ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs,
-                                  chunked ? db->FinishChunkScan(stmt, rows)
-                                          : db->ExecuteSql(c.sql));
-          ASSERT_EQ(rs.num_rows(), ref.size());
-          const size_t k = c.group_by.size();
-          for (const auto& row : rs.rows) {
-            std::vector<std::string> key;
-            for (size_t i = 0; i < k; ++i) key.push_back(row[i].ToString());
-            const auto it = ref.find(key);
-            ASSERT_NE(it, ref.end());
-            const std::vector<RefAgg>& a = it->second;
-            EXPECT_EQ(Bits(row[k].AsDouble()), Bits(a[0].sum));
-            EXPECT_EQ(Bits(row[k + 1].AsDouble()),
-                      Bits(a[1].sum / static_cast<double>(a[1].count)));
-            EXPECT_EQ(row[k + 2].AsInt(), a[0].count);
-            EXPECT_EQ(Bits(row[k + 3].AsDouble()), Bits(a[2].min));
-            EXPECT_EQ(Bits(row[k + 4].AsDouble()), Bits(a[3].max));
-          }
-        }
-      }
+  const std::string where = " FROM sales WHERE weight > 20 AND country <> 'UK'";
+  for (const std::vector<std::string>& group_by :
+       std::vector<std::vector<std::string>>{
+           // 2000 x 10 = 20K groups (20K * 4 >= 16.7K): row order.
+           {"product", "year"},
+           // 2000 x 10 x 12 = 240K groups (> 2^15): row order.
+           {"product", "year", "month"},
+           // 8 x 10 = 80 groups: per block, partials in block order.
+           {"category", "year"}}) {
+    std::string keys;
+    for (const std::string& g : group_by) {
+      keys += (keys.empty() ? "" : ", ") + g;
     }
+    ExpectEveryPathMatches(
+        {&scan, &roaring},
+        "SELECT " + keys + ", " + kSalesAggs + where + " GROUP BY " + keys,
+        rows, group_by.size(),
+        ReferenceAggregate(*table, group_by, kSalesInputs, rows), kSalesOuts);
   }
+}
+
+TEST(AggregationLayoutTest, LayoutBoundaryIsGroupsTimesFourAtBlockRows) {
+  ThreadGuard guard;
+  // 176,000 rows make 10 blocks of 17,600 rows. 440 products x 10 years =
+  // 4,400 groups sit exactly on the boundary (4,400 * 4 = 17,600) and fold
+  // in row order; 439 products (4,390 groups) fold per block.
+  for (size_t products : {440, 439}) {
+    SCOPED_TRACE("products=" + std::to_string(products));
+    SalesDataOptions opts;
+    opts.num_rows = 176000;
+    opts.num_products = products;
+    auto table = MakeSalesTable(opts);
+    ASSERT_EQ(table->DictSize(static_cast<size_t>(
+                  table->schema().Find("product"))), products);
+    ASSERT_EQ(table->DictSize(static_cast<size_t>(
+                  table->schema().Find("year"))), 10u);
+    ScanDatabase scan;
+    RoaringDatabase roaring;
+    ZV_ASSERT_OK(scan.RegisterTable(table));
+    ZV_ASSERT_OK(roaring.RegisterTable(table));
+    std::vector<uint32_t> rows(table->num_rows());
+    std::iota(rows.begin(), rows.end(), 0u);
+    ExpectEveryPathMatches(
+        {&scan, &roaring},
+        std::string("SELECT product, year, ") + kSalesAggs +
+            " FROM sales GROUP BY product, year",
+        rows, 2,
+        ReferenceAggregate(*table, {"product", "year"}, kSalesInputs, rows),
+        kSalesOuts);
+  }
+}
+
+TEST(AggregationLayoutTest, WideFoldReadsEveryInputKind) {
+  ThreadGuard guard;
+  // 50,000 rows make 3 blocks of 16,666; 16 x 25 x 12 = 4,800 groups
+  // (4,800 * 4 >= 16,666) take the wide layout. `d` holds NaN, -0.0 and
+  // 0.0 among non-negative decimals, so most groups' MIN(d) is a zero
+  // whose sign is the first one in row order; `i` is an int column, and
+  // `k` a numeric categorical (read through Table::NumericAt).
+  TableBuilder b("t", Schema({{"a", ColumnType::kCategorical},
+                              {"b", ColumnType::kCategorical},
+                              {"c", ColumnType::kCategorical},
+                              {"d", ColumnType::kDouble},
+                              {"i", ColumnType::kInt},
+                              {"k", ColumnType::kCategorical}}));
+  Rng rng(19);
+  for (uint32_t r = 0; r < 50000; ++r) {
+    double d = 0.1 * static_cast<double>(rng.UniformInt(1, 1000));
+    const uint64_t pick = rng.Uniform(40);
+    if (pick == 0) d = std::numeric_limits<double>::quiet_NaN();
+    if (pick >= 1 && pick <= 4) d = -0.0;
+    if (pick >= 5 && pick <= 8) d = 0.0;
+    ZV_ASSERT_OK(b.AddRow(
+        {Value::Str("a" + std::to_string(rng.Uniform(16))),
+         Value::Int(rng.UniformInt(0, 24)),
+         Value::Str("c" + std::to_string(rng.Uniform(12))), Value::Double(d),
+         Value::Int(rng.UniformInt(-50, 50)),
+         Value::Double(0.1 * static_cast<double>(rng.UniformInt(1, 30)))}));
+  }
+  auto table = b.Finish();
+  ASSERT_EQ(table->DictSize(0), 16u);
+  ASSERT_EQ(table->DictSize(1), 25u);
+  ASSERT_EQ(table->DictSize(2), 12u);
+  ScanDatabase scan;
+  RoaringDatabase roaring;
+  ZV_ASSERT_OK(scan.RegisterTable(table));
+  ZV_ASSERT_OK(roaring.RegisterTable(table));
+
+  std::vector<uint32_t> all(table->num_rows()), filtered;
+  std::iota(all.begin(), all.end(), 0u);
+  for (uint32_t r : all) {
+    if (table->IntAt(r, 4) > -20) filtered.push_back(r);
+  }
+  using sql::AggFunc;
+  const std::vector<std::string> inputs = {"d", "i", "k"};
+  // `d` aggregated five times, COUNT(*), and every input kind.
+  ExpectEveryPathMatches(
+      {&scan, &roaring},
+      "SELECT a, b, c, SUM(d), MIN(d), MAX(d), AVG(d), COUNT(d), COUNT(*), "
+      "SUM(i), MAX(i), AVG(k), MIN(k) FROM t GROUP BY a, b, c",
+      all, 3, ReferenceAggregate(*table, {"a", "b", "c"}, inputs, all),
+      {{AggFunc::kSum, 0}, {AggFunc::kMin, 0}, {AggFunc::kMax, 0},
+       {AggFunc::kAvg, 0}, {AggFunc::kCount, 0}, {AggFunc::kCount, 0},
+       {AggFunc::kSum, 1}, {AggFunc::kMax, 1}, {AggFunc::kAvg, 2},
+       {AggFunc::kMin, 2}});
+  // Another key order (another mixed radix) under a filter.
+  ExpectEveryPathMatches(
+      {&scan, &roaring},
+      "SELECT c, a, b, SUM(k), MAX(d), AVG(i) FROM t WHERE i > -20 "
+      "GROUP BY c, a, b",
+      filtered, 3,
+      ReferenceAggregate(*table, {"c", "a", "b"}, inputs, filtered),
+      {{AggFunc::kSum, 2}, {AggFunc::kMax, 0}, {AggFunc::kAvg, 1}});
+  // A GROUP BY with no aggregate: only the groups seen.
+  ExpectEveryPathMatches(
+      {&scan, &roaring}, "SELECT a, b, c FROM t WHERE i > -20 GROUP BY a, b, c",
+      filtered, 3, ReferenceAggregate(*table, {"a", "b", "c"}, {}, filtered),
+      {});
+}
+
+TEST(AggregationLayoutTest, WideFoldPollsCancellation) {
+  SalesDataOptions opts;
+  opts.num_rows = 70000;
+  opts.num_products = 2000;
+  auto table = MakeSalesTable(opts);
+  ZV_ASSERT_OK_AND_ASSIGN(
+      sql::SelectStatement stmt,
+      sql::ParseSelect("SELECT product, year, SUM(sales) FROM sales "
+                       "GROUP BY product, year"));
+  ZV_ASSERT_OK_AND_ASSIGN(SelectRunner runner,
+                          SelectRunner::Plan(*table, stmt));
+  ASSERT_TRUE(runner.WideLayout(table->num_rows() / 4));
+  std::vector<uint32_t> rows(table->num_rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  CancelToken token;
+  token.Cancel();
+  CancelScope scope(token);
+  EXPECT_EQ(runner.ConsumeWide(rows.data(), rows.size()).code(),
+            StatusCode::kCancelled);
 }
 
 TEST(ParallelScanTest, TinyTableMatchesSerial) {

@@ -2,11 +2,13 @@
 # Docs drift gate (run by ctest): every primitive, mechanism, distance
 # metric, and chart type the code registers must be mentioned in
 # docs/zql_reference.md, every field of the wire protocol's
-# request/response structs must be mentioned in docs/api_reference.md, and
+# request/response structs must be mentioned in docs/api_reference.md,
 # README's knob table must list exactly the ZV_* environment variables
-# still read. The lists are extracted from the sources, not hardcoded, so
+# still read, and every backticked `Class::member` the docs name must still
+# exist in src/. The lists are extracted from the sources, not hardcoded, so
 # adding e.g. a new metric, protocol field or env knob without documenting
-# it — or retiring a knob without dropping its row — fails CI.
+# it — or retiring a knob or renaming a method without updating the prose
+# that names it — fails CI.
 #
 # Usage: tools/check_docs.sh [repo_root]
 
@@ -213,6 +215,27 @@ for k in $knob_rows; do
   fi
 done
 
+# Stale code names: every backticked `Class::member` (a capitalized class
+# or struct name, `::`, then a member) in docs/*.md and README.md must
+# still name code — some file under src/ must mention both the class and
+# the member as words.
+code_names="$(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' \
+                "$ROOT"/docs/*.md "$README_DOC" | tr -d '`' | sort -u)"
+[[ -n "$code_names" ]] || {
+  echo "check_docs: no Class::member names extracted from the docs" >&2
+  exit 1
+}
+for name in $code_names; do
+  cls="${name%%::*}"
+  member="${name#*::}"
+  if ! grep -rlwZ "$cls" "$ROOT/src" |
+       xargs -0 -r grep -lw "$member" | grep -q .; then
+    echo "check_docs: '$name' is named in the docs, but no file in src/" \
+         "mentions both '$cls' and '$member'" >&2
+    fail=1
+  fi
+done
+
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
@@ -224,4 +247,4 @@ echo "check_docs: OK (primitives: $(echo $prims | tr '\n' ' ')| mechanisms:" \
      "$(echo $lint_rules | tr '\n' ' ')| kernel variants:" \
      "$(echo $kernel_variants | tr '\n' ' ')| container types:" \
      "$(echo $container_types | tr '\n' ' ')| env knobs:" \
-     "$(echo $knob_rows | tr '\n' ' '))"
+     "$(echo $knob_rows | tr '\n' ' ')| code names: $(wc -w <<<"$code_names"))"
