@@ -140,9 +140,10 @@ class Database {
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
-  /// Aggregates the merged (ascending) surviving-row list through the
-  /// shared blocked runner — the same code path the reference blocked scan
-  /// finishes with.
+  /// Aggregates the merged (ascending) surviving-row list with
+  /// RunBlockedOverRows: cut at the table's block boundaries, it folds
+  /// through the same SelectRunner code, in the same block order, as the
+  /// reference blocked scan.
   Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
                                     const std::vector<uint32_t>& rows);
 

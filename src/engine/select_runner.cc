@@ -14,6 +14,34 @@ namespace zv {
 using sql::AggFunc;
 using sql::SelectStatement;
 
+namespace {
+
+/// Target rows per block and the cap on the block count. The block count
+/// derived from these is a pure function of the table size.
+constexpr size_t kScanBlockRows = 16384;
+constexpr size_t kMaxScanBlocks = 32;
+
+/// The table's blocks: `count` contiguous row ranges.
+struct BlockGrid {
+  explicit BlockGrid(size_t num_rows)
+      : rows(num_rows),
+        count(std::min(kMaxScanBlocks,
+                       std::max<size_t>(1, num_rows / kScanBlockRows))) {}
+  uint32_t begin(size_t b) const {
+    return static_cast<uint32_t>(rows * b / count);
+  }
+  size_t rows;
+  size_t count;
+};
+
+/// Dense group spaces wider than this always take the wide layout.
+constexpr uint64_t kWideLayoutGroups = 1u << 15;
+/// A dense group space this many times narrower than a block's rows folds
+/// per block; anything wider takes the wide layout.
+constexpr uint64_t kReplicaRowsPerGroup = 4;
+
+}  // namespace
+
 Result<SelectRunner> SelectRunner::Plan(const Table& table,
                                         const SelectStatement& stmt) {
   SelectRunner r;
@@ -138,11 +166,20 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
     r.items_.push_back(plan);
   }
 
-  if (r.aggregation_ && r.dense_) {
-    const size_t n = static_cast<size_t>(r.total_groups_) *
-                     std::max(1, r.num_aggs_);
+  if (r.DenseAggregation()) {
+    const size_t groups = static_cast<size_t>(r.total_groups_);
+    const size_t n = groups * static_cast<size_t>(std::max(1, r.num_aggs_));
     r.dense_states_.resize(n);
-    r.dense_seen_.assign(static_cast<size_t>(r.total_groups_), 0);
+    r.dense_seen_.assign(groups, 0);
+    const BlockGrid grid(table.num_rows());
+    r.wide_ = !r.group_cols_.empty() &&
+              (groups > kWideLayoutGroups ||
+               groups * kReplicaRowsPerGroup >= grid.rows / grid.count);
+    if (!r.wide_) {
+      r.partial_states_.resize(n);
+      r.partial_seen_.assign(groups, 0);
+      r.touched_.reserve(groups);
+    }
   }
   return r;
 }
@@ -190,25 +227,18 @@ void SelectRunner::Consume(size_t row) {
     return;
   }
   if (groups_categorical_) {
-    const uint64_t key = group_cols_.empty() ? 0 : DenseKey(row);
-    if (dense_) {
-      dense_seen_[key] = 1;
-      AccumulateInto(
-          &dense_states_[key * static_cast<uint64_t>(std::max(1, num_aggs_))],
-          row);
-    } else {
-      auto [it, inserted] =
-          hash_slots_.try_emplace(key, static_cast<uint32_t>(hash_keys_.size()));
-      if (inserted) {
-        hash_keys_.push_back(key);
-        hash_states_.resize(hash_states_.size() +
-                            static_cast<size_t>(std::max(1, num_aggs_)));
-      }
-      AccumulateInto(
-          &hash_states_[static_cast<size_t>(it->second) *
-                        static_cast<size_t>(std::max(1, num_aggs_))],
-          row);
+    // A hashed group space: dense ones fold through ConsumeBlock.
+    const uint64_t key = DenseKey(row);
+    auto [it, inserted] =
+        hash_slots_.try_emplace(key, static_cast<uint32_t>(hash_keys_.size()));
+    if (inserted) {
+      hash_keys_.push_back(key);
+      hash_states_.resize(hash_states_.size() +
+                          static_cast<size_t>(std::max(1, num_aggs_)));
     }
+    AccumulateInto(&hash_states_[static_cast<size_t>(it->second) *
+                                 static_cast<size_t>(std::max(1, num_aggs_))],
+                   row);
     return;
   }
   // Generic path: group key is a Value tuple. Binned keys reduce the raw
@@ -265,25 +295,16 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
     return;
   }
   if (groups_categorical_) {
-    if (dense_) {
-      for (size_t key = 0; key < other.dense_seen_.size(); ++key) {
-        if (!other.dense_seen_[key]) continue;
-        dense_seen_[key] = 1;
-        MergeStates(&dense_states_[key * naggs],
-                    &other.dense_states_[key * naggs], naggs);
+    for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
+      const uint64_t key = other.hash_keys_[idx];
+      auto [it, inserted] = hash_slots_.try_emplace(
+          key, static_cast<uint32_t>(hash_keys_.size()));
+      if (inserted) {
+        hash_keys_.push_back(key);
+        hash_states_.resize(hash_states_.size() + naggs);
       }
-    } else {
-      for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
-        const uint64_t key = other.hash_keys_[idx];
-        auto [it, inserted] = hash_slots_.try_emplace(
-            key, static_cast<uint32_t>(hash_keys_.size()));
-        if (inserted) {
-          hash_keys_.push_back(key);
-          hash_states_.resize(hash_states_.size() + naggs);
-        }
-        MergeStates(&hash_states_[static_cast<size_t>(it->second) * naggs],
-                    &other.hash_states_[idx * naggs], naggs);
-      }
+      MergeStates(&hash_states_[static_cast<size_t>(it->second) * naggs],
+                  &other.hash_states_[idx * naggs], naggs);
     }
     return;
   }
@@ -300,28 +321,13 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
   }
 }
 
-namespace {
-
-/// Dense group spaces wider than this always take the wide layout.
-constexpr uint64_t kWideLayoutGroups = 1u << 15;
-/// A dense group space this many times narrower than a block's rows is
-/// replicated per block; anything wider takes the wide layout.
-constexpr uint64_t kReplicaRowsPerGroup = 4;
-
-}  // namespace
-
-bool SelectRunner::WideLayout(size_t rows_per_block) const {
-  if (!aggregation_ || !dense_ || group_cols_.empty()) return false;
-  return total_groups_ > kWideLayoutGroups ||
-         total_groups_ * kReplicaRowsPerGroup >= rows_per_block;
-}
-
-Status SelectRunner::ConsumeWide(const uint32_t* rows, size_t count) {
+Status SelectRunner::ConsumeBlock(const uint32_t* rows, size_t count) {
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
+  AggState* const into = wide_ ? dense_states_.data() : partial_states_.data();
   // Dense keys are below kDenseGroupLimit, so they fit 32 bits.
   uint32_t keys[kPredicateBatchRows] = {};
-  return ForEachBatch(0, static_cast<uint32_t>(count), [&](uint32_t lo,
-                                                           uint32_t n) {
+  ZV_RETURN_NOT_OK(ForEachBatch(0, static_cast<uint32_t>(count), [&](
+                                    uint32_t lo, uint32_t n) {
     const uint32_t* batch = rows + lo;
     // DenseKey's mixed radix, one group column at a time.
     for (uint32_t i = 0; i < n; ++i) keys[i] = 0;
@@ -332,10 +338,18 @@ Status SelectRunner::ConsumeWide(const uint32_t* rows, size_t count) {
         keys[i] = keys[i] * radix + static_cast<uint32_t>(codes[batch[i]]);
       }
     }
-    for (uint32_t i = 0; i < n; ++i) dense_seen_[keys[i]] = 1;
+    if (wide_) {
+      for (uint32_t i = 0; i < n; ++i) dense_seen_[keys[i]] = 1;
+    } else {
+      for (uint32_t i = 0; i < n; ++i) {
+        if (partial_seen_[keys[i]]) continue;
+        partial_seen_[keys[i]] = 1;
+        touched_.push_back(keys[i]);
+      }
+    }
     for (const ItemPlan& item : items_) {
       if (!item.is_agg) continue;
-      AggState* states = dense_states_.data() + item.agg_slot;
+      AggState* states = into + item.agg_slot;
       if (item.agg == AggFunc::kCount) {
         for (uint32_t i = 0; i < n; ++i) ++states[keys[i] * naggs].count;
         continue;
@@ -368,7 +382,18 @@ Status SelectRunner::ConsumeWide(const uint32_t* rows, size_t count) {
         });
       }
     }
-  });
+  }));
+  // The narrow layout merges the block's partial as MergeFrom merges a
+  // block runner's, and empties it for the next block.
+  for (uint32_t key : touched_) {
+    AggState* partial = &partial_states_[key * naggs];
+    dense_seen_[key] = 1;
+    MergeStates(&dense_states_[key * naggs], partial, naggs);
+    std::fill_n(partial, naggs, AggState{});
+    partial_seen_[key] = 0;
+  }
+  touched_.clear();
+  return Status::OK();
 }
 
 Value SelectRunner::GroupColValue(int group_pos, uint64_t key) const {
@@ -583,24 +608,6 @@ Result<ResultSet> SelectRunner::Finish() {
 
 namespace {
 
-/// Target rows per block and the cap on per-block runner state. The block
-/// count derived from these is a pure function of the table size.
-constexpr size_t kScanBlockRows = 16384;
-constexpr size_t kMaxScanBlocks = 32;
-
-/// The table's blocks: `count` contiguous row ranges.
-struct BlockGrid {
-  explicit BlockGrid(size_t num_rows)
-      : rows(num_rows),
-        count(std::min(kMaxScanBlocks,
-                       std::max<size_t>(1, num_rows / kScanBlockRows))) {}
-  uint32_t begin(size_t b) const {
-    return static_cast<uint32_t>(rows * b / count);
-  }
-  size_t rows;
-  size_t count;
-};
-
 /// One block's selected row ids, ascending.
 struct BlockRows {
   const uint32_t* begin = nullptr;
@@ -612,8 +619,9 @@ struct BlockRows {
 using BlockSource =
     std::function<Result<BlockRows>(size_t b, std::vector<uint32_t>* scratch)>;
 
-/// The per-block layout: block b's rows aggregate into their own runner
-/// (`runner` serves block 0), and the runners merge in block order.
+/// The per-block runners of projections, computed keys and hashed group
+/// spaces: block b's rows aggregate into their own runner (`runner` serves
+/// block 0) in parallel, and the runners merge in block order.
 Result<ResultSet> RunPerBlock(const Table& table,
                               const sql::SelectStatement& stmt,
                               SelectRunner runner, size_t blocks,
@@ -649,13 +657,13 @@ Result<ResultSet> RunBlocked(
   ZV_RETURN_NOT_OK(CheckCancelled());
   ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
   const BlockGrid grid(table.num_rows());
-  if (runner.WideLayout(grid.rows / grid.count)) {
+  if (runner.DenseAggregation()) {
     std::vector<std::vector<uint32_t>> selected(grid.count);
     ZV_RETURN_NOT_OK(ParallelForStatus(grid.count, [&](size_t b) {
       return select_block(grid.begin(b), grid.begin(b + 1), &selected[b]);
     }));
     for (const std::vector<uint32_t>& rows : selected) {
-      ZV_RETURN_NOT_OK(runner.ConsumeWide(rows.data(), rows.size()));
+      ZV_RETURN_NOT_OK(runner.ConsumeBlock(rows.data(), rows.size()));
     }
     return runner.Finish();
   }
@@ -674,19 +682,22 @@ Result<ResultSet> RunBlockedOverRows(const Table& table,
   ZV_RETURN_NOT_OK(CheckCancelled());
   ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
   const BlockGrid grid(table.num_rows());
-  if (runner.WideLayout(grid.rows / grid.count)) {
-    ZV_RETURN_NOT_OK(runner.ConsumeWide(rows.data(), rows.size()));
+  const BlockSource source = [&](size_t b,
+                                 std::vector<uint32_t>*) -> Result<BlockRows> {
+    const auto lo = std::lower_bound(rows.begin(), rows.end(), grid.begin(b));
+    const auto hi = std::lower_bound(lo, rows.end(), grid.begin(b + 1));
+    return BlockRows{rows.data() + (lo - rows.begin()),
+                     rows.data() + (hi - rows.begin())};
+  };
+  if (runner.DenseAggregation()) {
+    for (size_t b = 0; b < grid.count; ++b) {
+      ZV_ASSIGN_OR_RETURN(BlockRows block, source(b, nullptr));
+      ZV_RETURN_NOT_OK(runner.ConsumeBlock(
+          block.begin, static_cast<size_t>(block.end - block.begin)));
+    }
     return runner.Finish();
   }
-  return RunPerBlock(
-      table, stmt, std::move(runner), grid.count,
-      [&](size_t b, std::vector<uint32_t>*) -> Result<BlockRows> {
-        const auto lo =
-            std::lower_bound(rows.begin(), rows.end(), grid.begin(b));
-        const auto hi = std::lower_bound(lo, rows.end(), grid.begin(b + 1));
-        return BlockRows{rows.data() + (lo - rows.begin()),
-                         rows.data() + (hi - rows.begin())};
-      });
+  return RunPerBlock(table, stmt, std::move(runner), grid.count, source);
 }
 
 }  // namespace zv

@@ -6,9 +6,10 @@
 /// survive its own WHERE evaluation (scan loop or bitmap iteration), and
 /// calls Finish(). Both backends share this code so measured differences
 /// between them isolate row *selection*, which is what Figure 7.5 studies.
-/// RunBlocked fixes how a statement's rows fold: narrow group spaces
-/// aggregate per block and merge in block order, wide dense spaces fold
-/// serially in row order (ConsumeWide).
+/// RunBlocked fixes how a statement's rows fold: dense group spaces fold
+/// block by block on the calling thread (ConsumeBlock) — narrow ones into a
+/// per-block partial merged in block order, wide ones in row order — and
+/// every other statement aggregates in per-block runners.
 
 #ifndef ZV_ENGINE_SELECT_RUNNER_H_
 #define ZV_ENGINE_SELECT_RUNNER_H_
@@ -37,8 +38,9 @@ class SelectRunner {
   static Result<SelectRunner> Plan(const Table& table,
                                    const sql::SelectStatement& stmt);
 
-  /// Feeds one selected row id. Must be called in ascending row order for
-  /// deterministic projection output.
+  /// Feeds one selected row id to a projection, computed-key or hashed
+  /// aggregation (dense aggregations fold through ConsumeBlock). Must be
+  /// called in ascending row order for deterministic projection output.
   void Consume(size_t row);
 
   /// Merges the accumulated state of `other` into this runner. `other`
@@ -49,20 +51,24 @@ class SelectRunner {
   /// followed by merges produces exactly the serial Finish() output.
   void MergeFrom(SelectRunner&& other);
 
-  /// True when RunBlocked folds this statement in the wide layout: a dense
-  /// group space wider than 2^15 groups, or one whose per-block replica
-  /// would rival the `rows_per_block` rows it aggregates (replicating and
-  /// merging it would cost more than the fold itself).
-  bool WideLayout(size_t rows_per_block) const;
+  /// True when the statement aggregates over a dense group space (no GROUP
+  /// BY included): its rows fold through ConsumeBlock.
+  bool DenseAggregation() const { return aggregation_ && dense_; }
 
-  /// The wide layout's fold: folds rows[0, count) — ascending, after every
-  /// row consumed before — into each group's state in row order, serially
-  /// on the calling thread. Each batch's dense keys come from the group
-  /// columns' code arrays, then every aggregate folds its input column,
-  /// updating only the state fields its function finalizes from. Polls
-  /// the calling thread's cancellation token every kScanCancelPollRows
-  /// rows and returns kCancelled. Requires WideLayout.
-  Status ConsumeWide(const uint32_t* rows, size_t count);
+  /// True when a dense aggregation folds in the wide layout: more than
+  /// 2^15 groups, or a per-block partial that would rival a block's rows.
+  bool WideLayout() const { return wide_; }
+
+  /// Folds one block's selected rows, rows[0, count) ascending, on the
+  /// calling thread; called once per block, in block order. A batch's dense
+  /// keys come from the group columns' code arrays, then each aggregate
+  /// folds its input column, updating only the fields it finalizes from.
+  /// The wide layout folds into the final state (every group in row
+  /// order); the narrow one into a partial whose touched keys then merge
+  /// into the final state and reset (partials add up in block order).
+  /// Returns kCancelled when polled cancellation (every kScanCancelPollRows
+  /// rows) finds the calling thread's token cancelled.
+  Status ConsumeBlock(const uint32_t* rows, size_t count);
 
   /// Builds the final result (applies ORDER BY and LIMIT).
   Result<ResultSet> Finish();
@@ -116,7 +122,7 @@ class SelectRunner {
   std::vector<double> group_bin_widths_;
   std::vector<uint64_t> group_dict_sizes_;
   /// Parallel to group_cols_: each categorical key column's code array
-  /// (nullptr for other columns), read by ConsumeWide.
+  /// (nullptr for other columns), read by ConsumeBlock.
   std::vector<const int32_t*> group_codes_;
   /// Mixed-radix divisor per group position (suffix products of
   /// group_dict_sizes_), precomputed once at Plan() time so GroupColValue
@@ -127,9 +133,15 @@ class SelectRunner {
   bool dense_ = false;
   std::vector<ItemPlan> items_;
   int num_aggs_ = 0;
+  bool wide_ = false;
 
   std::vector<AggState> dense_states_;
   std::vector<uint8_t> dense_seen_;
+  /// The narrow layout's block partial, its keys' seen flags and the keys
+  /// it touched, in first-touch order; ConsumeBlock resets each to empty.
+  std::vector<AggState> partial_states_;
+  std::vector<uint8_t> partial_seen_;
+  std::vector<uint32_t> touched_;
 
   std::unordered_map<uint64_t, uint32_t> hash_slots_;
   std::vector<AggState> hash_states_;
@@ -150,28 +162,30 @@ class SelectRunner {
 /// out)` appends each block's surviving rows, ascending, to `out` (the
 /// MultiChunkScanner::ScanRange contract for one statement). Blocks select
 /// in parallel when ZV_THREADS allows, and the first failing block's error
-/// is returned. The aggregation takes one of two layouts:
-///  - per-block runners (projections, computed and hashed keys, narrow
-///    dense group spaces): each block aggregates into its own SelectRunner
-///    in parallel, and the runners merge in block order — every group's
-///    rows fold per block, and the block partials add up in block order;
-///  - the wide layout (SelectRunner::WideLayout): the blocks' lists fold
-///    in block order through SelectRunner::ConsumeWide on the calling
-///    thread — every group's rows fold serially in row order.
+/// is returned. The rows then aggregate one of two ways:
+///  - dense group spaces (SelectRunner::DenseAggregation): the blocks'
+///    lists fold in block order through SelectRunner::ConsumeBlock on the
+///    calling thread. In the narrow layout every group's rows fold per
+///    block and the block partials add up in block order; in the wide
+///    layout (SelectRunner::WideLayout) they fold serially in row order;
+///  - per-block runners (projections, computed keys, hashed group spaces):
+///    each block aggregates into its own SelectRunner in parallel, and the
+///    runners merge in block order.
 /// The layout depends only on the table's row count and the group columns'
-/// dictionary sizes, so floats associate identically at every thread count
-/// and on both backends.
+/// dictionary sizes, and the dense fold is serial, so floats associate
+/// identically at every thread count and on both backends.
 Result<ResultSet> RunBlocked(
     const Table& table, const sql::SelectStatement& stmt,
     const std::function<Status(uint32_t begin, uint32_t end,
                                std::vector<uint32_t>* out)>& select_block);
 
-/// RunBlocked over a sorted row-id list: a per-block runner takes the ids
-/// inside its block's [begin, end) range, located by binary search, and the
-/// wide layout folds the whole list at once. Either way every group sees
-/// the same rows in the same order as a scan that selected them in place,
-/// so the result is byte-identical — this is how the shared chunk pass
-/// (engine/database.h FinishChunkScan) aggregates its merged row lists.
+/// RunBlocked over a sorted row-id list: the list is cut at the block
+/// boundaries by binary search, and each block's ids fold through
+/// SelectRunner::ConsumeBlock in block order, or feed that block's runner.
+/// Either way every group sees the same rows in the same order as a scan
+/// that selected them in place, so the result is byte-identical — this is
+/// how the shared chunk pass (engine/database.h FinishChunkScan) aggregates
+/// its merged row lists.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows);

@@ -114,38 +114,6 @@ std::string CanonicalValueSpec(const ValueSpec& spec) {
   return "*";
 }
 
-/// Normalizes a constraints cell outside single-quoted literals: whitespace
-/// runs collapse to one space, and a space next to a punctuation token
-/// (=<>!(),) is dropped entirely — "location = 'US'" and "location='US'"
-/// tokenize identically in the SQL lexer, so they must share a fingerprint.
-std::string CollapseWhitespace(const std::string& s) {
-  auto is_punct = [](char c) {
-    return c == '=' || c == '<' || c == '>' || c == '!' || c == '(' ||
-           c == ')' || c == ',';
-  };
-  std::string out;
-  bool in_quote = false;
-  bool pending = false;
-  for (char c : Trim(s)) {
-    if (in_quote) {
-      out += c;
-      if (c == '\'') in_quote = false;
-      continue;
-    }
-    if (c == ' ' || c == '\t') {
-      pending = !out.empty();
-      continue;
-    }
-    if (pending) {
-      if (!is_punct(out.back()) && !is_punct(c)) out += ' ';
-      pending = false;
-    }
-    out += c;
-    if (c == '\'') in_quote = true;
-  }
-  return out;
-}
-
 std::string CanonicalProcessExpr(const ProcessExpr& expr) {
   if (expr.kind == ProcessExpr::Kind::kReduce) {
     const char* kw = expr.reduce == ProcessExpr::Reduce::kMin   ? "min"
@@ -191,6 +159,34 @@ std::string CanonicalProcessDecl(const ProcessDecl& decl) {
 }
 
 }  // namespace
+
+std::string CanonicalConstraints(const std::string& text) {
+  auto is_punct = [](char c) {
+    return c == '=' || c == '<' || c == '>' || c == '!' || c == '(' ||
+           c == ')' || c == ',';
+  };
+  std::string out;
+  bool in_quote = false;
+  bool pending = false;
+  for (char c : Trim(text)) {
+    if (in_quote) {
+      out += c;
+      if (c == '\'') in_quote = false;
+      continue;
+    }
+    if (c == ' ' || c == '\t') {
+      pending = !out.empty();
+      continue;
+    }
+    if (pending) {
+      if (!is_punct(out.back()) && !is_punct(c)) out += ' ';
+      pending = false;
+    }
+    out += c;
+    if (c == '\'') in_quote = true;
+  }
+  return out;
+}
 
 std::string CanonicalZSetExpr(const ZSetExpr& expr) {
   switch (expr.kind) {
@@ -343,7 +339,7 @@ std::string CanonicalText(const ZqlQuery& query) {
     for (size_t i = 0; i < z_cols; ++i) {
       cells.push_back(i < row.zs.size() ? CanonicalZEntry(row.zs[i]) : "");
     }
-    cells.push_back(CollapseWhitespace(row.constraints));
+    cells.push_back(CanonicalConstraints(row.constraints));
     cells.push_back(CanonicalVizEntry(row.viz));
     cells.push_back(CanonicalProcessCell(row.processes));
     std::string line = Join(cells, " | ");

@@ -44,6 +44,11 @@ std::string CanonicalZSetExpr(const ZSetExpr& expr);
 std::string CanonicalVizEntry(const VizEntry& entry);
 std::string CanonicalNameEntry(const NameEntry& entry);
 std::string CanonicalProcessCell(const std::vector<ProcessDecl>& decls);
+/// A constraints cell's canonical spelling, which visualizations carry as
+/// their label: outside single-quoted literals, whitespace runs collapse to
+/// one space, and a space next to a punctuation token (=<>!(),) is dropped
+/// — "location = 'US'" and "location='US'" share a fingerprint.
+std::string CanonicalConstraints(const std::string& text);
 
 }  // namespace zv::zql
 

@@ -16,6 +16,7 @@
 #include "tasks/context_pool.h"
 #include "tasks/topk.h"
 #include "viz/binning.h"
+#include "zql/canonical.h"
 
 namespace zv::zql::exec {
 
@@ -539,6 +540,8 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
   }
   ZV_ASSIGN_OR_RETURN(std::string constraints,
                       SubstituteRanges(row.constraints, *st));
+  // Every spelling of a fingerprint renders the same label.
+  const std::string label = CanonicalConstraints(constraints);
 
   auto comp = std::make_shared<Component>();
   comp->name = row.name.name;
@@ -597,7 +600,7 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
     Visualization& v = comp->visuals[p];
     v.x_attr = xv.Label();
     v.y_attr = yv.Label();
-    v.constraints = constraints;
+    v.constraints = label;
     v.spec = spec;
     for (const ZValue& z : zvals) v.slices.push_back({z.attr, z.value});
     for (const std::string& attr : yv.attrs) v.series.push_back({attr, {}});

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -494,12 +496,10 @@ void ExpectMatchesReference(const ResultSet& rs, size_t num_keys,
 
 /// Runs `sql` on every database through both entry points — ExecuteSql,
 /// and FinishChunkScan over `rows`, the rows its WHERE selects — at
-/// ZV_THREADS 1 and 8, expecting every result to match `ref`.
-void ExpectEveryPathMatches(const std::vector<Database*>& dbs,
-                            const std::string& sql,
-                            const std::vector<uint32_t>& rows,
-                            size_t num_keys, const RefGroups& ref,
-                            const std::vector<RefOut>& outs) {
+/// ZV_THREADS 1 and 8, passing every result to `expect`.
+void ForEveryPath(const std::vector<Database*>& dbs, const std::string& sql,
+                  const std::vector<uint32_t>& rows,
+                  const std::function<void(const ResultSet&)>& expect) {
   SCOPED_TRACE(sql);
   ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(sql));
   for (size_t threads : {1, 8}) {
@@ -511,10 +511,21 @@ void ExpectEveryPathMatches(const std::vector<Database*>& dbs,
         ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs,
                                 chunked ? db->FinishChunkScan(stmt, rows)
                                         : db->ExecuteSql(sql));
-        ExpectMatchesReference(rs, num_keys, ref, outs);
+        expect(rs);
       }
     }
   }
+}
+
+/// ForEveryPath, expecting every result to match `ref`.
+void ExpectEveryPathMatches(const std::vector<Database*>& dbs,
+                            const std::string& sql,
+                            const std::vector<uint32_t>& rows,
+                            size_t num_keys, const RefGroups& ref,
+                            const std::vector<RefOut>& outs) {
+  ForEveryPath(dbs, sql, rows, [&](const ResultSet& rs) {
+    ExpectMatchesReference(rs, num_keys, ref, outs);
+  });
 }
 
 /// SUM(sales), AVG(profit), COUNT(*), MIN(revenue), MAX(weight) over the
@@ -609,19 +620,19 @@ TEST(AggregationLayoutTest, LayoutBoundaryIsGroupsTimesFourAtBlockRows) {
   }
 }
 
-TEST(AggregationLayoutTest, WideFoldReadsEveryInputKind) {
-  ThreadGuard guard;
-  // 50,000 rows make 3 blocks of 16,666; 16 x 25 x 12 = 4,800 groups
-  // (4,800 * 4 >= 16,666) take the wide layout. `d` holds NaN, -0.0 and
-  // 0.0 among non-negative decimals, so most groups' MIN(d) is a zero
-  // whose sign is the first one in row order; `i` is an int column, and
-  // `k` a numeric categorical (read through Table::NumericAt).
+/// 50,000 rows (3 blocks of 16,666) over categorical keys a (16 values),
+/// b (25) and c (12). `d` holds NaN, -0.0 and 0.0 among non-negative
+/// decimals, so most groups' MIN(d) is a zero whose sign is the first one
+/// its association meets; `i` is an int column, `k` a numeric categorical
+/// (read through Table::NumericAt), and `r` the row id.
+std::shared_ptr<Table> MakeEveryInputKindTable() {
   TableBuilder b("t", Schema({{"a", ColumnType::kCategorical},
                               {"b", ColumnType::kCategorical},
                               {"c", ColumnType::kCategorical},
                               {"d", ColumnType::kDouble},
                               {"i", ColumnType::kInt},
-                              {"k", ColumnType::kCategorical}}));
+                              {"k", ColumnType::kCategorical},
+                              {"r", ColumnType::kInt}}));
   Rng rng(19);
   for (uint32_t r = 0; r < 50000; ++r) {
     double d = 0.1 * static_cast<double>(rng.UniformInt(1, 1000));
@@ -629,27 +640,46 @@ TEST(AggregationLayoutTest, WideFoldReadsEveryInputKind) {
     if (pick == 0) d = std::numeric_limits<double>::quiet_NaN();
     if (pick >= 1 && pick <= 4) d = -0.0;
     if (pick >= 5 && pick <= 8) d = 0.0;
-    ZV_ASSERT_OK(b.AddRow(
+    EXPECT_TRUE(b.AddRow(
         {Value::Str("a" + std::to_string(rng.Uniform(16))),
          Value::Int(rng.UniformInt(0, 24)),
          Value::Str("c" + std::to_string(rng.Uniform(12))), Value::Double(d),
          Value::Int(rng.UniformInt(-50, 50)),
-         Value::Double(0.1 * static_cast<double>(rng.UniformInt(1, 30)))}));
+         Value::Double(0.1 * static_cast<double>(rng.UniformInt(1, 30))),
+         Value::Int(r)}).ok());
   }
   auto table = b.Finish();
-  ASSERT_EQ(table->DictSize(0), 16u);
-  ASSERT_EQ(table->DictSize(1), 25u);
-  ASSERT_EQ(table->DictSize(2), 12u);
+  EXPECT_EQ(table->DictSize(0), 16u);
+  EXPECT_EQ(table->DictSize(1), 25u);
+  EXPECT_EQ(table->DictSize(2), 12u);
+  return table;
+}
+
+/// The rows of `table` whose `col` satisfies `keep`.
+std::vector<uint32_t> RowsWhere(const Table& table, const char* col,
+                                const std::function<bool(int64_t)>& keep) {
+  const size_t c = static_cast<size_t>(table.schema().Find(col));
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < table.num_rows(); ++r) {
+    if (keep(table.IntAt(r, c))) rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST(AggregationLayoutTest, WideFoldReadsEveryInputKind) {
+  ThreadGuard guard;
+  // 16 x 25 x 12 = 4,800 groups (4,800 * 4 >= 16,666) take the wide
+  // layout.
+  auto table = MakeEveryInputKindTable();
   ScanDatabase scan;
   RoaringDatabase roaring;
   ZV_ASSERT_OK(scan.RegisterTable(table));
   ZV_ASSERT_OK(roaring.RegisterTable(table));
 
-  std::vector<uint32_t> all(table->num_rows()), filtered;
+  std::vector<uint32_t> all(table->num_rows());
   std::iota(all.begin(), all.end(), 0u);
-  for (uint32_t r : all) {
-    if (table->IntAt(r, 4) > -20) filtered.push_back(r);
-  }
+  const std::vector<uint32_t> filtered =
+      RowsWhere(*table, "i", [](int64_t i) { return i > -20; });
   using sql::AggFunc;
   const std::vector<std::string> inputs = {"d", "i", "k"};
   // `d` aggregated five times, COUNT(*), and every input kind.
@@ -677,25 +707,102 @@ TEST(AggregationLayoutTest, WideFoldReadsEveryInputKind) {
       {});
 }
 
+TEST(AggregationLayoutTest, NarrowFoldReadsEveryInputKind) {
+  ThreadGuard guard;
+  // 16 x 12 = 192 groups (192 * 4 < 16,666) fold per block, and the
+  // block partials add up in block order.
+  auto table = MakeEveryInputKindTable();
+  ScanDatabase scan;
+  RoaringDatabase roaring;
+  ZV_ASSERT_OK(scan.RegisterTable(table));
+  ZV_ASSERT_OK(roaring.RegisterTable(table));
+
+  std::vector<uint32_t> all(table->num_rows());
+  std::iota(all.begin(), all.end(), 0u);
+  const std::vector<uint32_t> filtered =
+      RowsWhere(*table, "i", [](int64_t i) { return i > -20; });
+  using sql::AggFunc;
+  const std::vector<std::string> inputs = {"d", "i", "k"};
+  const std::vector<RefOut> every_kind = {
+      {AggFunc::kSum, 0}, {AggFunc::kMin, 0}, {AggFunc::kMax, 0},
+      {AggFunc::kAvg, 0}, {AggFunc::kCount, 0}, {AggFunc::kCount, 0},
+      {AggFunc::kSum, 1}, {AggFunc::kMax, 1}, {AggFunc::kAvg, 2},
+      {AggFunc::kMin, 2}};
+  const std::string every_kind_sql =
+      "SUM(d), MIN(d), MAX(d), AVG(d), COUNT(d), COUNT(*), SUM(i), MAX(i), "
+      "AVG(k), MIN(k) FROM t";
+  ExpectEveryPathMatches(
+      {&scan, &roaring}, "SELECT a, c, " + every_kind_sql + " GROUP BY a, c",
+      all, 2, ReferenceAggregate(*table, {"a", "c"}, inputs, all),
+      every_kind);
+  // Another key order under a filter.
+  ExpectEveryPathMatches(
+      {&scan, &roaring},
+      "SELECT c, a, SUM(k), MAX(d), AVG(i), MIN(i) FROM t WHERE i > -20 "
+      "GROUP BY c, a",
+      filtered, 2, ReferenceAggregate(*table, {"c", "a"}, inputs, filtered),
+      {{AggFunc::kSum, 2}, {AggFunc::kMax, 0}, {AggFunc::kAvg, 1},
+       {AggFunc::kMin, 1}});
+  // A GROUP BY with no aggregate: only the groups seen.
+  ExpectEveryPathMatches(
+      {&scan, &roaring}, "SELECT a, c FROM t WHERE i > -20 GROUP BY a, c",
+      filtered, 2, ReferenceAggregate(*table, {"a", "c"}, {}, filtered), {});
+  // A selection that leaves the middle block empty and cuts the others.
+  const std::vector<uint32_t> gapped = RowsWhere(
+      *table, "r", [](int64_t r) { return r < 10000 || r >= 40000; });
+  ExpectEveryPathMatches(
+      {&scan, &roaring},
+      "SELECT a, c, " + every_kind_sql +
+          " WHERE r < 10000 OR r >= 40000 GROUP BY a, c",
+      gapped, 2, ReferenceAggregate(*table, {"a", "c"}, inputs, gapped),
+      every_kind);
+  // Global aggregates, with block 0 empty: one group.
+  const std::vector<uint32_t> late =
+      RowsWhere(*table, "r", [](int64_t r) { return r >= 20000; });
+  ExpectEveryPathMatches({&scan, &roaring},
+                         "SELECT " + every_kind_sql + " WHERE r >= 20000",
+                         late, 0, ReferenceAggregate(*table, {}, inputs, late),
+                         every_kind);
+  // Over an empty selection, one row of empty aggregates.
+  ForEveryPath({&scan, &roaring}, "SELECT " + every_kind_sql + " WHERE r < 0",
+               {}, [](const ResultSet& rs) {
+                 ASSERT_EQ(rs.num_rows(), 1u);
+                 EXPECT_EQ(rs.rows[0],
+                           (std::vector<Value>{
+                               Value::Double(0), Value::Double(0),
+                               Value::Double(0), Value::Double(0),
+                               Value::Int(0), Value::Int(0), Value::Double(0),
+                               Value::Double(0), Value::Double(0),
+                               Value::Double(0)}));
+               });
+}
+
 TEST(AggregationLayoutTest, WideFoldPollsCancellation) {
   SalesDataOptions opts;
-  opts.num_rows = 70000;
+  opts.num_rows = 70000;  // 4 blocks of 17,500 rows
   opts.num_products = 2000;
   auto table = MakeSalesTable(opts);
-  ZV_ASSERT_OK_AND_ASSIGN(
-      sql::SelectStatement stmt,
-      sql::ParseSelect("SELECT product, year, SUM(sales) FROM sales "
-                       "GROUP BY product, year"));
-  ZV_ASSERT_OK_AND_ASSIGN(SelectRunner runner,
-                          SelectRunner::Plan(*table, stmt));
-  ASSERT_TRUE(runner.WideLayout(table->num_rows() / 4));
   std::vector<uint32_t> rows(table->num_rows());
   std::iota(rows.begin(), rows.end(), 0u);
   CancelToken token;
   token.Cancel();
   CancelScope scope(token);
-  EXPECT_EQ(runner.ConsumeWide(rows.data(), rows.size()).code(),
-            StatusCode::kCancelled);
+  // 2000 x 10 = 20K groups fold wide; 10 years fold per block.
+  for (const auto& [sql, wide] :
+       std::vector<std::pair<std::string, bool>>{
+           {"SELECT product, year, SUM(sales) FROM sales "
+            "GROUP BY product, year",
+            true},
+           {"SELECT year, SUM(sales) FROM sales GROUP BY year", false}}) {
+    SCOPED_TRACE(sql);
+    ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+    ZV_ASSERT_OK_AND_ASSIGN(SelectRunner runner,
+                            SelectRunner::Plan(*table, stmt));
+    ASSERT_TRUE(runner.DenseAggregation());
+    ASSERT_EQ(runner.WideLayout(), wide);
+    EXPECT_EQ(runner.ConsumeBlock(rows.data(), rows.size()).code(),
+              StatusCode::kCancelled);
+  }
 }
 
 TEST(ParallelScanTest, TinyTableMatchesSerial) {

@@ -356,6 +356,40 @@ TEST(QueryServiceTest, TypedAndTextSubmissionsShareOneCacheEntry) {
   EXPECT_EQ(canonical.stats().cache_hits, 1u);
 }
 
+TEST(QueryServiceTest, ConstraintSpellingsRenderOneLabel) {
+  // Two spellings of one constraint share a fingerprint, so whichever
+  // arrives first fills the ResultCache for both. Visualizations carry the
+  // canonical spelling, so both arrival orders return the same bytes.
+  const std::string spaced =
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | profit > 5 | |";
+  const std::string tight =
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | profit>5 | |";
+  std::vector<std::string> rendered;
+  for (const auto& [first, second] :
+       std::vector<std::pair<std::string, std::string>>{{spaced, tight},
+                                                        {tight, spaced}}) {
+    SCOPED_TRACE("first: " + first);
+    QueryService service;
+    ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));
+    ZV_ASSERT_OK_AND_ASSIGN(SessionId s1, service.CreateSession());
+    ZV_ASSERT_OK_AND_ASSIGN(SessionId s2, service.CreateSession());
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h1, service.Submit(s1, "sales", first));
+    ZV_ASSERT_OK(h1.Wait());
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h2,
+                            service.Submit(s2, "sales", second));
+    ZV_ASSERT_OK(h2.Wait());
+    EXPECT_EQ(h2.stats().cache_hits, 1u);
+    EXPECT_EQ(Canon(*h2.result()), Canon(*h1.result()));
+    ASSERT_EQ(h1.result()->outputs.size(), 1u);
+    ASSERT_FALSE(h1.result()->outputs[0].visuals.empty());
+    for (const auto& v : h1.result()->outputs[0].visuals) {
+      EXPECT_EQ(v.constraints, "profit>5");
+    }
+    rendered.push_back(Canon(*h1.result()));
+  }
+  EXPECT_EQ(rendered[0], rendered[1]);
+}
+
 TEST(QueryServiceTest, ParseErrorsResolveOnTheHandleWithDiagnostics) {
   QueryService service;
   ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));

@@ -4,11 +4,12 @@
 # docs/zql_reference.md, every field of the wire protocol's
 # request/response structs must be mentioned in docs/api_reference.md,
 # README's knob table must list exactly the ZV_* environment variables
-# still read, and every backticked `Class::member` the docs name must still
-# exist in src/. The lists are extracted from the sources, not hardcoded, so
-# adding e.g. a new metric, protocol field or env knob without documenting
-# it — or retiring a knob or renaming a method without updating the prose
-# that names it — fails CI.
+# still read, every backticked `Class::member` the docs name must still
+# exist in src/, and the blocked-scan layout constants docs/architecture.md
+# quotes must match select_runner.cc. The lists are extracted from the
+# sources, not hardcoded, so adding e.g. a new metric, protocol field or env
+# knob without documenting it — or retiring a knob, renaming a method or
+# retuning a constant without updating the prose that names it — fails CI.
 #
 # Usage: tools/check_docs.sh [repo_root]
 
@@ -184,6 +185,43 @@ for c in $container_types; do
   fi
 done
 
+# Layout constants: the blocked scan's geometry and layout rule, as
+# docs/architecture.md quotes them, must match the constants in
+# src/engine/select_runner.cc — min(kMaxScanBlocks, max(1, rows /
+# kScanBlockRows)) blocks, and the wide layout past 2^k groups
+# (kWideLayoutGroups = 1u << k) or at `groups * kReplicaRowsPerGroup >=
+# rows per block`. Each phrase must be quoted, and every quote must match.
+RUNNER_SRC="$ROOT/src/engine/select_runner.cc"
+layout_const() {
+  sed -nE "s/^constexpr [a-z0-9_]+ $1 = ([^;]+);$/\1/p" "$RUNNER_SRC"
+}
+block_rows="$(layout_const kScanBlockRows)"
+max_blocks="$(layout_const kMaxScanBlocks)"
+wide_shift="$(layout_const kWideLayoutGroups |
+              sed -nE 's/^1u? << ([0-9]+)$/\1/p')"
+replica="$(layout_const kReplicaRowsPerGroup)"
+for v in "$block_rows" "$max_blocks" "$wide_shift" "$replica"; do
+  [[ "$v" =~ ^[0-9]+$ ]] || {
+    echo "check_docs: layout constants not extracted from select_runner.cc" >&2
+    exit 1
+  }
+done
+flat_arch="$(tr -s ' \n' ' ' <"$ARCH_DOC")"
+expect_quotes() {  # ERE of the phrase, the phrase the constants give
+  local quotes
+  quotes="$(grep -oE "$1" <<<"$flat_arch" | sort -u)"
+  if [[ "$quotes" != "$2" ]]; then
+    echo "check_docs: docs/architecture.md quotes '${quotes//$'\n'/"', '"}'" \
+         "where select_runner.cc gives '$2'" >&2
+    fail=1
+  fi
+}
+expect_quotes 'min\([0-9]+, max\(1, rows / [0-9]+\)\)' \
+              "min($max_blocks, max(1, rows / $block_rows))"
+expect_quotes 'more than 2\^[0-9]+ groups or when' \
+              "more than 2^$wide_shift groups or when"
+expect_quotes 'groups \* [0-9]+' "groups * $replica"
+
 # Knob drift: every ZV_* environment variable src/ reads (a "ZV_*" string
 # literal — the getenv argument) needs a row in README.md's knob table, and
 # every row must name a variable something still reads: a "ZV_*" literal in
@@ -246,5 +284,6 @@ echo "check_docs: OK (primitives: $(echo $prims | tr '\n' ' ')| mechanisms:" \
      "$(echo $stats_fields | tr '\n' ' ')| lint rules:" \
      "$(echo $lint_rules | tr '\n' ' ')| kernel variants:" \
      "$(echo $kernel_variants | tr '\n' ' ')| container types:" \
-     "$(echo $container_types | tr '\n' ' ')| env knobs:" \
+     "$(echo $container_types | tr '\n' ' ')| layout constants:" \
+     "$max_blocks $block_rows 2^$wide_shift $replica | env knobs:" \
      "$(echo $knob_rows | tr '\n' ' ')| code names: $(wc -w <<<"$code_names"))"
