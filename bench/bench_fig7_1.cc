@@ -426,7 +426,7 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
 /// extraction. The override wraps every scanner the backend prepares, so
 /// both routes pay it: the reference blocked scan (no queue) waits block
 /// by block on one thread at ZV_THREADS=1, while a BatchScanQueue pass
-/// overlaps its chunks' waits across the queue's workers and coordinator
+/// overlaps its chunks' waits across the common pool's ZV_THREADS threads
 /// — the same overlap PipelineOverlap's RemoteScanDatabase realizes one
 /// level up, and the only scan speedup any machine sees once the store is
 /// remote (multi-core machines additionally overlap the extraction CPU).
@@ -473,11 +473,12 @@ class PartitionedScanDatabase : public zv::ScanDatabase {
 };
 
 /// Chunk-pass scaling: one selective statement over a 10M-row table
-/// (paper scale), swept over chunk size x batch-queue width. Every queued
-/// run is compared byte-for-byte against the no-queue reference scan; a
-/// divergence fails the harness (returns false) so BENCH_fig7.json can
-/// never record a speedup for a scan that changed the answer. Records keep
-/// their `shard/c<chunk_rows>_s<workers>` names.
+/// (paper scale), swept over chunk size x pool threads (the pass runs on
+/// the common pool). Every queued run is compared byte-for-byte against
+/// the no-queue reference scan at ZV_THREADS=1; a divergence fails the
+/// harness (returns false) so BENCH_fig7.json can never record a speedup
+/// for a scan that changed the answer. Records keep their
+/// `shard/c<chunk_rows>_s<threads>` names.
 bool ShardScaling(JsonRecorder* recorder) {
   PrintSubHeader("chunk pass scaling (remote partitions, 10M rows)");
   constexpr uint64_t kServiceNsPerRow = 100;  // ~10M rows/s remote scan rate
@@ -498,17 +499,12 @@ bool ShardScaling(JsonRecorder* recorder) {
 
   const char* const query =
       "*f1 | 'year' | 'sales' | | location='US' | bar.(y=agg('sum')) |";
-  zv::SetParallelThreads(1);  // isolate the queue's contribution
-  // workers = 0 runs the reference blocked scan (no queue).
-  auto run = [&](size_t workers) -> zv::Result<zv::zql::ZqlResult> {
-    std::unique_ptr<zv::BatchScanQueue> queue;
+  // threads = 0 runs the reference blocked scan (no queue) on one thread.
+  auto run = [&](size_t threads) -> zv::Result<zv::zql::ZqlResult> {
+    zv::BatchScanQueue queue;
     zv::zql::ZqlOptions opts;
-    if (workers > 0) {
-      zv::BatchScanOptions bopts;
-      bopts.workers = workers;
-      queue = std::make_unique<zv::BatchScanQueue>(bopts);
-      opts.batch_scans = queue.get();
-    }
+    if (threads > 0) opts.batch_scans = &queue;
+    zv::SetParallelThreads(threads > 0 ? threads : 1);
     zv::zql::ZqlExecutor exec(&db, "sales", opts);
     return exec.ExecuteText(query);
   };
@@ -537,7 +533,7 @@ bool ShardScaling(JsonRecorder* recorder) {
   };
 
   std::printf("%-12s %8s %8s %10s %10s %10s\n", "chunk_rows", "chunks",
-              "workers", "total(ms)", "speedup", "identical");
+              "threads", "total(ms)", "speedup", "identical");
   bool all_identical = true;
   for (const size_t chunk_rows :
        {size_t{65536}, size_t{262144}, size_t{1048576}}) {
@@ -547,8 +543,8 @@ bool ShardScaling(JsonRecorder* recorder) {
     }
     const size_t chunks =
         (sales->num_rows() + chunk_rows - 1) / chunk_rows;
-    for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      auto result = run(workers);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      auto result = run(threads);
       if (!result.ok()) {
         std::printf("FAILED: %s\n", result.status().ToString().c_str());
         return false;
@@ -557,19 +553,18 @@ bool ShardScaling(JsonRecorder* recorder) {
       const bool same = identical(result.value());
       all_identical &= same;
       std::printf("%-12zu %8zu %8zu %10.1f %9.2fx %10s\n", chunk_rows,
-                  chunks, workers, ms, base_ms / ms, same ? "yes" : "NO");
+                  chunks, threads, ms, base_ms / ms, same ? "yes" : "NO");
       recorder->Record(
-          zv::StrFormat("shard/c%zu_s%zu", chunk_rows, workers), ms,
-          {{"threads", "1"},
+          zv::StrFormat("shard/c%zu_s%zu", chunk_rows, threads), ms,
+          {{"threads", std::to_string(threads)},
            {"kind", "shard"},
            {"chunk_rows", std::to_string(chunk_rows)},
            {"chunks", std::to_string(chunks)},
-           {"workers", std::to_string(workers)},
            {"speedup_vs_reference", zv::StrFormat("%.2f", base_ms / ms)}});
     }
   }
   zv::SetParallelThreads(0);
-  std::printf("outputs identical across all queue/chunk settings: %s\n",
+  std::printf("outputs identical across all thread/chunk settings: %s\n",
               all_identical ? "yes" : "NO");
   return all_identical;
 }

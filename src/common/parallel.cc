@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/sync.h"
 
 namespace zv {
 
@@ -49,8 +52,11 @@ struct Job {
 
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> done_chunks{0};
-  std::atomic<size_t> helpers_entered{0};
-  std::atomic<bool> abort{false};
+  size_t helpers_entered = 0;  ///< guarded by the pool's mutex
+  /// Chunks beginning at or above this index are skipped: the lowest
+  /// captured error's index (a serial loop stops there), or 0 once a void
+  /// job is cancelled. It only ever falls.
+  std::atomic<size_t> stop_at{SIZE_MAX};
 
   // First-error capture: the error (Status or exception) with the lowest
   // index wins, matching what a serial loop would surface first.
@@ -71,7 +77,14 @@ struct Job {
       error = std::move(s);
       exception = e;
     }
-    abort.store(true, std::memory_order_relaxed);
+    LowerStopAt(index);
+  }
+
+  void LowerStopAt(size_t index) {
+    size_t cur = stop_at.load(std::memory_order_relaxed);
+    while (index < cur && !stop_at.compare_exchange_weak(
+                              cur, index, std::memory_order_relaxed)) {
+    }
   }
 
   /// Claims and runs chunks until the cursor is exhausted.
@@ -87,19 +100,21 @@ struct Job {
       // job surfaces kCancelled (lowest-index error capture still prefers
       // any real error below it); a cancelled void job just stops claiming
       // work — its caller re-checks the token after the join.
-      if (cancel != nullptr && !abort.load(std::memory_order_relaxed) &&
+      if (cancel != nullptr &&
+          begin < stop_at.load(std::memory_order_relaxed) &&
           cancel->load(std::memory_order_relaxed)) {
         if (status_fn != nullptr) {
           RecordError(begin, Status::Cancelled("query cancelled"), nullptr);
         } else {
-          abort.store(true, std::memory_order_relaxed);
+          LowerStopAt(0);
         }
       }
-      // Chunks are claimed in increasing order, so when an error aborts the
-      // job every unclaimed chunk lies entirely above the erroring index.
-      // Already-claimed chunks run to completion, which makes the captured
-      // min-index error exactly the one a serial loop would hit first.
-      if (!abort.load(std::memory_order_relaxed)) {
+      // A chunk is skipped only when it lies entirely at or above a
+      // captured error, where a serial loop would never reach. A chunk
+      // claimed before that error was seen still runs, even when its
+      // thread checks late, so the captured min-index error is exactly
+      // the one a serial loop would hit first.
+      if (begin < stop_at.load(std::memory_order_relaxed)) {
         const size_t end = std::min(n, begin + chunk);
         for (size_t i = begin; i < end; ++i) {
           try {
@@ -137,6 +152,12 @@ struct Job {
 /// Fixed pool, lazily created on first parallel call and intentionally
 /// leaked (workers are blocked in a wait at process exit; joining them from
 /// a static destructor would race user code that still schedules work).
+///
+/// Concurrent callers each list their job; an idle worker serves the
+/// oldest listed job that still has unclaimed chunks and a free helper
+/// slot. Both conditions only ever become false, so a job that stops being
+/// eligible never becomes eligible again, and a worker that finds none
+/// waits for the next Run.
 class ThreadPool {
  public:
   static ThreadPool& Instance() {
@@ -144,25 +165,22 @@ class ThreadPool {
     return *pool;
   }
 
-  /// Broadcasts `job` to up to job->allowed_helpers workers, growing the
-  /// pool if needed, then has the caller participate and waits for the job
-  /// to drain.
+  /// Lists `job` for up to job->allowed_helpers workers, growing the pool
+  /// if needed, then has the caller drain it and waits for the chunks
+  /// helpers claimed before unlisting it.
   void Run(const std::shared_ptr<Job>& job) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       while (threads_.size() < job->allowed_helpers) {
         threads_.emplace_back([this] { WorkerMain(); });
       }
-      job_ = job;
-      ++generation_;
-      cv_.notify_all();
+      jobs_.push_back(job);
     }
+    cv_.notify_all();
     job->RunChunks();
     job->WaitDone();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (job_ == job) job_.reset();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
   }
 
  private:
@@ -170,29 +188,33 @@ class ThreadPool {
 
   void WorkerMain() {
     t_in_worker = true;
-    uint64_t seen_generation = 0;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return job_ != nullptr && generation_ != seen_generation;
-        });
-        seen_generation = generation_;
-        job = job_;
-      }
-      if (job->helpers_entered.fetch_add(1, std::memory_order_relaxed) <
-          job->allowed_helpers) {
-        job->RunChunks();
+      cv_.wait(lock, [&] { return (job = ClaimLocked()) != nullptr; });
+      ScopedUnlock unlocked(lock);  // run chunks without the pool lock
+      job->RunChunks();
+    }
+  }
+
+  /// The oldest listed job with unclaimed chunks and a free helper slot,
+  /// with that slot taken; null when no job is eligible.
+  std::shared_ptr<Job> ClaimLocked() {
+    for (const std::shared_ptr<Job>& job : jobs_) {
+      if (job->next_chunk.load(std::memory_order_relaxed) <
+              job->total_chunks &&
+          job->helpers_entered < job->allowed_helpers) {
+        ++job->helpers_entered;
+        return job;
       }
     }
+    return nullptr;
   }
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::thread> threads_;
-  std::shared_ptr<Job> job_;
-  uint64_t generation_ = 0;
+  std::vector<std::shared_ptr<Job>> jobs_;  ///< oldest first
 };
 
 size_t ChunkSize(size_t n, size_t workers) {
@@ -226,7 +248,13 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   job->fn = &fn;
   job->cancel = CurrentCancelFlag();
   ThreadPool::Instance().Run(job);
-  if (job->exception != nullptr) std::rethrow_exception(job->exception);
+  // Moved out of the job, so the caller drops the exception's last
+  // reference rather than a worker still releasing the job: libstdc++
+  // counts those references in code ThreadSanitizer does not instrument,
+  // so a worker's release would read as a race with the caller's catch.
+  if (job->exception != nullptr) {
+    std::rethrow_exception(std::move(job->exception));
+  }
 }
 
 Status ParallelForStatus(size_t n, const std::function<Status(size_t)>& fn) {
@@ -247,7 +275,9 @@ Status ParallelForStatus(size_t n, const std::function<Status(size_t)>& fn) {
   job->status_fn = &fn;
   job->cancel = CurrentCancelFlag();
   ThreadPool::Instance().Run(job);
-  if (job->exception != nullptr) std::rethrow_exception(job->exception);
+  if (job->exception != nullptr) {
+    std::rethrow_exception(std::move(job->exception));  // see ParallelFor
+  }
   return job->has_error ? job->error : Status::OK();
 }
 

@@ -17,6 +17,14 @@
 /// exact serial baseline. Calls issued *from* a pool worker also run inline
 /// (no nested fan-out, no deadlock).
 ///
+/// Concurrent calls: each call lists its job, admitting up to count - 1
+/// pool workers beside its caller. Jobs are served oldest first — an idle
+/// worker joins the oldest listed job that still has unclaimed chunks and
+/// a free helper slot — and the caller always drains its own job, so a
+/// call completes even when every worker is busy elsewhere. The shared
+/// chunk passes (engine/shared_scan.h), scans, folds and scoring all run
+/// on this one pool.
+///
 /// Cancellation (see cancel.h): when the calling thread has a CancelToken
 /// installed (CancelScope), both variants observe it — the flag is mirrored
 /// onto every worker for the job's duration (so fn's own CheckCancelled()

@@ -114,11 +114,11 @@ class Database {
   /// --- Chunked scans ---------------------------------------------------
   /// The protocol the shared chunk pass drives instead of ExecuteInternal:
   /// PrepareMultiChunkScan once per flush, ScanRange per chunk (on the
-  /// batch queue's workers), FinishChunkScan per statement on the merged
-  /// row list. Splitting selection from aggregation this way keeps the
-  /// aggregation block structure — a pure function of table size — out of
-  /// the fan-out, so float sums associate identically at any chunk size,
-  /// worker count, or co-tenancy.
+  /// common pool, for the pass's leader), FinishChunkScan per statement on
+  /// the merged row list. Splitting selection from aggregation this way
+  /// keeps the aggregation block structure — a pure function of table
+  /// size — out of the fan-out, so float sums associate identically at any
+  /// chunk size, worker count, or co-tenancy.
 
   /// Chunk partitioning of a registered table, built at RegisterTable time
   /// with the default chunk size (kNotFound for unknown tables). Returned

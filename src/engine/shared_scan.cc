@@ -1,11 +1,13 @@
 #include "engine/shared_scan.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <utility>
 
 #include "common/cancel.h"
 #include "common/clock.h"
+#include "common/parallel.h"
 #include "common/sync.h"
 
 namespace zv {
@@ -27,11 +29,13 @@ double ResolveWindowMs(double requested) {
   return 0;
 }
 
-size_t ResolveWorkers(size_t requested) {
-  if (requested > 0) return requested;
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::min<size_t>(4, std::max<size_t>(1, hw));
-}
+/// A fused scan unit of a pass: one scanner plus its demultiplexing
+/// table — (member index, statement slot base) per absorbed request, in
+/// absorb order.
+struct PassUnit {
+  std::unique_ptr<MultiChunkScanner> scanner;
+  std::vector<std::pair<size_t, size_t>> segments;
+};
 
 }  // namespace
 
@@ -57,51 +61,13 @@ struct BatchScanQueue::Request {
   bool done = false;
 };
 
-/// One scan pass: the fused/parallel work unit the coordinator cuts from a
-/// (db, table) group. Jobs are (unit, chunk) pairs claimed via an atomic
-/// counter — no bounded queues, so a pass can never wedge on its own
-/// results — and every job writes into a preallocated slot, keeping the
-/// demultiplexed concatenation positional (chunk order == serial order).
-struct BatchScanQueue::Pass {
-  struct Unit {
-    std::unique_ptr<MultiChunkScanner> scanner;
-    /// (member index, statement slot base) per absorbed request, in
-    /// absorb order — the demultiplexing table.
-    std::vector<std::pair<size_t, size_t>> segments;
-  };
-
-  ChunkMap map;
-  std::vector<Unit> units;
-  size_t chunks = 0;
-  size_t total = 0;  ///< units × chunks
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::vector<Status> statuses;
-  std::vector<double> job_ms;                            ///< per job
-  std::vector<std::vector<std::vector<uint32_t>>> outs;  ///< per job, per stmt
-  std::mutex m;
-  std::condition_variable cv;
-};
-
 BatchScanQueue::BatchScanQueue(BatchScanOptions options)
-    : window_ms_(ResolveWindowMs(options.window_ms)),
-      num_workers_(ResolveWorkers(options.workers)) {
+    : window_ms_(ResolveWindowMs(options.window_ms)) {
   MetricsRegistry* metrics = options.metrics != nullptr
                                  ? options.metrics
                                  : MetricsRegistry::Global();
   hold_hist_ = metrics->GetHistogram("zv_batch_hold_ms");
   pass_hist_ = metrics->GetHistogram("zv_batch_pass_ms");
-}
-
-BatchScanQueue::~BatchScanQueue() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  pass_cv_.notify_all();
-  if (coordinator_.joinable()) coordinator_.join();
-  for (std::thread& w : workers_) w.join();
 }
 
 BatchScanQueue::Selection BatchScanQueue::SelectRows(
@@ -137,29 +103,26 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
   req->arrival = SteadyNow();
 
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) {
-    sel.status = Status(StatusCode::kUnavailable, "batch queue shutting down");
-    return sel;
-  }
   pending_.push_back(req);
-  EnsureThreadsLocked();
-  work_cv_.notify_one();
+  const auto abandon = [&] {
+    // Drop out of the queue if no pass has claimed us; if one has, it
+    // completes without us (delivery into an abandoned request is
+    // harmless — we hold the shared_ptr).
+    pending_.erase(std::remove(pending_.begin(), pending_.end(), req),
+                   pending_.end());
+    sel.status = Status(StatusCode::kCancelled, "query cancelled");
+    return sel;
+  };
   while (!req->done) {
-    done_cv_.wait_for(lock, kCancelPollInterval);
-    if (req->done) break;
-    if (CancellationRequested()) {
-      // Abandon: drop out of the queue if the pass hasn't claimed us; if
-      // it has, it completes without us (delivery into an abandoned
-      // request is harmless — we hold the shared_ptr).
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->get() == req.get()) {
-          pending_.erase(it);
-          break;
-        }
-      }
-      sel.status = Status(StatusCode::kCancelled, "query cancelled");
-      return sel;
+    if (CancellationRequested()) return abandon();
+    if (pass_running_) {
+      done_cv_.wait_for(lock, kCancelPollInterval);
+      continue;
     }
+    // Leader election: no pass is running, so this caller cuts the next
+    // one — which need not carry its own request — and runs it.
+    LeadPass(lock);
+    if (CancellationRequested()) return abandon();
   }
   sel.status = req->status;
   sel.rows = std::move(req->rows);
@@ -170,95 +133,48 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
   return sel;
 }
 
-void BatchScanQueue::EnsureThreadsLocked() {
-  if (threads_started_) return;
-  threads_started_ = true;
-  coordinator_ = std::thread([this] { CoordinatorMain(); });
-  workers_.reserve(num_workers_);
-  for (size_t i = 0; i < num_workers_; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
+void BatchScanQueue::LeadPass(std::unique_lock<std::mutex>& lock) {
+  pass_running_ = true;
+  if (window_ms_ > 0) {
+    // Hold the pass open until window_ms past the oldest arrival; new
+    // requests landing meanwhile simply join pending_ and get grouped. A
+    // leader cancelled while holding hands leadership to the next waiter.
+    const auto deadline =
+        pending_.front()->arrival +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(window_ms_));
+    for (auto now = SteadyNow(); now < deadline; now = SteadyNow()) {
+      if (CancellationRequested()) {
+        pass_running_ = false;
+        done_cv_.notify_all();
+        return;
+      }
+      done_cv_.wait_until(lock, std::min(deadline, now + kCancelPollInterval));
+    }
   }
-}
-
-void BatchScanQueue::CoordinatorMain() {
   // Requests that may share a pass: same backend instance, same table,
   // identical chunk partitioning (an epoch bump swaps the Database, so
   // pre- and post-bump queries can never group).
-  const auto same_group = [](const Request& a, const Request& b) {
-    return a.db == b.db && a.table == b.table &&
-           a.map.num_rows() == b.map.num_rows() &&
-           a.map.num_chunks() == b.map.num_chunks();
-  };
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-    if (stop_) return;
-    if (window_ms_ > 0) {
-      // Hold the pass open until window_ms past the oldest arrival; new
-      // requests landing meanwhile simply join pending_ and get grouped.
-      const auto deadline =
-          pending_.front()->arrival +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(window_ms_));
-      while (!stop_ && !pending_.empty() &&
-             SteadyNow() < deadline) {
-        work_cv_.wait_until(lock, deadline);
-      }
-      if (stop_) return;
-      if (pending_.empty()) continue;  // every member abandoned meanwhile
-    }
-    const std::shared_ptr<Request> leader = pending_.front();
-    std::vector<std::shared_ptr<Request>> members;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (same_group(**it, *leader)) {
-        members.push_back(*it);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    {
-      ScopedUnlock unlocked(lock);  // the pass runs without the queue lock
-      ExecutePass(members);
-    }
-    for (const auto& m : members) m->done = true;
-    done_cv_.notify_all();
-  }
-}
-
-void BatchScanQueue::WorkerMain() {
-  uint64_t seen_gen = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    pass_cv_.wait(lock, [&] { return stop_ || pass_gen_ != seen_gen; });
-    if (stop_) return;
-    seen_gen = pass_gen_;
-    const std::shared_ptr<Pass> pass = current_pass_;
-    {
-      ScopedUnlock unlocked(lock);  // scan chunks without the queue lock
-      if (pass != nullptr) RunJobs(pass.get());
+  const std::shared_ptr<Request> oldest = pending_.front();
+  std::vector<std::shared_ptr<Request>> members;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    const Request& r = **it;
+    if (r.db == oldest->db && r.table == oldest->table &&
+        r.map.num_rows() == oldest->map.num_rows() &&
+        r.map.num_chunks() == oldest->map.num_chunks()) {
+      members.push_back(*it);
+      it = pending_.erase(it);
+    } else {
+      ++it;
     }
   }
-}
-
-void BatchScanQueue::RunJobs(Pass* pass) {
-  while (true) {
-    const size_t j = pass->next.fetch_add(1, std::memory_order_relaxed);
-    if (j >= pass->total) return;
-    const Pass::Unit& unit = pass->units[j / pass->chunks];
-    const auto [begin, end] = pass->map.chunk_range(j % pass->chunks);
-    pass->outs[j].resize(unit.scanner->num_statements());
-    const auto t0 = SteadyNow();
-    pass->statuses[j] = unit.scanner->ScanRange(begin, end, &pass->outs[j]);
-    pass->job_ms[j] = MsSince(t0);
-    if (pass->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        pass->total) {
-      // Empty critical section pairs with the completion wait's predicate
-      // check, so the final notify can never be missed.
-      { std::lock_guard<std::mutex> g(pass->m); }
-      pass->cv.notify_all();
-    }
+  {
+    ScopedUnlock unlocked(lock);  // the pass runs without the queue lock
+    ExecutePass(members);
   }
+  for (const auto& m : members) m->done = true;
+  pass_running_ = false;
+  done_cv_.notify_all();
 }
 
 void BatchScanQueue::ExecutePass(
@@ -269,16 +185,16 @@ void BatchScanQueue::ExecutePass(
   for (const auto& m : members) {
     hold_hist_->Record(MsBetween(m->arrival, t0));
   }
-  auto pass = std::make_shared<Pass>();
-  pass->map = members[0]->map;
-  pass->chunks = pass->map.num_chunks();
+  const ChunkMap& map = members[0]->map;
+  const size_t chunks = map.num_chunks();
 
   // Fuse what can share a row loop; whatever can't (a different backend
   // strategy) still rides the same pass as its own unit.
+  std::vector<PassUnit> units;
   for (size_t m = 0; m < members.size(); ++m) {
     std::unique_ptr<MultiChunkScanner> scanner = std::move(members[m]->scanner);
     bool absorbed = false;
-    for (Pass::Unit& unit : pass->units) {
+    for (PassUnit& unit : units) {
       const size_t base = unit.scanner->num_statements();
       if (unit.scanner->Absorb(scanner)) {
         unit.segments.emplace_back(m, base);
@@ -287,78 +203,73 @@ void BatchScanQueue::ExecutePass(
       }
     }
     if (!absorbed) {
-      Pass::Unit unit;
+      PassUnit unit;
       unit.scanner = std::move(scanner);
       unit.segments.emplace_back(m, 0);
-      pass->units.push_back(std::move(unit));
+      units.push_back(std::move(unit));
     }
   }
-  pass->total = pass->units.size() * pass->chunks;
-  pass->statuses.assign(pass->total, Status::OK());
-  pass->job_ms.assign(pass->total, 0);
-  pass->outs.resize(pass->total);
 
-  // Publish to the worker pool, scan alongside it, then wait out the last
-  // straggler job.
+  // One job per (unit, chunk) on the common pool, each writing its own
+  // slot, so the demultiplexed concatenation stays positional (chunk order
+  // == serial order). Every job runs: ParallelForStatus would skip the
+  // chunks after a first error, truncating other units' rows, and no
+  // member's token may stop a pass — a cancelled member only abandons its
+  // request.
+  const size_t total = units.size() * chunks;
+  std::vector<Status> statuses(total, Status::OK());
+  std::vector<double> job_ms(total, 0);
+  std::vector<std::vector<std::vector<uint32_t>>> outs(total);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_pass_ = pass;
-    ++pass_gen_;
-  }
-  pass_cv_.notify_all();
-  RunJobs(pass.get());
-  {
-    std::unique_lock<std::mutex> lock(pass->m);
-    pass->cv.wait(lock, [&] {
-      return pass->done.load(std::memory_order_acquire) >= pass->total;
+    CancelScope no_cancel(nullptr);
+    ParallelFor(total, [&](size_t j) {
+      const PassUnit& unit = units[j / chunks];
+      const auto [begin, end] = map.chunk_range(j % chunks);
+      outs[j].resize(unit.scanner->num_statements());
+      const auto tj = SteadyNow();
+      statuses[j] = unit.scanner->ScanRange(begin, end, &outs[j]);
+      job_ms[j] = MsSince(tj);
     });
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_pass_.reset();
   }
   const double wall_ms = MsBetween(t0, SteadyNow());
   pass_hist_->Record(wall_ms);
-  double job_ms = 0;
-  for (double ms : pass->job_ms) job_ms += ms;
+  double summed_job_ms = 0;
+  for (double ms : job_ms) summed_job_ms += ms;
 
   // Demultiplex: per member, per statement, concatenate the chunk lists in
   // chunk order — the positional merge that equals a serial scan. Errors
   // surface as the first failing chunk index — the failure a serial scan,
   // which visits rows in ascending order, would have hit first.
-  for (size_t u = 0; u < pass->units.size(); ++u) {
-    const Pass::Unit& unit_ref = pass->units[u];
+  for (size_t u = 0; u < units.size(); ++u) {
     Status unit_status = Status::OK();
-    for (size_t c = 0; c < pass->chunks; ++c) {
-      const Status& s = pass->statuses[u * pass->chunks + c];
+    for (size_t c = 0; c < chunks; ++c) {
+      const Status& s = statuses[u * chunks + c];
       if (!s.ok()) {
         unit_status = s;
         break;
       }
     }
-    for (const auto& [mi, base] : unit_ref.segments) {
+    for (const auto& [mi, base] : units[u].segments) {
       Request& req = *members[mi];
       req.status = unit_status;
       if (unit_status.ok()) {
         req.rows.resize(req.num_stmts);
         for (size_t s = 0; s < req.num_stmts; ++s) {
           size_t total_rows = 0;
-          for (size_t c = 0; c < pass->chunks; ++c) {
-            total_rows += pass->outs[u * pass->chunks + c][base + s].size();
+          for (size_t c = 0; c < chunks; ++c) {
+            total_rows += outs[u * chunks + c][base + s].size();
           }
           std::vector<uint32_t>& rows = req.rows[s];
           rows.reserve(total_rows);
-          for (size_t c = 0; c < pass->chunks; ++c) {
-            const std::vector<uint32_t>& part =
-                pass->outs[u * pass->chunks + c][base + s];
+          for (size_t c = 0; c < chunks; ++c) {
+            const std::vector<uint32_t>& part = outs[u * chunks + c][base + s];
             rows.insert(rows.end(), part.begin(), part.end());
           }
         }
       }
-      req.chunks_scanned =
-          static_cast<uint64_t>(pass->chunks) * req.num_stmts;
+      req.chunks_scanned = static_cast<uint64_t>(chunks) * req.num_stmts;
       req.scan_ms = wall_ms;
-      req.job_ms = job_ms;
+      req.job_ms = summed_job_ms;
       req.shared = members.size() > 1;
     }
   }

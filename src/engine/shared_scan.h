@@ -7,30 +7,38 @@
 /// with overlapping queries; at production concurrency the redundant full
 /// scans — not the scoring — dominate (Fig. 7 at scale). The queue turns N
 /// concurrent selections into ~1 pass: callers enqueue their prepared
-/// MultiChunkScanners, a coordinator cuts a *pass* from everything waiting
-/// for the same (backend, table) group, fuses the scanners that can share
-/// a batch walk (the base scanner evaluates every predicate per batch of
-/// rows; Roaring keeps its bitmap probes), fans the chunks out over a
-/// persistent worker pool,
-/// and demultiplexes per-statement row-id lists back to each caller.
+/// MultiChunkScanners, a *leader* — one of the waiting callers — cuts a
+/// pass from everything waiting for the same (backend, table) group, fuses
+/// the scanners that can share a batch walk (the base scanner evaluates
+/// every predicate per batch of rows; Roaring keeps its bitmap probes),
+/// runs the pass's (unit, chunk) jobs on the common/parallel pool, and
+/// demultiplexes per-statement row-id lists back to each caller. The queue
+/// owns no thread.
 ///
-/// Batching model: *group commit*. With the default window of 0 a lone
+/// Batching model: *group commit by leader election*. At most one pass is
+/// in flight per queue; when none is, a waiting caller becomes the leader
+/// and cuts the next pass from the group of the oldest pending request —
+/// which need not contain its own. With the default window of 0 a lone
 /// query is never delayed — its pass is cut immediately — but any queries
 /// that arrive while a pass is executing pile up and form the next pass
 /// together, which under concurrency is exactly where the sharing comes
 /// from. A positive ZV_BATCH_WINDOW_MS additionally holds the pass open
-/// that long after the first member arrives, trading first-query latency
-/// for wider sharing (useful when queries trickle in over a slow client).
+/// until that long after the oldest pending arrival, trading first-query
+/// latency for wider sharing (useful when queries trickle in over a slow
+/// client).
 ///
 /// Determinism contract: selection stays in the scan (each statement's
 /// rows are exactly what it selects alone, concatenated in chunk order)
 /// and aggregation stays with the caller (FinishChunkScan's blocked
 /// runner, a pure function of table size) — so batched results are
-/// byte-identical to the unbatched oracle at any worker count, window,
+/// byte-identical to the unbatched oracle at any ZV_THREADS, window,
 /// chunk size, or co-tenancy (tests/batch_test.cc locks the matrix).
 ///
-/// Cancellation: a caller whose token fires while waiting abandons its
-/// request and returns kCancelled; the pass (and every sibling) completes
+/// Cancellation: no pass is ever cancelled. A follower whose token fires
+/// while waiting abandons its request within 2 ms and returns kCancelled;
+/// a leader cancelled while holding the window abandons likewise and
+/// hands leadership to the next waiter; a leader cancelled mid-pass
+/// returns kCancelled once that pass ends. Every sibling completes
 /// unaffected — requests are self-contained (scanners pin their table
 /// snapshot), so delivery into an abandoned request is harmless. An
 /// epoch bump (QueryService::ReplaceDataset) swaps in a fresh Database,
@@ -38,21 +46,18 @@
 /// they hold, new queries form new groups, and the two never share a pass.
 ///
 /// Thread-safety: all public methods are thread-safe. The queue must
-/// outlive every thread that may be blocked in SelectRows (the serving
-/// layer destroys it only after joining its workers).
+/// outlive every thread that may be blocked in SelectRows.
 
 #ifndef ZV_ENGINE_SHARED_SCAN_H_
 #define ZV_ENGINE_SHARED_SCAN_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -68,21 +73,17 @@ struct BatchScanOptions {
   /// commit: coalesce only work already waiting, never delay a lone
   /// query).
   double window_ms = -1;
-  /// Scan worker pool size; 0 = min(4, hardware concurrency). The
-  /// coordinator thread also scans, so even workers=0 would make progress.
-  size_t workers = 0;
   /// Where the queue records its latency histograms — zv_batch_hold_ms
   /// (request arrival → pass cut: the group-commit hold) and
   /// zv_batch_pass_ms (pass wall time). Null = MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;
 };
 
-/// \brief The shared-scan coordinator. One instance serves every session
-/// of a QueryService; executors reach it through ZqlOptions::batch_scans.
+/// \brief The shared-scan queue. One instance serves every session of a
+/// QueryService; executors reach it through ZqlOptions::batch_scans.
 class BatchScanQueue {
  public:
   explicit BatchScanQueue(BatchScanOptions options = {});
-  ~BatchScanQueue();
 
   BatchScanQueue(const BatchScanQueue&) = delete;
   BatchScanQueue& operator=(const BatchScanQueue&) = delete;
@@ -106,12 +107,13 @@ class BatchScanQueue {
     bool shared = false;
   };
 
-  /// Runs the statements' row selection through the shared-scan
-  /// coordinator. Prepares the scanners on the calling thread (so `db`
-  /// only needs to be alive here, not for the pass), enqueues, and blocks
-  /// until the covering pass completes — or until the calling thread's
-  /// cancellation token fires, in which case the request is abandoned
-  /// (status kCancelled) and its pass, if any, completes without it.
+  /// Runs the statements' row selection through a shared pass. Prepares
+  /// the scanners on the calling thread (so `db` only needs to be alive
+  /// here, not for the pass), enqueues, and blocks until the covering pass
+  /// completes — leading passes itself whenever none is running — or
+  /// until the calling thread's cancellation token fires, in which case
+  /// the request is abandoned (status kCancelled; see the file comment)
+  /// and its pass, if any, completes without it.
   /// Statements must all target `table`. An empty table (0 chunks)
   /// returns empty row lists without a pass.
   Selection SelectRows(Database* db, const std::string& table,
@@ -126,39 +128,26 @@ class BatchScanQueue {
     return statements_.load(std::memory_order_relaxed);
   }
   double window_ms() const { return window_ms_; }
-  size_t workers() const { return num_workers_; }
 
  private:
   struct Request;
-  struct Pass;
 
-  void EnsureThreadsLocked();
-  void CoordinatorMain();
-  void WorkerMain();
+  /// Leads one pass (`lock` held on entry and exit, released while the
+  /// pass runs): holds the window, cuts the oldest pending request's group,
+  /// runs it, and marks its members done. Returns early, leadership handed
+  /// on, when the leader is cancelled while holding the window.
+  void LeadPass(std::unique_lock<std::mutex>& lock);
   /// Executes one pass over `members` (no queue lock held). Fills each
-  /// member's results; the caller marks them done under the lock.
+  /// member's results; the leader marks them done under the lock.
   void ExecutePass(const std::vector<std::shared_ptr<Request>>& members);
-  /// Claims and runs jobs of `pass` until none remain.
-  static void RunJobs(Pass* pass);
 
   double window_ms_ = 0;
-  size_t num_workers_ = 0;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  ///< wakes the coordinator
-  std::condition_variable done_cv_;  ///< wakes callers whose request finished
+  /// Wakes waiting callers when a pass ends or a leader steps down.
+  std::condition_variable done_cv_;
   std::deque<std::shared_ptr<Request>> pending_;
-  bool stop_ = false;
-  bool threads_started_ = false;
-  std::thread coordinator_;
-  std::vector<std::thread> workers_;
-
-  /// Pass hand-off to the workers: a generation counter plus the shared
-  /// pass object. Workers re-check the generation after each pass, so a
-  /// pass is never scanned twice by the same worker.
-  std::shared_ptr<Pass> current_pass_;
-  uint64_t pass_gen_ = 0;
-  std::condition_variable pass_cv_;
+  bool pass_running_ = false;  ///< a leader holds the window or runs a pass
 
   std::atomic<uint64_t> passes_{0};
   std::atomic<uint64_t> shared_passes_{0};

@@ -378,7 +378,7 @@ class QueryService {
   ContextCache context_cache_;
   /// Single-flight ScoringContext builds across workers (wraps the cache).
   ScoringContextPool context_pool_;
-  /// Cross-query shared-scan coordinator; null when shared_scans is off.
+  /// Cross-query shared-scan queue; null when shared_scans is off.
   /// Destroyed after the workers join (dtor body), so no caller can still
   /// be blocked in SelectRows when it goes down.
   std::unique_ptr<BatchScanQueue> batch_scans_;

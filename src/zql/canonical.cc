@@ -1,6 +1,7 @@
 #include "zql/canonical.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 
 #include "common/json.h"
@@ -161,9 +162,11 @@ std::string CanonicalProcessDecl(const ProcessDecl& decl) {
 }  // namespace
 
 std::string CanonicalConstraints(const std::string& text) {
-  auto is_punct = [](char c) {
-    return c == '=' || c == '<' || c == '>' || c == '!' || c == '(' ||
-           c == ')' || c == ',';
+  auto is_op = [](char c) {
+    return c == '=' || c == '<' || c == '>' || c == '!';
+  };
+  auto is_punct = [&](char c) {
+    return is_op(c) || c == '(' || c == ')' || c == ',';
   };
   std::string out;
   bool in_quote = false;
@@ -179,13 +182,36 @@ std::string CanonicalConstraints(const std::string& text) {
       continue;
     }
     if (pending) {
-      if (!is_punct(out.back()) && !is_punct(c)) out += ' ';
+      // "< =" stays split: joined it would read as one operator.
+      const bool split_op = is_op(out.back()) && is_op(c);
+      if (split_op || (!is_punct(out.back()) && !is_punct(c))) out += ' ';
       pending = false;
     }
     out += c;
     if (c == '\'') in_quote = true;
   }
   return out;
+}
+
+std::vector<ConstraintRange> ConstraintRanges(const std::string& text) {
+  std::vector<ConstraintRange> refs;
+  bool in_quote = false;
+  size_t ident = 0;  // start of the identifier run that ends at i
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '\'') in_quote = !in_quote;
+    if (in_quote) {
+      ident = i + 1;
+      continue;
+    }
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') continue;
+    if (ident < i && text.compare(i, 6, ".range") == 0) {
+      refs.push_back({text.substr(ident, i - ident), ident, i + 6});
+      i += 5;
+    }
+    ident = i + 1;
+  }
+  return refs;
 }
 
 std::string CanonicalZSetExpr(const ZSetExpr& expr) {

@@ -26,7 +26,9 @@
 #ifndef ZV_ZQL_CANONICAL_H_
 #define ZV_ZQL_CANONICAL_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "zql/ast.h"
 
@@ -47,8 +49,25 @@ std::string CanonicalProcessCell(const std::vector<ProcessDecl>& decls);
 /// A constraints cell's canonical spelling, which visualizations carry as
 /// their label: outside single-quoted literals, whitespace runs collapse to
 /// one space, and a space next to a punctuation token (=<>!(),) is dropped
-/// — "location = 'US'" and "location='US'" share a fingerprint.
+/// — "location = 'US'" and "location='US'" share a fingerprint. A space
+/// between two operator characters (=<>!) is kept: the SQL lexer reads
+/// "< =" as two tokens, so "profit < = 5" is a parse error, not
+/// "profit<=5".
 std::string CanonicalConstraints(const std::string& text);
+
+/// One `ident.range` reference in a constraints cell: the variable and the
+/// byte span [begin, end) it covers, ".range" included.
+struct ConstraintRange {
+  std::string var;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Every `ident.range` reference in a constraints cell, in text order.
+/// Single-quoted literals are skipped with CanonicalConstraints' toggle
+/// rule, so `location='zz.range'` references nothing. Planning, EXPLAIN
+/// and range substitution all read references through this one scanner.
+std::vector<ConstraintRange> ConstraintRanges(const std::string& text);
 
 }  // namespace zv::zql
 

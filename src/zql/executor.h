@@ -124,7 +124,7 @@ struct ZqlOptions {
   /// chunk pass — the serving layer wires the QueryService's queue in
   /// here. Selection stays in the scan and aggregation in the
   /// table-size-pure blocked runner, so results are byte-identical to the
-  /// reference blocked scan regardless of chunk size, queue width, or
+  /// reference blocked scan regardless of chunk size, ZV_THREADS, or
   /// which queries happen to share a pass (tests/shard_test.cc and
   /// tests/batch_test.cc lock the matrices). Ignored for tables without a
   /// chunk map.

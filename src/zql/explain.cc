@@ -1,11 +1,11 @@
 #include "zql/explain.h"
 
-#include <cctype>
 #include <map>
 #include <set>
 
 #include "common/strings.h"
 #include "tasks/simd.h"
+#include "zql/canonical.h"
 
 namespace zv::zql {
 
@@ -22,20 +22,6 @@ void CollectRangeVars(const ZSetExpr& e, std::set<std::string>* out) {
       break;
     default:
       break;
-  }
-}
-
-void CollectConstraintRangeVars(const std::string& text,
-                                std::set<std::string>* out) {
-  for (size_t i = 0; i + 6 <= text.size(); ++i) {
-    if (text.compare(i, 6, ".range") != 0) continue;
-    size_t start = i;
-    while (start > 0 &&
-           (std::isalnum(static_cast<unsigned char>(text[start - 1])) ||
-            text[start - 1] == '_')) {
-      --start;
-    }
-    if (start < i) out->insert(text.substr(start, i - start));
   }
 }
 
@@ -143,7 +129,9 @@ Result<QueryPlan> ExplainQuery(const ZqlQuery& query) {
     if (row.viz.kind == VizEntry::Kind::kReuse) consumes.insert(row.viz.var);
     else if (row.viz.kind == VizEntry::Kind::kDeclare)
       declares.insert(row.viz.var);
-    CollectConstraintRangeVars(row.constraints, &consumes);
+    for (const ConstraintRange& r : ConstraintRanges(row.constraints)) {
+      consumes.insert(r.var);
+    }
 
     if (!row.name.source_a.empty()) comps.insert(row.name.source_a);
     if (!row.name.source_b.empty()) comps.insert(row.name.source_b);

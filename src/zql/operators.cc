@@ -343,30 +343,11 @@ Result<Slot> ResolveVizEntry(const VizEntry& e, ExecState* st) {
 Result<std::string> SubstituteRanges(const std::string& text,
                                      const ExecState& st) {
   std::string out;
-  size_t i = 0;
-  while (i < text.size()) {
-    // Find next ident.range.
-    size_t best = std::string::npos, best_start = 0;
-    for (size_t j = i; j + 6 <= text.size(); ++j) {
-      if (text.compare(j, 6, ".range") != 0) continue;
-      size_t start = j;
-      while (start > i && (std::isalnum(static_cast<unsigned char>(
-                               text[start - 1])) ||
-                           text[start - 1] == '_')) {
-        --start;
-      }
-      if (start < j) {
-        best = j;
-        best_start = start;
-        break;
-      }
-    }
-    if (best == std::string::npos) {
-      out += text.substr(i);
-      break;
-    }
-    out += text.substr(i, best_start - i);
-    const std::string var = text.substr(best_start, best - best_start);
+  size_t copied = 0;  // text before this offset is already in `out`
+  for (const ConstraintRange& ref : ConstraintRanges(text)) {
+    out.append(text, copied, ref.begin - copied);
+    copied = ref.end;
+    const std::string& var = ref.var;
     auto it = st.vars.find(var);
     if (it == st.vars.end()) {
       return Status::NotFound("unknown variable in constraints: " + var);
@@ -386,8 +367,8 @@ Result<std::string> SubstituteRanges(const std::string& text,
       if (seen.insert(lit).second) rendered.push_back(std::move(lit));
     }
     out += Join(rendered, ", ");
-    i = best + 6;
   }
+  out.append(text, copied, std::string::npos);
   return out;
 }
 

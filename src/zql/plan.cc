@@ -1,6 +1,5 @@
 #include "zql/plan.h"
 
-#include <cctype>
 #include <set>
 #include <utility>
 
@@ -28,21 +27,6 @@ void CollectRangeVars(const ZSetExpr& e, std::set<std::string>* out) {
   }
 }
 
-void CollectConstraintRangeVars(const std::string& text,
-                                std::set<std::string>* out) {
-  // Find ident.range tokens.
-  for (size_t i = 0; i + 6 <= text.size(); ++i) {
-    if (text.compare(i, 6, ".range") != 0) continue;
-    size_t start = i;
-    while (start > 0 && (std::isalnum(static_cast<unsigned char>(
-                             text[start - 1])) ||
-                         text[start - 1] == '_')) {
-      --start;
-    }
-    if (start < i) out->insert(text.substr(start, i - start));
-  }
-}
-
 /// Variables a row consumes from earlier rows: axis/Z/viz reuse and
 /// order-by references, Z-set .range references, constraints ranges, and
 /// process iteration/reducer variables the row does not declare itself.
@@ -64,7 +48,9 @@ std::set<std::string> RowVarDeps(const ZqlRow& row) {
     }
   }
   if (row.viz.kind == VizEntry::Kind::kReuse) deps.insert(row.viz.var);
-  CollectConstraintRangeVars(row.constraints, &deps);
+  for (const ConstraintRange& r : ConstraintRanges(row.constraints)) {
+    deps.insert(r.var);
+  }
   // Process iteration variables that are not declared by this row itself.
   std::set<std::string> own;
   auto own_axis = [&own](const AxisEntry& e) {

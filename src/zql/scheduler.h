@@ -16,7 +16,7 @@
 /// (docs/architecture.md "Batched execution"). Without a BatchScanQueue in
 /// the options it runs the reference blocked scan (Database::ScanBatch).
 /// With one — every served query — the whole flush joins one chunk-
-/// parallel pass of the cross-query shared-scan coordinator
+/// parallel pass of the cross-query shared-scan queue
 /// (engine/shared_scan.h), possibly alongside other queries' statements,
 /// and each statement finishes through the shared blocked aggregation
 /// (FinishChunkScan) — so what a pass happens to share, and how many
@@ -28,15 +28,16 @@
 /// ResultSet does not depend on when it executes (the query holds one
 /// table snapshot). Results are therefore byte-identical across schedules
 /// and across ZV_THREADS (tests/pipeline_test.cc) and across chunk sizes
-/// and queue widths (tests/shard_test.cc). Errors surface as the first
-/// failing statement in dispatch order — and within a chunk pass, as the
-/// lowest failing chunk index, mirroring a serial scan's row order;
-/// cancellation is polled at every step, per scanned statement on the
-/// fetch thread, while waiting on a pass, and per scored combination.
+/// (tests/shard_test.cc). Errors surface as the first failing statement in
+/// dispatch order — and within a chunk pass, as the lowest failing chunk
+/// index, mirroring a serial scan's row order; cancellation is polled at
+/// every step, per scanned statement on the fetch thread, while waiting on
+/// a pass, and per scored combination.
 ///
 /// Threads: the only thread a query creates is the pipelined fetch thread.
-/// Chunk passes run on the BatchScanQueue's own workers, and the blocked
-/// scan on the common/parallel pool.
+/// Chunk passes and the blocked scan both run on the common/parallel pool:
+/// the BatchScanQueue owns no thread — whichever waiting caller leads a
+/// pass (a coordinator or a fetch thread) runs its chunk jobs there.
 
 #ifndef ZV_ZQL_SCHEDULER_H_
 #define ZV_ZQL_SCHEDULER_H_

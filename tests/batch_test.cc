@@ -1,6 +1,6 @@
 /// \file batch_test.cc
 /// \brief The batched-execution contract (docs/architecture.md "Batched
-/// execution"): results served through the shared-scan coordinator are
+/// execution"): results served through the shared-scan queue are
 /// byte-identical to the per-query oracle across {batched, unbatched} ×
 /// {1, 4} sessions × both backends × ZV_THREADS {1, 4}. Plus: the
 /// multi-statement scanners and the queue select, per statement, exactly
@@ -11,9 +11,9 @@
 /// the client-side binner bit for bit on integer data, and a randomized
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
 /// runs it long) hammers submit/cancel/replace concurrently. Runs under
-/// the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh): the
-/// batch coordinator, its worker pool, the context pool, and the service
-/// workers race-check together.
+/// the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh): pass
+/// leaders, the common pool that runs their chunk jobs, the context pool,
+/// and the service workers race-check together.
 
 #include <gtest/gtest.h>
 
@@ -303,8 +303,10 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
 }
 
 /// Mid-batch cancellation, queue level: a member cancelled while its pass
-/// is held open abandons with kCancelled; the sibling completes with its
-/// exact reference selection.
+/// is held open abandons with kCancelled, and the sibling completes alone
+/// with its exact reference selection — whether the cancelled caller
+/// arrived first (it leads, holding the window, and must hand leadership
+/// to the sibling) or second (a follower).
 TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   auto table = MediumSales();
   ScanDatabase db;
@@ -316,26 +318,121 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   ZV_ASSERT_OK_AND_ASSIGN(
       sql::SelectStatement survivor,
       sql::ParseSelect("SELECT year FROM sales WHERE location = 'UK'"));
-  BatchScanOptions bopts;
-  bopts.window_ms = 2000;  // long window: the cancel always lands inside it
-  BatchScanQueue queue(bopts);
+  for (bool doomed_leads : {true, false}) {
+    SCOPED_TRACE(doomed_leads ? "cancelled leader" : "cancelled follower");
+    BatchScanOptions bopts;
+    bopts.window_ms = 2000;  // long window: the cancel always lands inside it
+    BatchScanQueue queue(bopts);
+    CancelToken token;
+    BatchScanQueue::Selection cancelled_sel;
+    BatchScanQueue::Selection survivor_sel;
+    const auto run_doomed = [&] {
+      CancelScope scope(token);
+      cancelled_sel = queue.SelectRows(&db, "sales", {&doomed});
+    };
+    const auto run_survivor = [&] {
+      survivor_sel = queue.SelectRows(&db, "sales", {&survivor});
+    };
+    // The first arrival finds no pass running and leads; the second
+    // follows.
+    std::thread first([&] { doomed_leads ? run_doomed() : run_survivor(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::thread second([&] { doomed_leads ? run_survivor() : run_doomed(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    token.Cancel();
+    first.join();
+    second.join();
+    EXPECT_EQ(cancelled_sel.status.code(), StatusCode::kCancelled)
+        << cancelled_sel.status.ToString();
+    ZV_ASSERT_OK(survivor_sel.status);
+    EXPECT_EQ(survivor_sel.rows[0], testing::ReferenceRows(*table, survivor));
+    EXPECT_FALSE(survivor_sel.shared);
+    EXPECT_EQ(queue.passes(), 1u);
+    EXPECT_EQ(queue.statements_served(), 1u);
+  }
+}
+
+/// A backend whose chunk scans each take `chunk_ms`, so a pass stays in
+/// flight long enough to cancel its leader mid-pass. Scanners never fuse.
+class SlowScanDatabase : public ScanDatabase {
+ public:
+  explicit SlowScanDatabase(int chunk_ms) : chunk_ms_(chunk_ms) {}
+
+  Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const sql::SelectStatement*>& stmts) override {
+    ZV_ASSIGN_OR_RETURN(std::unique_ptr<MultiChunkScanner> base,
+                        ScanDatabase::PrepareMultiChunkScan(stmts));
+    return std::unique_ptr<MultiChunkScanner>(
+        new SlowScanner(std::move(base), chunk_ms_));
+  }
+
+ private:
+  class SlowScanner : public MultiChunkScanner {
+   public:
+    SlowScanner(std::unique_ptr<MultiChunkScanner> base, int ms)
+        : base_(std::move(base)), ms_(ms) {}
+    size_t num_statements() const override {
+      return base_->num_statements();
+    }
+    Status ScanRange(uint32_t begin, uint32_t end,
+                     std::vector<std::vector<uint32_t>>* outs) const override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
+      return base_->ScanRange(begin, end, outs);
+    }
+    bool Absorb(std::unique_ptr<MultiChunkScanner>&) override {
+      return false;
+    }
+
+   private:
+    std::unique_ptr<MultiChunkScanner> base_;
+    int ms_;
+  };
+
+  int chunk_ms_;
+};
+
+/// A leader cancelled mid-pass: the pass is never cancelled, so the leader
+/// returns kCancelled only once its pass has ended, and a caller that
+/// arrived during the pass is served exactly by the next one.
+TEST(BatchTest, LeaderCancelledMidPassReturnsWhenThePassEnds) {
+  auto table = MediumSales();
+  SlowScanDatabase db(/*chunk_ms=*/10);
+  ZV_ASSERT_OK(db.RegisterTable(table));
+  ZV_ASSERT_OK(db.RebuildChunkMap("sales", 256));  // 12 chunks
+  ZV_ASSERT_OK_AND_ASSIGN(
+      sql::SelectStatement leader_stmt,
+      sql::ParseSelect("SELECT year FROM sales WHERE location = 'US'"));
+  ZV_ASSERT_OK_AND_ASSIGN(
+      sql::SelectStatement follower_stmt,
+      sql::ParseSelect("SELECT year FROM sales WHERE location = 'UK'"));
+  SetParallelThreads(1);  // the leader scans all 12 chunks itself: ~120 ms
+  BatchScanQueue queue;
   CancelToken token;
-  BatchScanQueue::Selection cancelled_sel;
-  std::thread doomed_caller([&] {
+  BatchScanQueue::Selection leader_sel;
+  BatchScanQueue::Selection follower_sel;
+  uint64_t passes_at_leader_return = 0;
+  std::thread leader([&] {
     CancelScope scope(token);
-    cancelled_sel = queue.SelectRows(&db, "sales", {&doomed});
-  });
-  std::thread survivor_caller([&] {
-    BatchScanQueue::Selection sel = queue.SelectRows(&db, "sales", {&survivor});
-    ZV_ASSERT_OK(sel.status);
-    EXPECT_EQ(sel.rows[0], testing::ReferenceRows(*table, survivor));
+    leader_sel = queue.SelectRows(&db, "sales", {&leader_stmt});
+    passes_at_leader_return = queue.passes();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::thread follower([&] {
+    follower_sel = queue.SelectRows(&db, "sales", {&follower_stmt});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   token.Cancel();
-  doomed_caller.join();
-  EXPECT_EQ(cancelled_sel.status.code(), StatusCode::kCancelled)
-      << cancelled_sel.status.ToString();
-  survivor_caller.join();
+  leader.join();
+  follower.join();
+  SetParallelThreads(0);
+  EXPECT_EQ(leader_sel.status.code(), StatusCode::kCancelled)
+      << leader_sel.status.ToString();
+  EXPECT_EQ(passes_at_leader_return, 1u);
+  ZV_ASSERT_OK(follower_sel.status);
+  EXPECT_EQ(follower_sel.rows[0],
+            testing::ReferenceRows(*table, follower_stmt));
+  EXPECT_FALSE(follower_sel.shared);
+  EXPECT_EQ(queue.passes(), 2u);
 }
 
 /// Service level: cancelling one query mid-batch never disturbs a

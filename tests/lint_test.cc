@@ -215,6 +215,46 @@ TEST(RawSimdTest, SimdHomeIsExemptAndSuppressionWorks) {
 }
 
 // ---------------------------------------------------------------------------
+// raw-thread
+// ---------------------------------------------------------------------------
+
+TEST(RawThreadTest, FlagsThreadJthreadAndAsyncInEngine) {
+  const auto vs = LintFile(
+      File("src/engine/shared_scan.cc",
+           "std::thread coordinator_;\n"
+           "std::vector<std :: jthread> workers_;\n"
+           "auto f = std::async(std::launch::async, Scan);\n"));
+  ASSERT_EQ(vs.size(), 3u);
+  for (size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(vs[i].rule, "raw-thread");
+    EXPECT_EQ(vs[i].line, static_cast<int>(i) + 1);
+  }
+}
+
+TEST(RawThreadTest, ThisThreadAndMentionsInStringsDoNotFire) {
+  const auto vs = LintFile(
+      File("src/engine/database.cc",
+           "std::this_thread::sleep_for(std::chrono::microseconds(20));\n"
+           "const char* doc = \"std::thread\";\n"
+           "// a std::thread in a comment\n"));
+  EXPECT_TRUE(vs.empty());
+}
+
+TEST(RawThreadTest, ThreadOwnersAreExemptAndSuppressionWorks) {
+  for (const char* home :
+       {"src/common/parallel.h", "src/common/parallel.cc",
+        "src/zql/scheduler.h", "src/zql/scheduler.cc",
+        "src/server/query_service.h", "src/server/query_service.cc"}) {
+    EXPECT_TRUE(LintFile(File(home, "std::thread t_;\n")).empty()) << home;
+  }
+  EXPECT_TRUE(LintFile(File("src/engine/shared_scan.cc",
+                            "// Joined before the pass returns.\n"
+                            "// zv-lint: raw-thread\n"
+                            "std::thread t([] {});\n"))
+                  .empty());
+}
+
+// ---------------------------------------------------------------------------
 // unordered-iter
 // ---------------------------------------------------------------------------
 
@@ -498,7 +538,7 @@ TEST(RulesTest, EveryRuleIdIsRegistered) {
   for (const RuleInfo& r : Rules()) ids.push_back(r.id);
   for (const char* expected :
        {"raw-clock", "raw-rand", "unordered-iter", "manual-lock", "raw-simd",
-        "layering", "include-cycle"}) {
+        "raw-thread", "layering", "include-cycle"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
         << expected;
   }

@@ -136,6 +136,161 @@ TEST(ParallelForStatusTest, AllOkRunsEveryIndex) {
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 300);
 }
 
+// --- Concurrent callers ----------------------------------------------------
+
+/// Deterministic per-index work (a few multiply rounds, so chunks take long
+/// enough to overlap across threads); a serial loop over it is the oracle.
+uint64_t Mix(size_t caller, size_t i) {
+  uint64_t h = caller * 0x9E3779B97F4A7C15ull + i;
+  for (int k = 0; k < 16; ++k) {
+    h = h * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  return h;
+}
+
+/// The job a caller lists at size n: fn(i) counts its runs in hits[i] and
+/// writes out[i]; every 97th index also makes a nested call (inline on a
+/// pool worker, a second listed job on the calling thread). Returns true
+/// when every index ran exactly once and out equals a serial run.
+bool RunMatchesSerial(size_t caller, size_t n, bool status_variant) {
+  std::vector<std::atomic<int>> hits(n);
+  std::vector<uint64_t> out(n, 0);
+  const auto body = [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+    uint64_t nested = 0;
+    if (i % 97 == 0) {
+      std::vector<uint64_t> inner(5, 0);
+      ParallelFor(inner.size(),
+                  [&](size_t k) { inner[k] = Mix(caller, i + k); });
+      for (uint64_t v : inner) nested += v;
+    }
+    out[i] = Mix(caller, i) + nested;
+  };
+  if (status_variant) {
+    const Status s = ParallelForStatus(n, [&](size_t i) {
+      body(i);
+      return Status::OK();
+    });
+    if (!s.ok()) return false;
+  } else {
+    ParallelFor(n, body);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t nested = 0;
+    if (i % 97 == 0) {
+      for (size_t k = 0; k < 5; ++k) nested += Mix(caller, i + k);
+    }
+    if (hits[i].load() != 1 || out[i] != Mix(caller, i) + nested) return false;
+  }
+  return true;
+}
+
+/// Errors seeded at first, first + stride, ... (none when first >= n), from
+/// both variants — a Status from ParallelForStatus, an exception from
+/// ParallelFor. Returns true when the lowest seeded index wins, as in a
+/// serial loop, every index below it ran exactly once, and none ran twice.
+bool LowestErrorWins(size_t n, size_t first, size_t stride,
+                     bool status_variant) {
+  std::vector<std::atomic<int>> hits(n);
+  const auto fails = [&](size_t i) {
+    return i >= first && (i - first) % stride == 0;
+  };
+  std::string got;
+  if (status_variant) {
+    const Status s = ParallelForStatus(n, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      return fails(i) ? Status::Internal(std::to_string(i)) : Status::OK();
+    });
+    if (!s.ok()) got = s.message();
+  } else {
+    try {
+      ParallelFor(n, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (fails(i)) throw std::runtime_error(std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      got = e.what();
+    }
+  }
+  const std::string want = first < n ? std::to_string(first) : "";
+  if (got != want) return false;
+  for (size_t i = 0; i < n; ++i) {
+    const int h = hits[i].load();
+    if (h > 1 || (i < first && h != 1)) return false;
+  }
+  return true;
+}
+
+/// Eight threads call into the pool at once, so several jobs are listed
+/// together and helpers serve them oldest first while each caller drains
+/// its own. Each caller loops over both variants at sizes {0, 1, 2, 7, 64,
+/// 1000, 50000}, with nested calls inside jobs and seeded error indices;
+/// one caller also cancels its own job midway. Every index must run
+/// exactly once (at most once when cancelled), outputs must equal a serial
+/// run, and the lowest error index must win.
+TEST(ParallelForTest, ConcurrentCallersMatchSerial) {
+  ThreadGuard guard;
+  SetParallelThreads(4);
+  constexpr size_t kCallers = 8;
+  constexpr size_t kRounds = 3;
+  const size_t kSizes[] = {0, 1, 2, 7, 64, 1000, 50000};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> cancel_failures{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t n : kSizes) {
+          const size_t first = (c * 131 + round * 17 + n / 3) % (n + 1);
+          for (bool status_variant : {false, true}) {
+            if (!RunMatchesSerial(c, n, status_variant) ||
+                !LowestErrorWins(n, first, 3 + c, status_variant)) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+        if (c != kCallers - 1) continue;
+        // The cancelled caller: its token fires from inside its own job's
+        // first index, and every other index waits for it, so no thread
+        // claims a second chunk before it fires. The Status variant reports
+        // kCancelled, both skip the chunks claimed after it, and no index
+        // runs twice.
+        for (bool status_variant : {false, true}) {
+          constexpr size_t kN = 50000;
+          CancelToken token;
+          CancelScope scope(token);
+          std::vector<std::atomic<int>> hits(kN);
+          const auto body = [&](size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (i == 0) token.Cancel();
+            while (!token.cancelled()) std::this_thread::yield();
+          };
+          bool ok = true;
+          if (status_variant) {
+            const Status s = ParallelForStatus(kN, [&](size_t i) {
+              body(i);
+              return Status::OK();
+            });
+            ok = s.code() == StatusCode::kCancelled;
+          } else {
+            ParallelFor(kN, body);
+            ok = CancellationRequested();
+          }
+          size_t ran = 0;
+          for (size_t i = 0; i < kN; ++i) {
+            if (hits[i].load() > 1) ok = false;
+            ran += hits[i].load();
+          }
+          if (!ok || ran == kN) cancel_failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cancel_failures.load(), 0);
+}
+
 // --- ScoringContext exactness ----------------------------------------------
 
 Visualization MakeViz(std::vector<int64_t> xs, std::vector<double> ys) {

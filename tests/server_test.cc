@@ -390,6 +390,39 @@ TEST(QueryServiceTest, ConstraintSpellingsRenderOneLabel) {
   EXPECT_EQ(rendered[0], rendered[1]);
 }
 
+TEST(QueryServiceTest, SplitOperatorIsNeverServedAsTheJoinedOne) {
+  // "profit < = 5" is a SQL parse error: the lexer reads "< =" as two
+  // tokens. Its canonical spelling keeps the split, so it never shares a
+  // fingerprint — or a cached result — with "profit<=5". On one session,
+  // in both arrival orders, the split spelling fails and the joined one
+  // runs.
+  const std::string joined =
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | profit<=5 | |";
+  const std::string split =
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | profit < = 5 | |";
+  for (bool joined_first : {true, false}) {
+    SCOPED_TRACE(joined_first ? "joined first" : "split first");
+    QueryService service;
+    ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));
+    ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+    std::vector<std::string> order = {joined, split};
+    if (!joined_first) std::swap(order[0], order[1]);
+    for (const std::string& q : order) {
+      ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h,
+                              service.Submit(session, "sales", q));
+      const Status status = h.Wait();
+      if (q == joined) {
+        ZV_EXPECT_OK(status);
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+        EXPECT_NE(status.message().find("expected literal"),
+                  std::string::npos)
+            << status.message();
+      }
+    }
+  }
+}
+
 TEST(QueryServiceTest, ParseErrorsResolveOnTheHandleWithDiagnostics) {
   QueryService service;
   ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));

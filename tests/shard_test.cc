@@ -3,15 +3,17 @@
 /// pass (a BatchScanQueue in the options) is byte-identical to the
 /// reference blocked scan (no queue, staged, ZV_THREADS=1) across chunk
 /// sizes (including table < 1 chunk, chunk = 1 row, a chunk boundary on
-/// the last row, and an empty table), queue widths (including more
-/// workers than chunks), both backends, both schedules, and ZV_THREADS in
-/// {1, 4} — with the same sql_queries/sql_requests deltas. Plus:
+/// the last row, and an empty table), both backends, both schedules, and
+/// ZV_THREADS in {1, 4, 8} — the pass runs on the common pool, so that is
+/// also its width, including more pool threads than chunks — with the
+/// same sql_queries/sql_requests deltas. Plus:
 /// cancellation mid-pass resolves promptly, a scanner's per-chunk
 /// selection matches a plain whole-table predicate loop row for row,
 /// served queries report their chunk and job time, EXPLAIN renders the
 /// fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
 /// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// the queue's workers and the fetch thread race-check together.
+/// the pass's leader, the pool's workers and the fetch thread race-check
+/// together.
 
 #include <gtest/gtest.h>
 
@@ -107,21 +109,16 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// Runs `zql` through a direct executor. `workers` > 0 gives it a private
-/// BatchScanQueue of that width, so every flush takes the shared chunk
-/// pass; 0 runs the reference blocked scan.
-Result<ZqlResult> RunZql(Database* db, const char* zql, size_t workers,
+/// Runs `zql` through a direct executor. `queued` gives it a private
+/// BatchScanQueue, so every flush takes the shared chunk pass (ZV_THREADS
+/// wide on the common pool); otherwise it runs the reference blocked scan.
+Result<ZqlResult> RunZql(Database* db, const char* zql, bool queued,
                          bool pipelined) {
-  std::unique_ptr<BatchScanQueue> queue;
+  BatchScanQueue queue;
   ZqlOptions opts;
   opts.named_sets = MakeP(8);
   opts.pipelined_execution = pipelined;
-  if (workers > 0) {
-    BatchScanOptions bopts;
-    bopts.workers = workers;
-    queue = std::make_unique<BatchScanQueue>(bopts);
-    opts.batch_scans = queue.get();
-  }
+  if (queued) opts.batch_scans = &queue;
   ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
 }
@@ -129,7 +126,7 @@ Result<ZqlResult> RunZql(Database* db, const char* zql, size_t workers,
 /// The reference: no queue, staged, serial.
 ZqlResult Reference(Database* db, const char* zql) {
   ScopedThreads threads(1);
-  Result<ZqlResult> r = RunZql(db, zql, /*workers=*/0, /*pipelined=*/false);
+  Result<ZqlResult> r = RunZql(db, zql, /*queued=*/false, /*pipelined=*/false);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
   return r.ok() ? std::move(r).value() : ZqlResult{};
 }
@@ -146,26 +143,23 @@ void RunIdentityMatrix() {
     // exact divisor of the 3000-row table (1500: the last chunk boundary
     // lands exactly on the last row — no ragged tail chunk), and the
     // default 2^18 rows — which the table fits inside, so the pass is a
-    // single chunk. Queue widths include 8, which exceeds the chunk count
-    // at chunk_rows=1500 (2 chunks): surplus workers must idle without
-    // disturbing the bytes.
+    // single chunk. Thread counts include 8, which exceeds the chunk count
+    // at chunk_rows=1500 (2 chunks): surplus pool threads must idle
+    // without disturbing the bytes.
     for (size_t chunk_rows :
          {size_t{1}, size_t{256}, size_t{1500}, size_t{0}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
-      for (size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
-        for (size_t nthreads : {size_t{1}, size_t{4}}) {
-          for (bool pipelined : {false, true}) {
-            ScopedThreads threads(nthreads);
-            ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
-                                    RunZql(&db, zql, workers, pipelined));
-            EXPECT_TRUE(SameResult(baseline, got))
-                << db.name() << " chunk_rows=" << chunk_rows
-                << " workers=" << workers << " threads=" << nthreads
-                << " pipelined=" << pipelined;
-            EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries);
-            EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests);
-            EXPECT_GT(got.stats.chunks_scanned, 0u);
-          }
+      for (size_t nthreads : {size_t{1}, size_t{4}, size_t{8}}) {
+        for (bool pipelined : {false, true}) {
+          ScopedThreads threads(nthreads);
+          ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
+                                  RunZql(&db, zql, true, pipelined));
+          EXPECT_TRUE(SameResult(baseline, got))
+              << db.name() << " chunk_rows=" << chunk_rows
+              << " threads=" << nthreads << " pipelined=" << pipelined;
+          EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries);
+          EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests);
+          EXPECT_GT(got.stats.chunks_scanned, 0u);
         }
       }
     }
@@ -189,9 +183,10 @@ TEST(ShardTest, ChunkStatsPopulated) {
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 500));  // 6 chunks
   ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed, RunZql(&db, kSetQuery, 4, true));
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed,
+                          RunZql(&db, kSetQuery, true, true));
   ZV_ASSERT_OK_AND_ASSIGN(ZqlResult reference,
-                          RunZql(&db, kSetQuery, 0, true));
+                          RunZql(&db, kSetQuery, false, true));
   EXPECT_EQ(passed.stats.chunks_scanned, 6 * passed.stats.sql_queries);
   EXPECT_GT(passed.stats.shard_ms, 0.0);
   EXPECT_EQ(reference.stats.chunks_scanned, 0u);
@@ -249,17 +244,25 @@ TEST(ShardTest, ChunkBoundaryExactlyOnLastRow) {
   }
 }
 
-/// More queue workers than chunks: with 2 chunks and 8 workers the
-/// surplus workers find no job to claim and go back to waiting; results
-/// and the chunks_scanned accounting match the exactly-subscribed run.
-TEST(ShardTest, MoreWorkersThanChunks) {
+/// More pool threads than chunks: a 2-chunk pass at ZV_THREADS=8 lists a
+/// 2-job ParallelFor, so the surplus pool threads find nothing to claim
+/// and go back to waiting; results and the chunks_scanned accounting
+/// match the exactly-subscribed run.
+TEST(ShardTest, MorePoolThreadsThanChunks) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 1500));  // exactly 2 chunks
   const ZqlResult baseline = Reference(&db, kSetQuery);
-  ScopedThreads threads(4);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult matched, RunZql(&db, kSetQuery, 2, true));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult surplus, RunZql(&db, kSetQuery, 8, true));
+  ZqlResult matched;
+  ZqlResult surplus;
+  {
+    ScopedThreads threads(2);
+    ZV_ASSERT_OK_AND_ASSIGN(matched, RunZql(&db, kSetQuery, true, true));
+  }
+  {
+    ScopedThreads threads(8);
+    ZV_ASSERT_OK_AND_ASSIGN(surplus, RunZql(&db, kSetQuery, true, true));
+  }
   EXPECT_TRUE(SameResult(baseline, matched));
   EXPECT_TRUE(SameResult(baseline, surplus));
   EXPECT_EQ(surplus.stats.chunks_scanned, matched.stats.chunks_scanned);
@@ -289,8 +292,9 @@ TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
     // A fixed visualization (value iteration over an empty table would be
     // an empty Z set, rejected upstream of fetch on both paths alike).
     const char* fixed = "*f1 | 'year' | 'sales' | | | bar.(y=agg('sum')) |";
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline, RunZql(db, fixed, 0, false));
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult queued, RunZql(db, fixed, 4, true));
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline,
+                            RunZql(db, fixed, false, false));
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult queued, RunZql(db, fixed, true, true));
     EXPECT_TRUE(SameResult(baseline, queued)) << db->name();
     EXPECT_EQ(queued.stats.chunks_scanned, 0u);
     EXPECT_EQ(queued.stats.batched_scans, 0u);
@@ -356,9 +360,8 @@ TEST(ShardTest, CancelMidChunkPassReturnsPromptly) {
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 64));
   db.set_request_latency_micros(20000);  // 20 ms per round trip
 
-  BatchScanOptions bopts;
-  bopts.workers = 4;
-  BatchScanQueue queue(bopts);
+  ScopedThreads threads(4);
+  BatchScanQueue queue;
   ZqlOptions opts;
   opts.optimization = OptLevel::kNoOpt;  // one request per visualization
   opts.pipelined_execution = true;

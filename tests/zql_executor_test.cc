@@ -3,7 +3,11 @@
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
 #include "tests/test_util.h"
+#include "zql/canonical.h"
 #include "zql/executor.h"
+#include "zql/explain.h"
+#include "zql/parser.h"
+#include "zql/plan.h"
 
 namespace zv::zql {
 namespace {
@@ -25,6 +29,37 @@ class ZqlExecutorTest : public ::testing::Test {
 
   ScanDatabase db_;
 };
+
+// A `.range` inside a quoted literal is data, not a reference: the query
+// plans, EXPLAIN consumes no variable, and it runs exactly like any other
+// unmatched literal. Unquoted references still resolve.
+TEST_F(ZqlExecutorTest, RangeInsideQuotedLiteralIsNotAReference) {
+  const std::vector<ConstraintRange> refs =
+      ConstraintRanges("product IN (v2.range) AND location='zz.range'");
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_EQ(refs[0].var, "v2");
+  EXPECT_EQ(refs[0].begin, 12u);
+  EXPECT_EQ(refs[0].end, 20u);
+
+  const std::string quoted =
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | location='zz.range' | |";
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(quoted));
+  ZV_ASSERT_OK(BuildPhysicalPlan(q, ZqlOptions{}).status());
+  ZV_ASSERT_OK_AND_ASSIGN(QueryPlan plan, ExplainQuery(q));
+  ASSERT_EQ(plan.rows.size(), 1u);
+  EXPECT_TRUE(plan.rows[0].consumes_vars.empty());
+  const ZqlResult got = Run(quoted);
+  const ZqlResult plain = Run(
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | location='zz' | |");
+  ASSERT_EQ(got.outputs.size(), 1u);
+  ASSERT_EQ(plain.outputs.size(), 1u);
+  ASSERT_EQ(got.outputs[0].visuals.size(), plain.outputs[0].visuals.size());
+  for (size_t i = 0; i < got.outputs[0].visuals.size(); ++i) {
+    EXPECT_EQ(got.outputs[0].visuals[i].xs, plain.outputs[0].visuals[i].xs);
+    EXPECT_EQ(got.outputs[0].visuals[i].series,
+              plain.outputs[0].visuals[i].series);
+  }
+}
 
 // Table 2.1: one line, a collection of visualizations.
 TEST_F(ZqlExecutorTest, CollectionPerProduct) {

@@ -233,6 +233,9 @@ TEST(ZqlRoundtripTest, SemanticMutationsMoveTheFingerprint) {
        "*f1 | 'year' | 'sales' | v1 <- 'location'.{'US', 'FR'} | | |"},
       {"*f1 | 'year' | 'sales' | 'location'.'US' | sales > 100 | |",
        "*f1 | 'year' | 'sales' | 'location'.'US' | sales > 101 | |"},
+      // A split operator is a SQL parse error, not the joined one.
+      {"*f1 | 'year' | 'sales' | 'location'.'US' | sales <= 100 | |",
+       "*f1 | 'year' | 'sales' | 'location'.'US' | sales < = 100 | |"},
       {"*f1 | 'year' | 'sales' | 'location'.'US' | | |",
        "*f1 | 'month' | 'sales' | 'location'.'US' | | |"},
   };

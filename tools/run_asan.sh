@@ -47,7 +47,7 @@ cmake -B "$BUILD" -S "$ROOT" -DZV_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 
 echo "== building $SUITES =="
 # shellcheck disable=SC2086  # word-splitting the target list is the point
-cmake --build "$BUILD" -j --target $SUITES zv_lint
+cmake --build "$BUILD" -j "$(nproc)" --target $SUITES zv_lint
 
 echo "== zv-lint preflight =="
 # A cheap static gate before the expensive instrumented run: a raw clock

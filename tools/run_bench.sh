@@ -34,7 +34,7 @@ echo "== zv-lint preflight =="
 # Perf numbers from a tree that violates the determinism invariants are
 # not worth recording; gate before spending bench minutes.
 if [[ ! -x "$BUILD_DIR/zv_lint" ]]; then
-  cmake --build "$BUILD_DIR" -j --target zv_lint > /dev/null
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target zv_lint > /dev/null
 fi
 "$BUILD_DIR/zv_lint" "$ROOT" --baseline "$ROOT/tools/zv_lint_baseline.txt"
 

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Race gate for the concurrent layers: builds a ThreadSanitizer tree
 # (-DZV_TSAN=ON) and runs the concurrency-sensitive suites under it —
-#   parallel_test  (thread pool, deterministic ParallelFor, cancellation)
+#   parallel_test  (thread pool, deterministic ParallelFor, cancellation;
+#                   eight concurrent callers over the pool's job list with
+#                   nested calls, seeded errors and a cancelled caller)
 #   topk_test      (SharedTopK's relaxed atomic bound)
 #   server_test    (sessions, caches, async execution, admission control)
 #   pipeline_test  (fetch thread + bounded hand-off queue byte-identity,
 #                   mid-pipeline cancellation)
-#   shard_test     (chunk-parallel passes on a private batch queue: queue
-#                   workers + coordinator vs the fetch thread, mid-pass
-#                   cancellation)
-#   batch_test     (cross-query shared scans: group-commit coordinator,
-#                   fused-pass worker pool, ScoringContextPool
-#                   single-flight, mid-batch cancellation)
+#   shard_test     (chunk-parallel passes on a private batch queue: the
+#                   pass's leader and the pool's workers vs the fetch
+#                   thread, mid-pass cancellation)
+#   batch_test     (cross-query shared scans: group commit by leader
+#                   election, fused passes on the common pool,
+#                   ScoringContextPool single-flight, cancelled leaders
+#                   and followers)
 #   zql_roundtrip_test (canonical serialization / fingerprint property
 #                   suite — serial, but cheap enough to keep in the gate)
 #   trace_test     (trace spans opened concurrently from the coordinator,
@@ -42,7 +45,7 @@ cmake -B "$BUILD" -S "$ROOT" -DZV_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 
 echo "== building $SUITES =="
 # shellcheck disable=SC2086  # word-splitting the target list is the point
-cmake --build "$BUILD" -j --target $SUITES zv_lint
+cmake --build "$BUILD" -j "$(nproc)" --target $SUITES zv_lint
 
 echo "== zv-lint preflight =="
 # A cheap static gate before the expensive instrumented run: a raw clock

@@ -27,7 +27,7 @@ cmake -B "$BUILD" -S "$ROOT" -DZV_UBSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   > /dev/null
 
 echo "== building =="
-cmake --build "$BUILD" -j > /dev/null
+cmake --build "$BUILD" -j "$(nproc)" > /dev/null
 
 echo "== zv-lint preflight =="
 "$BUILD/zv_lint" "$ROOT" --baseline "$ROOT/tools/zv_lint_baseline.txt"

@@ -226,6 +226,33 @@ bool HasRawSimd(const std::string& code) {
   return false;
 }
 
+/// `std::thread`, `std::jthread` or `std::async`, with any spacing around
+/// the `::`. `std::this_thread` is a different identifier and never
+/// matches.
+bool HasRawThread(const std::string& code) {
+  size_t pos = 0;
+  while ((pos = FindIdent(code, "std", pos)) != npos) {
+    pos += 3;
+    const size_t j = SkipSpace(code, pos);
+    if (code.compare(j, 2, "::") != 0) continue;
+    const std::string name = ReadIdentAt(code, SkipSpace(code, j + 2));
+    if (name == "thread" || name == "jthread" || name == "async") return true;
+  }
+  return false;
+}
+
+/// The files that may start threads: the common pool, the pipelined fetch
+/// thread, and the serving layer's admission workers.
+bool IsThreadHome(const std::string& path) {
+  for (const char* home :
+       {"common/parallel.h", "common/parallel.cc", "zql/scheduler.h",
+        "zql/scheduler.cc", "server/query_service.h",
+        "server/query_service.cc"}) {
+    if (EndsWith(path, home)) return true;
+  }
+  return false;
+}
+
 /// A member call `.lock()` / `->unlock()` etc.
 bool HasManualLock(const std::string& code) {
   for (const char* fn : {"lock", "unlock"}) {
@@ -462,6 +489,9 @@ const std::vector<RuleInfo>& Rules() {
       {"manual-lock", "bare .lock()/.unlock() instead of a scoped guard"},
       {"raw-simd",
        "vector intrinsics (immintrin.h, _mm*/__m*) outside tasks/simd.{h,cc}"},
+      {"raw-thread",
+       "std::thread/std::jthread/std::async outside common/parallel, "
+       "zql/scheduler and server/query_service"},
       {"layering", "#include edge not in the layer DAG"},
       {"include-cycle", "cycle in the file-level include graph"},
   };
@@ -486,6 +516,7 @@ std::vector<Violation> LintFile(const SourceFile& f,
   const bool rng_home = EndsWith(f.path, "common/rng.h");
   const bool simd_home = EndsWith(f.path, "tasks/simd.h") ||
                          EndsWith(f.path, "tasks/simd.cc");
+  const bool thread_home = IsThreadHome(f.path);
 
   // Container names declared here or in companion headers (a .cc iterating
   // a member its own header declares is the common case).
@@ -523,6 +554,16 @@ std::vector<Violation> LintFile(const SourceFile& f,
           "raw vector intrinsics; the only sanctioned home is the "
           "tasks/simd.h kernel layer, which pairs every vector path with a "
           "bit-identical scalar fallback and runtime dispatch"));
+    }
+
+    if (!thread_home && HasRawThread(code) &&
+        !Suppressed(lines, i, "raw-thread")) {
+      out.push_back(MakeViolation(
+          "raw-thread", f.path, i, code,
+          "raw thread; run the work on the common pool (ParallelFor, "
+          "common/parallel.h) — the only thread owners are that pool, the "
+          "pipelined fetch thread and the serving layer's admission "
+          "workers"));
     }
 
     if (HasManualLock(code) && !Suppressed(lines, i, "manual-lock")) {

@@ -20,6 +20,11 @@
 ///   unordered-iter  iteration over std::unordered_{map,set,...} without a
 ///                   `// zv-lint: order-independent` annotation; hash
 ///                   order is not part of the determinism contract.
+///   raw-simd        vector intrinsics outside tasks/simd.{h,cc}.
+///   raw-thread      std::thread/std::jthread/std::async outside the
+///                   files that may start threads: common/parallel,
+///                   zql/scheduler and server/query_service
+///                   (std::this_thread is fine).
 ///   manual-lock     bare .lock()/.unlock() calls — use a scoped guard
 ///                   (std::lock_guard, std::unique_lock, zv::ScopedUnlock)
 ///                   or annotate `// zv-lint: manual-lock`.
@@ -89,7 +94,8 @@ bool KnownLayer(const std::string& dir);
 /// True when a file in layer `from` may include a file in layer `to`.
 bool LayerEdgeAllowed(const std::string& from, const std::string& to);
 
-/// Per-file rules (raw-clock, raw-rand, unordered-iter, manual-lock).
+/// Per-file rules (raw-clock, raw-rand, raw-simd, raw-thread,
+/// unordered-iter, manual-lock).
 /// `headers` may carry companion files (e.g. the matching .h of a .cc)
 /// whose unordered-container declarations are visible to `f`.
 std::vector<Violation> LintFile(const SourceFile& f,
