@@ -33,7 +33,6 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "engine/scan_db.h"
-#include "engine/shared_scan.h"
 #include "tasks/distance.h"
 #include "tasks/series_cache.h"
 #include "tasks/topk.h"
@@ -282,21 +281,22 @@ bool TopKScoring(JsonRecorder* recorder, zv::DistanceMetric metric,
 /// The paper's deployment runs against a *remote* PostgreSQL: each
 /// statement's execution happens server-side, so the client core is idle
 /// while it waits. This stand-in adds that per-statement service delay on
-/// top of the local scan — the wait is exactly what the pipelined
-/// schedule overlaps with scoring (and the only overlap a single-core
-/// machine can realize; multi-core machines additionally overlap the scan
-/// CPU itself).
+/// top of the local scan, in the per-statement step a fetch streams
+/// (FinishChunkScan) — the wait is exactly what the pipelined schedule
+/// overlaps with scoring (and the only overlap a single-core machine can
+/// realize; multi-core machines additionally overlap the scan CPU
+/// itself).
 class RemoteScanDatabase : public zv::ScanDatabase {
  public:
   explicit RemoteScanDatabase(uint64_t stmt_micros)
       : stmt_micros_(stmt_micros) {}
   std::string name() const override { return "scan-remote"; }
 
- protected:
-  zv::Result<zv::ResultSet> ExecuteInternal(
-      const zv::sql::SelectStatement& stmt) override {
+  zv::Result<zv::ResultSet> FinishChunkScan(
+      const zv::sql::SelectStatement& stmt,
+      const std::vector<std::vector<uint32_t>>& parts) override {
     std::this_thread::sleep_for(std::chrono::microseconds(stmt_micros_));
-    return ScanDatabase::ExecuteInternal(stmt);
+    return ScanDatabase::FinishChunkScan(stmt, parts);
   }
 
  private:
@@ -423,10 +423,9 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
 /// for: each chunk is a partition of a *remote* store (the paper's
 /// PostgreSQL serves scans server-side), so scanning a row range costs a
 /// service wait proportional to the rows it covers plus the local row-id
-/// extraction. The override wraps every scanner the backend prepares, so
-/// both routes pay it: the reference blocked scan (no queue) waits block
-/// by block on one thread at ZV_THREADS=1, while a BatchScanQueue pass
-/// overlaps its chunks' waits across the common pool's ZV_THREADS threads
+/// extraction. The override wraps every scanner the backend prepares: at
+/// ZV_THREADS=1 a pass waits chunk by chunk on one thread, while wider
+/// settings overlap its chunks' waits across the common pool's threads
 /// — the same overlap PipelineOverlap's RemoteScanDatabase realizes one
 /// level up, and the only scan speedup any machine sees once the store is
 /// remote (multi-core machines additionally overlap the extraction CPU).
@@ -474,8 +473,8 @@ class PartitionedScanDatabase : public zv::ScanDatabase {
 
 /// Chunk-pass scaling: one selective statement over a 10M-row table
 /// (paper scale), swept over chunk size x pool threads (the pass runs on
-/// the common pool). Every queued run is compared byte-for-byte against
-/// the no-queue reference scan at ZV_THREADS=1; a divergence fails the
+/// the common pool). Every run is compared byte-for-byte against the pass
+/// at ZV_THREADS=1 and the default chunk size; a divergence fails the
 /// harness (returns false) so BENCH_fig7.json can never record a speedup
 /// for a scan that changed the answer. Records keep their
 /// `shard/c<chunk_rows>_s<threads>` names.
@@ -499,23 +498,19 @@ bool ShardScaling(JsonRecorder* recorder) {
 
   const char* const query =
       "*f1 | 'year' | 'sales' | | location='US' | bar.(y=agg('sum')) |";
-  // threads = 0 runs the reference blocked scan (no queue) on one thread.
   auto run = [&](size_t threads) -> zv::Result<zv::zql::ZqlResult> {
-    zv::BatchScanQueue queue;
-    zv::zql::ZqlOptions opts;
-    if (threads > 0) opts.batch_scans = &queue;
-    zv::SetParallelThreads(threads > 0 ? threads : 1);
-    zv::zql::ZqlExecutor exec(&db, "sales", opts);
+    zv::SetParallelThreads(threads);
+    zv::zql::ZqlExecutor exec(&db, "sales", {});
     return exec.ExecuteText(query);
   };
 
-  auto oracle = run(0);
+  auto oracle = run(1);
   if (!oracle.ok()) {
     std::printf("FAILED: %s\n", oracle.status().ToString().c_str());
     return false;
   }
   const double base_ms = oracle->stats.total_ms;
-  std::printf("reference blocked scan (no queue): %.1f ms\n", base_ms);
+  std::printf("reference (default chunks, 1 thread): %.1f ms\n", base_ms);
   auto identical = [&](const zv::zql::ZqlResult& got) {
     const auto& a = oracle->outputs;
     const auto& b = got.outputs;
@@ -676,7 +671,7 @@ int main() {
   }
   if (!shard_ok) {
     std::fprintf(stderr,
-                 "FATAL: chunk pass diverged from the reference scan\n");
+                 "FATAL: chunk pass diverged from its one-thread reference\n");
     return 1;
   }
   return 0;

@@ -378,7 +378,7 @@ int main() {
   // the table. The bar: eight concurrent *distinct* queries (different
   // measures and thresholds — no cache identity anywhere) finish within
   // 2x the wall of a single query, possible only because their eight full
-  // scans collapse into shared passes (ServiceOptions::shared_scans; a
+  // scans collapse into shared passes (the service's BatchScanQueue; a
   // short ZV_BATCH_WINDOW_MS-style window widens the coalescing).
   // The setup where batching earns its keep — the paper's remote-store
   // scenario: a scan backend with simulated per-request latency (the same

@@ -281,8 +281,8 @@ int main(int argc, char** argv) {
                     physical.status().ToString().c_str());
         continue;
       }
-      // Chunk count makes the shared-scan FetchOp fan-out annotation
-      // concrete (chunks=K) — same data the wire EXPLAIN supplies.
+      // Chunk count makes the FetchOp fan-out annotation concrete
+      // (chunks=K) — same data the wire EXPLAIN supplies.
       size_t table_chunks = 0;
       if (auto db = service.DatasetDatabase(dataset); db.ok()) {
         if (auto map = (*db)->GetChunkMap(dataset); map.ok()) {

@@ -24,14 +24,14 @@ thread_local bool t_in_worker = false;
 std::atomic<size_t> g_thread_override{0};
 
 size_t ResolveWorkerCount() {
-  const size_t override = g_thread_override.load(std::memory_order_relaxed);
-  if (override > 0) return override;
-  if (const char* env = std::getenv("ZV_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
+  size_t count = g_thread_override.load(std::memory_order_relaxed);
+  if (count == 0) {
+    const char* env = std::getenv("ZV_THREADS");
+    const long v = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+    const unsigned hw = std::thread::hardware_concurrency();
+    count = v > 0 ? static_cast<size_t>(v) : std::max(1u, hw);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return std::min(count, kMaxParallelThreads);
 }
 
 /// One ParallelFor invocation: workers claim contiguous chunks off an

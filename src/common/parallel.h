@@ -11,11 +11,12 @@
 /// Worker count resolution, per call (cheap, so tests can flip it at will):
 ///  1. SetParallelThreads(n) override, when > 0;
 ///  2. the ZV_THREADS environment variable, when set and > 0;
-///  3. std::thread::hardware_concurrency().
-/// An effective count of 1 bypasses the pool entirely — fn runs inline on
-/// the calling thread with zero synchronization, so ZV_THREADS=1 is the
-/// exact serial baseline. Calls issued *from* a pool worker also run inline
-/// (no nested fan-out, no deadlock).
+///  3. std::thread::hardware_concurrency();
+/// capped at kMaxParallelThreads, since the pool keeps one OS thread per
+/// admitted worker. An effective count of 1 bypasses the pool entirely —
+/// fn runs inline on the calling thread with zero synchronization, so
+/// ZV_THREADS=1 is the exact serial baseline. Calls issued *from* a pool
+/// worker also run inline (no nested fan-out, no deadlock).
 ///
 /// Concurrent calls: each call lists its job, admitting up to count - 1
 /// pool workers beside its caller. Jobs are served oldest first — an idle
@@ -43,6 +44,9 @@
 #include "common/status.h"
 
 namespace zv {
+
+/// The largest effective worker count, whatever is asked for.
+constexpr size_t kMaxParallelThreads = 256;
 
 /// Forces the effective worker count for subsequent ParallelFor calls
 /// (0 = revert to ZV_THREADS / hardware_concurrency resolution).

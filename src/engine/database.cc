@@ -4,9 +4,9 @@
 #include <thread>
 #include <utility>
 
-#include "common/clock.h"
 #include "engine/predicate.h"
 #include "engine/select_runner.h"
+#include "engine/shared_scan.h"
 #include "sql/parser.h"
 
 namespace zv {
@@ -51,6 +51,12 @@ class FusedPredicateScanner : public MultiChunkScanner {
 };
 
 }  // namespace
+
+Database::Database()
+    : scan_queue_(std::make_unique<BatchScanQueue>(
+          BatchScanOptions{/*window_ms=*/0, /*metrics=*/nullptr})) {}
+
+Database::~Database() = default;
 
 Status Database::RegisterTable(std::shared_ptr<Table> table) {
   const std::string name = table->name();
@@ -101,30 +107,14 @@ Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
       new FusedPredicateScanner(std::move(table), std::move(preds)));
 }
 
-Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
-                                            const std::vector<uint32_t>& rows) {
+Result<ResultSet> Database::FinishChunkScan(
+    const sql::SelectStatement& stmt,
+    const std::vector<std::vector<uint32_t>>& parts) {
   ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  return RunBlockedOverRows(*table, stmt, rows);
+  return RunBlockedOverRows(*table, stmt, parts);
 }
 
-Result<ResultSet> Database::ExecuteInternal(const sql::SelectStatement& stmt) {
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  ZV_ASSIGN_OR_RETURN(std::unique_ptr<MultiChunkScanner> scanner,
-                      PrepareMultiChunkScan({&stmt}));
-  // ScanRange is const and thread-safe, so one scanner serves every block;
-  // the block's list is swapped in and out of the one-statement slot.
-  return RunBlocked(*table, stmt,
-                    [&scanner](uint32_t begin, uint32_t end,
-                               std::vector<uint32_t>* out) {
-                      std::vector<std::vector<uint32_t>> outs(1);
-                      outs[0].swap(*out);
-                      Status status = scanner->ScanRange(begin, end, &outs);
-                      out->swap(outs[0]);
-                      return status;
-                    });
-}
-
-void Database::BeginRequest(size_t num_queries) {
+void Database::AccountRequest(size_t num_queries) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   queries_.fetch_add(num_queries, std::memory_order_relaxed);
   if (request_latency_micros_ > 0) {
@@ -139,35 +129,11 @@ Result<ResultSet> Database::ExecuteSql(const std::string& sql) {
 }
 
 Result<ResultSet> Database::Execute(const sql::SelectStatement& stmt) {
-  BeginRequest(1);
-  return ExecuteInternal(stmt);
-}
-
-std::vector<Result<ResultSet>> Database::ExecuteBatch(
-    const std::vector<sql::SelectStatement>& stmts) {
-  std::vector<Result<ResultSet>> out;
-  out.reserve(stmts.size());
-  ScanBatch(stmts, /*batched=*/true, [&out](size_t, Result<ResultSet> rs) {
-    out.push_back(std::move(rs));
-    return true;
-  });
-  return out;
-}
-
-void Database::ScanBatch(
-    const std::vector<sql::SelectStatement>& stmts, bool batched,
-    const std::function<bool(size_t, Result<ResultSet>)>& sink,
-    double* scan_ms) {
-  auto t0 = SteadyNow();
-  if (batched) BeginRequest(stmts.size());
-  for (size_t i = 0; i < stmts.size(); ++i) {
-    if (!batched) BeginRequest(1);
-    Result<ResultSet> rs = ExecuteInternal(stmts[i]);
-    if (scan_ms != nullptr) *scan_ms += MsSince(t0);
-    const bool keep_going = sink(i, std::move(rs));
-    t0 = SteadyNow();
-    if (!keep_going) return;
-  }
+  AccountRequest(1);
+  BatchScanQueue::Selection sel =
+      scan_queue_->SelectRows(this, stmt.table, {&stmt});
+  ZV_RETURN_NOT_OK(sel.status);
+  return FinishChunkScan(stmt, sel.rows[0]);
 }
 
 }  // namespace zv

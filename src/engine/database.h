@@ -8,17 +8,21 @@
 ///    columns (the paper's in-memory Roaring Bitmap Database).
 ///
 /// A *query* is one SELECT statement. A *request* is one round-trip to the
-/// backend and may carry many queries (ExecuteBatch) — this is the unit the
-/// ZQL optimizer reduces and Figures 7.1/7.2 plot. An optional simulated
-/// per-request latency models the client/server round-trip that exists in
-/// the paper's deployment but not in this in-process build.
+/// backend and may carry many queries (an optimizer-batched flush, see
+/// zql/scheduler.h) — this is the unit the ZQL optimizer reduces and
+/// Figures 7.1/7.2 plot. An optional simulated per-request latency models
+/// the client/server round-trip that exists in the paper's deployment but
+/// not in this in-process build.
+///
+/// Every row selection runs as a chunk pass of a BatchScanQueue
+/// (engine/shared_scan.h): the serving layer's, or — for Execute and every
+/// executor given no queue — the backend's own (scan_queue()).
 
 #ifndef ZV_ENGINE_DATABASE_H_
 #define ZV_ENGINE_DATABASE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -32,11 +36,12 @@
 
 namespace zv {
 
+class BatchScanQueue;
+
 /// \brief Statements' WHERE clauses compiled for chunk-range evaluation —
-/// the one row-selection unit every scan drives: the cross-query batch
-/// queue (engine/shared_scan.h) runs it chunk-parallel over a shared pass,
-/// and the reference blocked scan (Database::ExecuteInternal) runs a
-/// one-statement scanner per block.
+/// the one row-selection unit: a BatchScanQueue pass
+/// (engine/shared_scan.h) runs it chunk-parallel, possibly fused with
+/// other callers' statements.
 ///
 /// ScanRange is const and may run concurrently on disjoint ranges; for
 /// each statement i it appends to (*outs)[i] the ascending ids of the rows
@@ -72,7 +77,8 @@ class MultiChunkScanner {
 /// \brief Abstract SQL execution backend with instrumentation.
 class Database {
  public:
-  virtual ~Database() = default;
+  Database();
+  virtual ~Database();
 
   /// Human-readable backend name ("scan" / "roaring").
   virtual std::string name() const = 0;
@@ -87,38 +93,25 @@ class Database {
   /// Parses and executes one SQL string (one request, one query).
   Result<ResultSet> ExecuteSql(const std::string& sql);
 
-  /// Executes one statement (one request, one query).
+  /// Executes one statement (one request, one query): a pass of
+  /// scan_queue() selects its rows, then FinishChunkScan aggregates them.
+  /// A caller cancelled mid-pass returns kCancelled once the pass ends.
   Result<ResultSet> Execute(const sql::SelectStatement& stmt);
 
-  /// Executes a batch of statements in a single request.
-  std::vector<Result<ResultSet>> ExecuteBatch(
-      const std::vector<sql::SelectStatement>& stmts);
-
-  /// Streaming batch scan — the entry point the ZQL FetchOp drives (shared
-  /// by both backends; ExecuteBatch is a thin wrapper). Statements execute
-  /// in order; `sink(i, result)` is invoked as each one completes, so a
-  /// pipelined consumer can route/score statement i while statement i+1 is
-  /// still scanning. `batched` selects the request accounting: true = the
-  /// whole batch is one round trip (ExecuteBatch semantics; the simulated
-  /// per-request latency is paid once), false = one round trip per
-  /// statement (Execute semantics, the NoOpt compiler). A sink returning
-  /// false stops the scan without executing the remaining statements
-  /// (queries are still counted up front in batched mode, matching
-  /// ExecuteBatch). When `scan_ms` is non-null it accumulates wall time
-  /// spent inside the backend — statement execution plus request latency,
-  /// excluding sink time.
-  void ScanBatch(const std::vector<sql::SelectStatement>& stmts, bool batched,
-                 const std::function<bool(size_t, Result<ResultSet>)>& sink,
-                 double* scan_ms = nullptr);
+  /// This backend's own shared-scan queue, window 0 (a lone query is never
+  /// delayed). Execute and every executor without ZqlOptions::batch_scans
+  /// select rows through it, so concurrent direct callers share passes.
+  /// Records into MetricsRegistry::Global().
+  BatchScanQueue* scan_queue() const { return scan_queue_.get(); }
 
   /// --- Chunked scans ---------------------------------------------------
-  /// The protocol the shared chunk pass drives instead of ExecuteInternal:
-  /// PrepareMultiChunkScan once per flush, ScanRange per chunk (on the
-  /// common pool, for the pass's leader), FinishChunkScan per statement on
-  /// the merged row list. Splitting selection from aggregation this way
-  /// keeps the aggregation block structure — a pure function of table
-  /// size — out of the fan-out, so float sums associate identically at any
-  /// chunk size, worker count, or co-tenancy.
+  /// The protocol every pass drives: PrepareMultiChunkScan once per
+  /// SelectRows call, ScanRange per chunk (on the common pool, for the
+  /// pass's leader), FinishChunkScan per statement on its chunk lists.
+  /// Splitting selection from aggregation this way keeps the aggregation
+  /// block structure — a pure function of table size — out of the
+  /// fan-out, so float sums associate identically at any chunk size,
+  /// worker count, or co-tenancy.
 
   /// Chunk partitioning of a registered table, built at RegisterTable time
   /// with the default chunk size (kNotFound for unknown tables). Returned
@@ -140,18 +133,19 @@ class Database {
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
-  /// Aggregates the merged (ascending) surviving-row list with
-  /// RunBlockedOverRows: cut at the table's block boundaries, it folds
-  /// through the same SelectRunner code, in the same block order, as the
-  /// reference blocked scan.
-  Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
-                                    const std::vector<uint32_t>& rows);
+  /// The per-statement step after a pass: aggregates the statement's
+  /// surviving rows — ascending parts in chunk order, as the pass hands
+  /// them over — with RunBlockedOverRows, whose blocks are cut at
+  /// table-size-pure boundaries, so the bytes never depend on the pass's
+  /// chunking or co-tenancy.
+  virtual Result<ResultSet> FinishChunkScan(
+      const sql::SelectStatement& stmt,
+      const std::vector<std::vector<uint32_t>>& parts);
 
-  /// Request/query accounting for scans that bypass Execute*/ScanBatch
-  /// (the shared chunk pass): one round trip carrying `num_queries`
-  /// statements — identical counter and simulated-latency semantics, so
-  /// sql_queries/sql_requests deltas match the reference scan.
-  void AccountRequest(size_t num_queries) { BeginRequest(num_queries); }
+  /// One round trip carrying `num_queries` statements: bumps the
+  /// request/query counters and sleeps the simulated request latency.
+  /// Execute calls it itself; executors call it once per SelectRows call.
+  void AccountRequest(size_t num_queries);
 
   /// --- Instrumentation -------------------------------------------------
   /// Counters are atomic because one Database serves every session of a
@@ -183,12 +177,6 @@ class Database {
   uint64_t request_latency_micros() const { return request_latency_micros_; }
 
  protected:
-  /// Executes one statement without request accounting — the reference
-  /// blocked scan: a one-statement PrepareMultiChunkScan scanner selects
-  /// each block's rows for RunBlocked, so both backends aggregate through
-  /// the same blocked runner and layouts.
-  virtual Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt);
-
   /// The table a PrepareMultiChunkScan batch targets; fails on an empty
   /// batch, statements spanning tables, or an unknown table.
   Result<std::shared_ptr<Table>> BatchTable(
@@ -197,12 +185,11 @@ class Database {
   Catalog catalog_;
 
  private:
-  void BeginRequest(size_t num_queries);
-
   std::unordered_map<std::string, ChunkMap> chunk_maps_;
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> requests_{0};
   uint64_t request_latency_micros_ = 0;
+  std::unique_ptr<BatchScanQueue> scan_queue_;
 };
 
 }  // namespace zv

@@ -182,8 +182,8 @@ class RoaringMultiScanner : public MultiChunkScanner {
  private:
   /// Extracts the filter's values in [begin, end) into candidate batches,
   /// keeping the residual's survivors. Slices at container granularity so
-  /// long extractions poll cancellation, mirroring the blocked scan's
-  /// block-boundary polls.
+  /// long extractions poll cancellation, like the base scanner's batch
+  /// walk (ForEachBatch).
   static Status ScanFiltered(const Part& part, uint32_t begin, uint32_t end,
                              PredicateScratch* scratch,
                              std::vector<uint32_t>* out) {

@@ -42,8 +42,8 @@ class RoaringDatabase : public Database {
   /// once), and ScanRange extracts the filter's values inside each range,
   /// evaluating the residual predicate over them a batch at a time;
   /// statements with no WHERE or nothing indexable walk the rows like the
-  /// base scanner. It also serves Execute (Database::ExecuteInternal), so
-  /// every entry point selects the same rows.
+  /// base scanner. Every row selection on this backend — served, direct
+  /// or Execute — runs through it.
   Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts) override;
 

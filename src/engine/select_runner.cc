@@ -30,6 +30,30 @@ struct BlockGrid {
   uint32_t begin(size_t b) const {
     return static_cast<uint32_t>(rows * b / count);
   }
+  /// Block b's rows [first, last) out of `parts`: a span of the one part
+  /// holding them all, or — when the block straddles a part boundary —
+  /// their concatenation, gathered into `scratch`.
+  std::pair<const uint32_t*, const uint32_t*> Rows(
+      const std::vector<std::vector<uint32_t>>& parts, size_t b,
+      std::vector<uint32_t>* scratch) const {
+    std::pair<const uint32_t*, const uint32_t*> span{nullptr, nullptr};
+    scratch->clear();
+    for (const std::vector<uint32_t>& part : parts) {
+      if (part.empty() || part.back() < begin(b)) continue;
+      if (part.front() >= begin(b + 1)) break;
+      const uint32_t* end = part.data() + part.size();
+      const uint32_t* first = std::lower_bound(part.data(), end, begin(b));
+      const uint32_t* last = std::lower_bound(first, end, begin(b + 1));
+      if (span.first == nullptr) {
+        span = {first, last};
+        continue;
+      }
+      if (scratch->empty()) scratch->assign(span.first, span.second);
+      scratch->insert(scratch->end(), first, last);
+    }
+    if (scratch->empty()) return span;
+    return {scratch->data(), scratch->data() + scratch->size()};
+  }
   size_t rows;
   size_t count;
 };
@@ -608,41 +632,30 @@ Result<ResultSet> SelectRunner::Finish() {
 
 namespace {
 
-/// One block's selected row ids, ascending.
-struct BlockRows {
-  const uint32_t* begin = nullptr;
-  const uint32_t* end = nullptr;
-};
-
-/// Yields block b's selected rows: a view into a caller-owned list, or
-/// rows selected into `scratch`.
-using BlockSource =
-    std::function<Result<BlockRows>(size_t b, std::vector<uint32_t>* scratch)>;
-
 /// The per-block runners of projections, computed keys and hashed group
-/// spaces: block b's rows aggregate into their own runner (`runner` serves
-/// block 0) in parallel, and the runners merge in block order.
+/// spaces: block b's rows aggregate into their own runner (`runner`
+/// serves block 0) in parallel, and the runners merge in block order.
 Result<ResultSet> RunPerBlock(const Table& table,
                               const sql::SelectStatement& stmt,
-                              SelectRunner runner, size_t blocks,
-                              const BlockSource& source) {
+                              SelectRunner runner, const BlockGrid& grid,
+                              const std::vector<std::vector<uint32_t>>& parts) {
   std::vector<SelectRunner> runners;
-  runners.reserve(blocks);
+  runners.reserve(grid.count);
   runners.push_back(std::move(runner));
-  for (size_t b = 1; b < blocks; ++b) {
+  for (size_t b = 1; b < grid.count; ++b) {
     ZV_ASSIGN_OR_RETURN(SelectRunner block_runner,
                         SelectRunner::Plan(table, stmt));
     runners.push_back(std::move(block_runner));
   }
-  ZV_RETURN_NOT_OK(ParallelForStatus(blocks, [&](size_t b) -> Status {
+  ZV_RETURN_NOT_OK(ParallelForStatus(grid.count, [&](size_t b) {
     std::vector<uint32_t> scratch;
-    ZV_ASSIGN_OR_RETURN(BlockRows rows, source(b, &scratch));
-    for (const uint32_t* row = rows.begin; row != rows.end; ++row) {
+    const auto [first, last] = grid.Rows(parts, b, &scratch);
+    for (const uint32_t* row = first; row != last; ++row) {
       runners[b].Consume(*row);
     }
     return Status::OK();
   }));
-  for (size_t b = 1; b < blocks; ++b) {
+  for (size_t b = 1; b < grid.count; ++b) {
     runners[0].MergeFrom(std::move(runners[b]));
   }
   return runners[0].Finish();
@@ -650,54 +663,22 @@ Result<ResultSet> RunPerBlock(const Table& table,
 
 }  // namespace
 
-Result<ResultSet> RunBlocked(
+Result<ResultSet> RunBlockedOverRows(
     const Table& table, const sql::SelectStatement& stmt,
-    const std::function<Status(uint32_t begin, uint32_t end,
-                               std::vector<uint32_t>* out)>& select_block) {
+    const std::vector<std::vector<uint32_t>>& parts) {
   ZV_RETURN_NOT_OK(CheckCancelled());
   ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
   const BlockGrid grid(table.num_rows());
   if (runner.DenseAggregation()) {
-    std::vector<std::vector<uint32_t>> selected(grid.count);
-    ZV_RETURN_NOT_OK(ParallelForStatus(grid.count, [&](size_t b) {
-      return select_block(grid.begin(b), grid.begin(b + 1), &selected[b]);
-    }));
-    for (const std::vector<uint32_t>& rows : selected) {
-      ZV_RETURN_NOT_OK(runner.ConsumeBlock(rows.data(), rows.size()));
-    }
-    return runner.Finish();
-  }
-  return RunPerBlock(
-      table, stmt, std::move(runner), grid.count,
-      [&](size_t b, std::vector<uint32_t>* scratch) -> Result<BlockRows> {
-        ZV_RETURN_NOT_OK(select_block(grid.begin(b), grid.begin(b + 1),
-                                      scratch));
-        return BlockRows{scratch->data(), scratch->data() + scratch->size()};
-      });
-}
-
-Result<ResultSet> RunBlockedOverRows(const Table& table,
-                                     const sql::SelectStatement& stmt,
-                                     const std::vector<uint32_t>& rows) {
-  ZV_RETURN_NOT_OK(CheckCancelled());
-  ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
-  const BlockGrid grid(table.num_rows());
-  const BlockSource source = [&](size_t b,
-                                 std::vector<uint32_t>*) -> Result<BlockRows> {
-    const auto lo = std::lower_bound(rows.begin(), rows.end(), grid.begin(b));
-    const auto hi = std::lower_bound(lo, rows.end(), grid.begin(b + 1));
-    return BlockRows{rows.data() + (lo - rows.begin()),
-                     rows.data() + (hi - rows.begin())};
-  };
-  if (runner.DenseAggregation()) {
+    std::vector<uint32_t> scratch;
     for (size_t b = 0; b < grid.count; ++b) {
-      ZV_ASSIGN_OR_RETURN(BlockRows block, source(b, nullptr));
-      ZV_RETURN_NOT_OK(runner.ConsumeBlock(
-          block.begin, static_cast<size_t>(block.end - block.begin)));
+      const auto [first, last] = grid.Rows(parts, b, &scratch);
+      ZV_RETURN_NOT_OK(
+          runner.ConsumeBlock(first, static_cast<size_t>(last - first)));
     }
     return runner.Finish();
   }
-  return RunPerBlock(table, stmt, std::move(runner), grid.count, source);
+  return RunPerBlock(table, stmt, std::move(runner), grid, parts);
 }
 
 }  // namespace zv

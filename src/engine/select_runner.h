@@ -6,16 +6,15 @@
 /// survive its own WHERE evaluation (scan loop or bitmap iteration), and
 /// calls Finish(). Both backends share this code so measured differences
 /// between them isolate row *selection*, which is what Figure 7.5 studies.
-/// RunBlocked fixes how a statement's rows fold: dense group spaces fold
-/// block by block on the calling thread (ConsumeBlock) — narrow ones into a
-/// per-block partial merged in block order, wide ones in row order — and
-/// every other statement aggregates in per-block runners.
+/// RunBlockedOverRows fixes how a statement's rows fold: dense group spaces
+/// fold block by block on the calling thread (ConsumeBlock) — narrow ones
+/// into a per-block partial merged in block order, wide ones in row order —
+/// and every other statement aggregates in per-block runners.
 
 #ifndef ZV_ENGINE_SELECT_RUNNER_H_
 #define ZV_ENGINE_SELECT_RUNNER_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <unordered_map>
@@ -156,15 +155,17 @@ class SelectRunner {
   std::vector<std::vector<Value>> projected_rows_;
 };
 
-/// Drives a blocked SELECT evaluation shared by both backends. The table's
-/// row space is split into contiguous blocks whose *count depends only on
-/// the row count* (never on the worker count); `select_block(begin, end,
-/// out)` appends each block's surviving rows, ascending, to `out` (the
-/// MultiChunkScanner::ScanRange contract for one statement). Blocks select
-/// in parallel when ZV_THREADS allows, and the first failing block's error
-/// is returned. The rows then aggregate one of two ways:
+/// Aggregates a statement's selected rows, handed over as a chunk pass
+/// returns them: ascending row-id parts, one per chunk in chunk order, so
+/// their concatenation is the ascending list a serial scan selects. The
+/// one aggregation both backends share. The table's row space is split
+/// into contiguous blocks whose *count depends only on the row count*
+/// (never on the worker count or the pass's chunking); each block takes
+/// its rows straight out of the part holding them (binary search), and
+/// only a block straddling a part boundary is gathered into a scratch
+/// list. The rows then aggregate one of two ways:
 ///  - dense group spaces (SelectRunner::DenseAggregation): the blocks'
-///    lists fold in block order through SelectRunner::ConsumeBlock on the
+///    rows fold in block order through SelectRunner::ConsumeBlock on the
 ///    calling thread. In the narrow layout every group's rows fold per
 ///    block and the block partials add up in block order; in the wide
 ///    layout (SelectRunner::WideLayout) they fold serially in row order;
@@ -173,22 +174,11 @@ class SelectRunner {
 ///    runners merge in block order.
 /// The layout depends only on the table's row count and the group columns'
 /// dictionary sizes, and the dense fold is serial, so floats associate
-/// identically at every thread count and on both backends.
-Result<ResultSet> RunBlocked(
+/// identically at every thread count, chunk size and on both backends
+/// (Database::FinishChunkScan runs it after every pass).
+Result<ResultSet> RunBlockedOverRows(
     const Table& table, const sql::SelectStatement& stmt,
-    const std::function<Status(uint32_t begin, uint32_t end,
-                               std::vector<uint32_t>* out)>& select_block);
-
-/// RunBlocked over a sorted row-id list: the list is cut at the block
-/// boundaries by binary search, and each block's ids fold through
-/// SelectRunner::ConsumeBlock in block order, or feed that block's runner.
-/// Either way every group sees the same rows in the same order as a scan
-/// that selected them in place, so the result is byte-identical — this is
-/// how the shared chunk pass (engine/database.h FinishChunkScan) aggregates
-/// its merged row lists.
-Result<ResultSet> RunBlockedOverRows(const Table& table,
-                                     const sql::SelectStatement& stmt,
-                                     const std::vector<uint32_t>& rows);
+    const std::vector<std::vector<uint32_t>>& parts);
 
 }  // namespace zv
 

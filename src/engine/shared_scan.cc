@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -20,13 +21,15 @@ namespace {
 constexpr std::chrono::milliseconds kCancelPollInterval{2};
 
 double ResolveWindowMs(double requested) {
-  if (requested >= 0) return requested;
-  const char* env = std::getenv("ZV_BATCH_WINDOW_MS");
-  if (env != nullptr && *env != '\0') {
-    const double parsed = std::strtod(env, nullptr);
-    if (parsed > 0) return parsed;
+  double window = requested;
+  if (window < 0) {
+    const char* env = std::getenv("ZV_BATCH_WINDOW_MS");
+    window = env != nullptr ? std::strtod(env, nullptr) : 0;
   }
-  return 0;
+  // Non-finite and non-positive values mean no window; the cap keeps
+  // LeadPass's deadline arithmetic far from overflow.
+  if (!std::isfinite(window) || window <= 0) return 0;
+  return std::min(window, kMaxBatchWindowMs);
 }
 
 /// A fused scan unit of a pass: one scanner plus its demultiplexing
@@ -53,7 +56,7 @@ struct BatchScanQueue::Request {
 
   // Filled by the pass, read by the caller after `done`.
   Status status = Status::OK();
-  std::vector<std::vector<uint32_t>> rows;
+  std::vector<std::vector<std::vector<uint32_t>>> rows;
   uint64_t chunks_scanned = 0;
   double scan_ms = 0;
   double job_ms = 0;
@@ -74,6 +77,15 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
     Database* db, const std::string& table,
     const std::vector<const sql::SelectStatement*>& stmts) {
   Selection sel;
+  // Prepare on the calling thread — compile errors surface here (failing
+  // only this query, never a pass sibling), and the scanner becomes
+  // self-contained before anything crosses threads.
+  Result<std::unique_ptr<MultiChunkScanner>> scanner =
+      db->PrepareMultiChunkScan(stmts);
+  if (!scanner.ok()) {
+    sel.status = scanner.status();
+    return sel;
+  }
   Result<ChunkMap> map = db->GetChunkMap(table);
   if (!map.ok()) {
     sel.status = map.status();
@@ -82,15 +94,6 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
   if (map.value().num_chunks() == 0) {
     // Empty table: every statement selects nothing; no pass needed.
     sel.rows.resize(stmts.size());
-    return sel;
-  }
-  // Prepare on the calling thread — compile errors surface here (failing
-  // only this query, never a pass sibling), and the scanner becomes
-  // self-contained before anything crosses threads.
-  Result<std::unique_ptr<MultiChunkScanner>> scanner =
-      db->PrepareMultiChunkScan(stmts);
-  if (!scanner.ok()) {
-    sel.status = scanner.status();
     return sel;
   }
 
@@ -211,8 +214,8 @@ void BatchScanQueue::ExecutePass(
   }
 
   // One job per (unit, chunk) on the common pool, each writing its own
-  // slot, so the demultiplexed concatenation stays positional (chunk order
-  // == serial order). Every job runs: ParallelForStatus would skip the
+  // slot, so the demultiplexed lists stay positional (chunk order ==
+  // serial order). Every job runs: ParallelForStatus would skip the
   // chunks after a first error, truncating other units' rows, and no
   // member's token may stop a pass — a cancelled member only abandons its
   // request.
@@ -236,8 +239,8 @@ void BatchScanQueue::ExecutePass(
   double summed_job_ms = 0;
   for (double ms : job_ms) summed_job_ms += ms;
 
-  // Demultiplex: per member, per statement, concatenate the chunk lists in
-  // chunk order — the positional merge that equals a serial scan. Errors
+  // Demultiplex: per member, per statement, the chunk lists in chunk order
+  // — the positional merge that equals a serial scan. Errors
   // surface as the first failing chunk index — the failure a serial scan,
   // which visits rows in ascending order, would have hit first.
   for (size_t u = 0; u < units.size(); ++u) {
@@ -253,17 +256,13 @@ void BatchScanQueue::ExecutePass(
       Request& req = *members[mi];
       req.status = unit_status;
       if (unit_status.ok()) {
+        // Each (member, statement) slot is read exactly once, so its chunk
+        // lists move to the caller as they are — never copied.
         req.rows.resize(req.num_stmts);
         for (size_t s = 0; s < req.num_stmts; ++s) {
-          size_t total_rows = 0;
+          req.rows[s].reserve(chunks);
           for (size_t c = 0; c < chunks; ++c) {
-            total_rows += outs[u * chunks + c][base + s].size();
-          }
-          std::vector<uint32_t>& rows = req.rows[s];
-          rows.reserve(total_rows);
-          for (size_t c = 0; c < chunks; ++c) {
-            const std::vector<uint32_t>& part = outs[u * chunks + c][base + s];
-            rows.insert(rows.end(), part.begin(), part.end());
+            req.rows[s].push_back(std::move(outs[u * chunks + c][base + s]));
           }
         }
       }

@@ -28,11 +28,12 @@
 /// client).
 ///
 /// Determinism contract: selection stays in the scan (each statement's
-/// rows are exactly what it selects alone, concatenated in chunk order)
+/// rows are exactly what it selects alone, as parts in chunk order)
 /// and aggregation stays with the caller (FinishChunkScan's blocked
-/// runner, a pure function of table size) — so batched results are
-/// byte-identical to the unbatched oracle at any ZV_THREADS, window,
-/// chunk size, or co-tenancy (tests/batch_test.cc locks the matrix).
+/// runner, a pure function of table size) — so results are byte-identical
+/// to a naive whole-table selection at any ZV_THREADS, window, chunk size,
+/// or co-tenancy (tests/batch_test.cc locks the matrix against the tests'
+/// ReferenceDatabase).
 ///
 /// Cancellation: no pass is ever cancelled. A follower whose token fires
 /// while waiting abandons its request within 2 ms and returns kCancelled;
@@ -67,11 +68,15 @@
 
 namespace zv {
 
+/// The longest batching window a queue holds; larger requests are capped.
+constexpr double kMaxBatchWindowMs = 1000;
+
 struct BatchScanOptions {
   /// Batching window in milliseconds (see file comment). Negative resolves
   /// the ZV_BATCH_WINDOW_MS environment variable, default 0 (group
   /// commit: coalesce only work already waiting, never delay a lone
-  /// query).
+  /// query). Non-finite values mean 0; the window is capped at
+  /// kMaxBatchWindowMs.
   double window_ms = -1;
   /// Where the queue records its latency histograms — zv_batch_hold_ms
   /// (request arrival → pass cut: the group-commit hold) and
@@ -80,7 +85,9 @@ struct BatchScanOptions {
 };
 
 /// \brief The shared-scan queue. One instance serves every session of a
-/// QueryService; executors reach it through ZqlOptions::batch_scans.
+/// QueryService (executors reach it through ZqlOptions::batch_scans); every
+/// Database owns another, with window 0, for its direct callers
+/// (Database::scan_queue).
 class BatchScanQueue {
  public:
   explicit BatchScanQueue(BatchScanOptions options = {});
@@ -91,9 +98,10 @@ class BatchScanQueue {
   /// What one SelectRows call got back from its pass.
   struct Selection {
     Status status = Status::OK();
-    /// Per statement: the ascending surviving-row list, identical to what
-    /// the statement selects alone. Empty on error.
-    std::vector<std::vector<uint32_t>> rows;
+    /// Per statement: the surviving rows as one ascending part per chunk,
+    /// in chunk order — concatenated, exactly what the statement selects
+    /// alone. Empty on error.
+    std::vector<std::vector<std::vector<uint32_t>>> rows;
     /// Chunk sub-scans attributable to this call (chunks × statements).
     uint64_t chunks_scanned = 0;
     /// Wall time of the covering pass (shared by every member).

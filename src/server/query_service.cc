@@ -229,15 +229,11 @@ QueryService::QueryService(ServiceOptions options)
   c_cache_misses_ = metrics_->GetCounter("zv_result_cache_misses");
   c_ctx_reused_ = metrics_->GetCounter("zv_context_cache_reused");
   if (result_cache_.max_bytes_total() == 0) result_cache_enabled_ = false;
-  if (options.shared_scans) {
-    BatchScanOptions bopts;
-    bopts.window_ms = options.batch_window_ms;
-    bopts.metrics = metrics_;
-    batch_scans_ = std::make_unique<BatchScanQueue>(bopts);
-    // Every executor — and EXPLAIN, which plans against base_zql_ — sees
-    // the queue, so the rendered route is the one queries take.
-    base_zql_.batch_scans = batch_scans_.get();
-  }
+  BatchScanOptions bopts;
+  bopts.window_ms = options.batch_window_ms;
+  bopts.metrics = metrics_;
+  batch_scans_ = std::make_unique<BatchScanQueue>(bopts);
+  base_zql_.batch_scans = batch_scans_.get();
   current_.resize(max_inflight_);
   workers_.reserve(max_inflight_);
   for (size_t i = 0; i < max_inflight_; ++i) {
@@ -775,11 +771,9 @@ ServiceStats QueryService::stats() const {
   s.cache_hits = result_cache_.hits();
   s.cache_misses = result_cache_.misses();
   s.contexts_reused = contexts_reused_.load(std::memory_order_relaxed);
-  if (batch_scans_ != nullptr) {
-    s.batch_passes = batch_scans_->passes();
-    s.batch_passes_shared = batch_scans_->shared_passes();
-    s.batch_statements = batch_scans_->statements_served();
-  }
+  s.batch_passes = batch_scans_->passes();
+  s.batch_passes_shared = batch_scans_->shared_passes();
+  s.batch_statements = batch_scans_->statements_served();
   s.slow_queries = slow_queries_.load(std::memory_order_relaxed);
   s.result_cache_bytes = result_cache_.bytes();
   s.result_cache_entries = result_cache_.entries();

@@ -99,9 +99,6 @@ struct ServiceOptions {
   /// Serve repeat queries from the ResultCache (tests disable this to
   /// isolate ContextCache effects while keeping the budget).
   bool result_cache = true;
-  /// Route concurrent queries' row selections through one shared scan
-  /// pass (engine/shared_scan.h); false = a private scan per query.
-  bool shared_scans = true;
   /// Shared-scan group-commit window, ms; negative = resolve from
   /// ZV_BATCH_WINDOW_MS (default 0 — never delay a lone query).
   double batch_window_ms = -1;
@@ -378,9 +375,10 @@ class QueryService {
   ContextCache context_cache_;
   /// Single-flight ScoringContext builds across workers (wraps the cache).
   ScoringContextPool context_pool_;
-  /// Cross-query shared-scan queue; null when shared_scans is off.
-  /// Destroyed after the workers join (dtor body), so no caller can still
-  /// be blocked in SelectRows when it goes down.
+  /// Cross-query shared-scan queue: every served query's row selections
+  /// join its passes (engine/shared_scan.h). Destroyed after the workers
+  /// join (dtor body), so no caller can still be blocked in SelectRows
+  /// when it goes down.
   std::unique_ptr<BatchScanQueue> batch_scans_;
 
   mutable std::mutex mu_;

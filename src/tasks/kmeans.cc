@@ -104,14 +104,12 @@ KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k,
     }
   }
 
-  // Inertia + medoids.
-  result.inertia = 0;
+  // Medoids.
   result.medoids.assign(k, 0);
   std::vector<double> best_d(k, std::numeric_limits<double>::infinity());
   for (size_t i = 0; i < n; ++i) {
     const size_t c = static_cast<size_t>(result.assignment[i]);
     const double d = SqDist(points[i], result.centroids[c]);
-    result.inertia += d;
     if (d < best_d[c]) {
       best_d[c] = d;
       result.medoids[c] = i;

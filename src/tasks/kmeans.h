@@ -17,7 +17,6 @@ struct KMeansResult {
   /// Index of the input point closest to each centroid (the "medoid"),
   /// which is what R returns as the representative visualization.
   std::vector<size_t> medoids;
-  double inertia = 0;  ///< sum of squared distances to assigned centroids
 };
 
 /// Runs k-means on row-vector `points`. k is clamped to the number of

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/parallel.h"
 #include "common/stats.h"
 #include "tasks/topk.h"
 
@@ -38,70 +37,6 @@ std::vector<size_t> Representatives(
     if (std::find(out.begin(), out.end(), m) == out.end()) out.push_back(m);
   }
   return out;
-}
-
-std::vector<double> OutlierScores(const std::vector<const Visualization*>& set,
-                                  size_t k_representatives,
-                                  const TaskOptions& opts) {
-  std::vector<double> scores(set.size(), 0.0);
-  if (set.empty()) return scores;
-  auto matrix = AlignToMatrix(set);
-  for (auto& row : matrix) NormalizeSeries(&row, opts.normalization);
-  KMeansResult km =
-      KMeans(matrix, std::max<size_t>(1, k_representatives), opts.kmeans_seed);
-  // An outlier often captures a centroid all to itself, which would give it
-  // a perfect score of 0 under a naive min-distance-to-centroids rule.
-  // Representative trends are trends many visualizations share, so only
-  // centroids of non-singleton clusters count as references (all centroids
-  // if every cluster is a singleton).
-  std::vector<size_t> cluster_sizes(km.centroids.size(), 0);
-  for (int a : km.assignment) ++cluster_sizes[static_cast<size_t>(a)];
-  std::vector<const std::vector<double>*> references;
-  for (size_t c = 0; c < km.centroids.size(); ++c) {
-    if (cluster_sizes[c] >= 2) references.push_back(&km.centroids[c]);
-  }
-  if (references.empty()) {
-    for (const auto& c : km.centroids) references.push_back(&c);
-  }
-  // Each candidate's reference distance is independent — fan the loop out
-  // over the pool; scores[i] is a preallocated slot, so the result is
-  // identical at any thread count.
-  ParallelFor(matrix.size(), [&](size_t i) {
-    double best = -1;
-    for (const auto* centroid : references) {
-      const double d = VectorDistance(matrix[i], *centroid, opts.metric);
-      if (best < 0 || d < best) best = d;
-    }
-    scores[i] = best < 0 ? 0 : best;
-  });
-  return scores;
-}
-
-size_t AutoRepresentativeCount(const std::vector<const Visualization*>& set,
-                               size_t max_k, const TaskOptions& opts) {
-  if (set.size() <= 2) return set.empty() ? 1 : set.size();
-  max_k = std::min(max_k, set.size());
-  if (max_k <= 2) return max_k;
-  auto matrix = opts.alignment == Alignment::kInterpolate
-                    ? AlignToMatrixInterpolated(set)
-                    : AlignToMatrix(set);
-  for (auto& row : matrix) NormalizeSeries(&row, opts.normalization);
-  std::vector<double> inertia(max_k + 1, 0.0);
-  for (size_t k = 1; k <= max_k; ++k) {
-    inertia[k] = KMeans(matrix, k, opts.kmeans_seed).inertia;
-  }
-  // Elbow: the k with the largest positive curvature of the inertia curve.
-  size_t best_k = 1;
-  double best_curvature = -1;
-  for (size_t k = 2; k < max_k; ++k) {
-    const double curvature =
-        inertia[k - 1] + inertia[k + 1] - 2.0 * inertia[k];
-    if (curvature > best_curvature) {
-      best_curvature = curvature;
-      best_k = k;
-    }
-  }
-  return best_k;
 }
 
 TaskLibrary TaskLibrary::Default(const TaskOptions& opts) {

@@ -1,7 +1,7 @@
 /// \file primitives.h
 /// \brief The three ZQL functional primitives (§3.8) — T (trend),
-/// D (distance), R (representatives) — plus the derived outlier scorer, and
-/// the sorting/filtering mechanisms argmin / argmax / argany.
+/// D (distance), R (representatives) — and the sorting/filtering mechanisms
+/// argmin / argmax / argany.
 
 #ifndef ZV_TASKS_PRIMITIVES_H_
 #define ZV_TASKS_PRIMITIVES_H_
@@ -39,28 +39,6 @@ double Trend(const Visualization& f);
 std::vector<size_t> Representatives(
     const std::vector<const Visualization*>& set, size_t k,
     const TaskOptions& opts = {});
-
-/// Outlier scores: distance from each visualization to its nearest of the
-/// k representative centroids (§7.2's outlier search = representative
-/// search + max-min-distance). Higher = more anomalous.
-///
-/// The set is aligned + normalized once (shared AlignmentLayout
-/// convention) and the per-candidate reference distances fan out over the
-/// ZV_THREADS pool into preallocated slots — no per-pair re-alignment, and
-/// byte-identical scores at any thread count. Pair with
-/// TopKIndices(scores, k, TopKOrder::kDescending) (tasks/topk.h) to pull
-/// just the k strongest outliers without a full argsort.
-std::vector<double> OutlierScores(const std::vector<const Visualization*>& set,
-                                  size_t k_representatives,
-                                  const TaskOptions& opts = {});
-
-/// §10.1 future work, implemented: pick the number of representative trends
-/// from the data instead of a fixed k, by the elbow (maximum curvature) of
-/// the k-means inertia curve over k = 1..max_k. Returns a k in
-/// [1, min(max_k, |set|)].
-size_t AutoRepresentativeCount(const std::vector<const Visualization*>& set,
-                               size_t max_k = 10,
-                               const TaskOptions& opts = {});
 
 /// \brief User-replaceable functional primitives, passed through the ZQL
 /// executor to the Process column. Visual exploration completeness

@@ -70,7 +70,7 @@ class ScoringContext {
 
   /// The set aligned over the global x-domain and normalized per row —
   /// exactly AlignToMatrix/AlignToMatrixInterpolated(set) + NormalizeSeries
-  /// per row, but contiguous. Rows feed k-means and the outlier scorer.
+  /// per row, but contiguous.
   const AlignedMatrix& normalized() const { return normalized_; }
 
   /// True when row i covers the whole global domain (fast-path eligible

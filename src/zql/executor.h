@@ -110,24 +110,22 @@ struct ZqlOptions {
   /// ResultSets the fetch thread may run ahead of the consumer before it
   /// blocks (memory bound per in-flight query).
   size_t pipeline_depth = 4;
-  /// Retired: selects nothing. Chunk-parallel row selection is the
-  /// batch queue's (batch_scans below); without one, flushes run the
-  /// reference blocked scan. Still declared only because the benchmark
+  /// Retired: selects nothing — every flush selects rows through a chunk
+  /// pass (batch_scans below). Still declared only because the benchmark
   /// harness's oracle (zvbench/oracle.h) assigns it; it goes together
   /// with that assignment.
   size_t shards = 0;
-  /// Cross-query shared-scan batching (docs/architecture.md "Batched
-  /// execution"): when set, every flush's row selection is routed through
-  /// this queue (engine/shared_scan.h), which fans it out over the
-  /// table's chunks and coalesces compatible statements from concurrently
-  /// executing queries over the same backend and table into one shared
-  /// chunk pass — the serving layer wires the QueryService's queue in
-  /// here. Selection stays in the scan and aggregation in the
-  /// table-size-pure blocked runner, so results are byte-identical to the
-  /// reference blocked scan regardless of chunk size, ZV_THREADS, or
-  /// which queries happen to share a pass (tests/shard_test.cc and
-  /// tests/batch_test.cc lock the matrices). Ignored for tables without a
-  /// chunk map.
+  /// Which shared-scan queue (engine/shared_scan.h) selects this query's
+  /// rows (docs/architecture.md "Batched execution"); null = the backend's
+  /// own (Database::scan_queue). Either way every flush's row selection
+  /// is a chunk pass over the table's chunks that coalesces compatible
+  /// statements from concurrently executing queries over the same backend
+  /// and table — the serving layer wires the QueryService's queue in here.
+  /// Selection stays in the scan and aggregation in the table-size-pure
+  /// blocked runner, so results are byte-identical to a naive whole-table
+  /// selection regardless of chunk size, ZV_THREADS, or which queries
+  /// happen to share a pass (tests/shard_test.cc and tests/batch_test.cc
+  /// lock the matrices).
   BatchScanQueue* batch_scans = nullptr;
   /// Single-flight ScoringContext construction across concurrent queries
   /// (tasks/context_pool.h): when set, context acquisition goes through
@@ -142,7 +140,7 @@ struct ZqlOptions {
   /// every raw row and binning client-side — fetched volume drops from
   /// O(rows) to O(bins). Bin edges, ordering, and aggregate semantics
   /// match the client-side binner exactly; for float-valued measures the
-  /// summation *order* differs (blocked scan order vs fetched-row order),
+  /// summation *order* differs (blocked aggregation vs fetched-row order),
   /// so sums can differ in final ulps between on and off. Each setting is
   /// individually deterministic across threads/schedules/batching,
   /// and integer measures are exact either way (tests/batch_test.cc locks
@@ -197,22 +195,21 @@ struct ZqlStats {
   /// (fetch_ms + score_ms) and total_ms is the overlap won.
   double fetch_ms = 0;
   double score_ms = 0;
-  /// Chunk-pass instrumentation (ZqlOptions::batch_scans): chunks_scanned
+  /// Chunk-pass instrumentation, served and direct alike: chunks_scanned
   /// counts the chunk sub-scans of this query's statements (chunks ×
   /// statements per pass), and shard_ms sums the covering passes' chunk
   /// job times across every scanning thread — the whole pass's figure,
   /// shared by every member, like fetch_ms — so under parallel fan-out
   /// shard_ms exceeds the pass's wall time and shard_ms / fetch_ms
-  /// approximates the fan-out won. Both stay 0 on the reference blocked
-  /// scan (no batch queue, or an empty table).
+  /// approximates the fan-out won. Both stay 0 on an empty table (no
+  /// chunk, no pass).
   uint64_t chunks_scanned = 0;
   double shard_ms = 0;
-  /// Shared-scan batching instrumentation (ZqlOptions::batch_scans):
-  /// batched_scans counts this query's statements whose row selection ran
-  /// through the cross-query batch queue; scans_shared is the subset whose
-  /// scan pass also carried statements from other concurrent queries — the
-  /// redundant table passes actually eliminated. Both stay 0 when batching
-  /// is off (or the table has no chunk map).
+  /// Shared-scan batching instrumentation: batched_scans counts this
+  /// query's statements whose row selection went through a batch queue
+  /// (every scanned statement); scans_shared is the subset whose scan pass
+  /// also carried statements from other concurrent queries — the redundant
+  /// table passes actually eliminated.
   uint64_t batched_scans = 0;
   uint64_t scans_shared = 0;
   /// Active distance-kernel vector width in doubles (tasks/simd.h dispatch:

@@ -284,7 +284,6 @@ Result<PhysicalPlan> BuildPhysicalPlan(const ZqlQuery& query,
   PhysicalPlan plan;
   plan.optimization = options.optimization;
   plan.pipelined = options.pipelined_execution;
-  plan.shared_scans = options.batch_scans != nullptr;
   PlanEmitter emit(&plan);
 
   if (options.optimization == OptLevel::kInterTask) {
@@ -356,14 +355,10 @@ std::string PhysicalPlan::Render(const ZqlQuery& query,
         std::string detail = optimization == OptLevel::kNoOpt
                                  ? "one scan per viz"
                                  : "batched scan";
-        // Row selection goes through the cross-query batch queue, whose
-        // pass fans out over the table's chunks; whether a pass is
-        // actually shared depends on run-time co-tenancy.
-        if (shared_scans) {
-          detail += ", shared-scan";
-          if (table_chunks > 0) {
-            detail += StrFormat(", chunks=%zu", table_chunks);
-          }
+        // Every row selection is a chunk pass over the table's chunks;
+        // whether a pass is shared depends on run-time co-tenancy.
+        if (table_chunks > 0) {
+          detail += StrFormat(", chunks=%zu", table_chunks);
         }
         out += StrFormat("  %-15s%s  [%s]\n", "FetchOp", name.c_str(),
                          detail.c_str());

@@ -62,19 +62,14 @@ struct PhysicalPlan {
   std::vector<PlanStep> steps;
   /// kInterTask: wavefront wave per row; sequential levels leave it empty.
   std::vector<int> wave_of_row;
-  /// True when the option set routes row selection through a cross-query
-  /// BatchScanQueue (ZqlOptions::batch_scans) — the one route that fans
-  /// out over chunks. Structural: whether a given flush actually shares
-  /// its pass with another query is decided by co-tenancy at run time.
-  bool shared_scans = false;
 
   /// EXPLAIN rendering: the operator tree, one line per operator, grouped
   /// by stage, with each ScoreOp annotated with its scoring path (batch
   /// ScoringContext scan / top-k pruned / serial user function). `query`
   /// must be the query the plan was built from. `table_chunks` — the
   /// target table's ChunkMap size, when the caller has a backend to ask —
-  /// annotates each shared-scan FetchOp with its fan-out (`chunks=K`); 0
-  /// (unknown) leaves it off, and so does the reference blocked scan.
+  /// annotates each FetchOp with its chunk-pass fan-out (`chunks=K`); 0
+  /// (unknown) leaves it off.
   std::string Render(const ZqlQuery& query, size_t table_chunks = 0) const;
 };
 

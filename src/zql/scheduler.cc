@@ -34,15 +34,8 @@ PipelineScheduler::PipelineScheduler(const PhysicalPlan& plan,
                                      const ZqlQuery& query, ExecState* st)
     : plan_(plan), query_(query), st_(st) {
   cancel_flag_ = CurrentCancelFlag();
-  // Resolve the row-selection route once per query: the shared chunk pass
-  // when the options carry a batch queue and the table has at least one
-  // chunk, otherwise the reference blocked scan.
-  if (st->db != nullptr && st->opts->batch_scans != nullptr) {
-    Result<ChunkMap> map = st->db->GetChunkMap(st->table_name);
-    if (map.ok() && map.value().num_chunks() >= 1) {
-      batch_queue_ = st->opts->batch_scans;
-    }
-  }
+  queue_ = st->opts->batch_scans != nullptr ? st->opts->batch_scans
+                                            : st->db->scan_queue();
 }
 
 PipelineScheduler::~PipelineScheduler() {
@@ -221,7 +214,7 @@ void PipelineScheduler::StartWorker() {
 
 void PipelineScheduler::FetchWorkerMain() {
   // Mirror the coordinator's cancellation context so backend scans poll
-  // the same token (RunBlocked checks it at block boundaries).
+  // the same token (SelectRows and the scanners check it).
   CancelScope scope(cancel_flag_);
   FetchJob job;
   while (jobs_->Pop(&job)) {
@@ -268,49 +261,49 @@ void PipelineScheduler::RunBatch(
     const std::vector<sql::SelectStatement>& stmts, bool batched,
     const std::function<bool(size_t, Result<ResultSet>)>& sink,
     ScanTally* tally, TraceSpan* span_parent, int track) {
-  if (batch_queue_ == nullptr) {
-    st_->db->ScanBatch(stmts, batched, sink, &tally->scan_ms);
-    return;
-  }
-  // Accounting mirrors ScanBatch exactly: batched = one round trip for
-  // the whole flush, counted up front; unbatched = one per statement,
-  // stopped by an early sink exit. The shared pass changes how rows are
-  // *selected*, never what a round trip means.
-  if (batched) st_->db->AccountRequest(stmts.size());
-  std::vector<const sql::SelectStatement*> ptrs;
-  ptrs.reserve(stmts.size());
-  for (const sql::SelectStatement& stmt : stmts) ptrs.push_back(&stmt);
-  const auto t0 = SteadyNow();
-  BatchScanQueue::Selection sel;
-  {
-    // The group-commit span covers the whole SelectRows stay — window
-    // hold, queueing, and the covering pass — while pass_ms is the pass's
-    // own wall time; the difference is time spent waiting to be grouped.
-    TraceScope pass_span(st_->trace, span_parent, "SharedScanPass", track);
-    sel = batch_queue_->SelectRows(st_->db, st_->table_name, ptrs);
-    pass_span.SetInt("statements", static_cast<int64_t>(stmts.size()));
-    pass_span.SetBool("shared", sel.shared);
-    pass_span.SetInt("chunks", static_cast<int64_t>(sel.chunks_scanned));
-    pass_span.SetDouble("pass_ms", sel.scan_ms);
-  }
-  tally->scan_ms += MsSince(t0);
-  tally->chunks_scanned += sel.chunks_scanned;
-  tally->shard_ms += sel.job_ms;
-  tally->batched_scans += stmts.size();
-  if (sel.shared) tally->scans_shared += stmts.size();
-  for (size_t i = 0; i < stmts.size(); ++i) {
-    if (!batched) st_->db->AccountRequest(1);
-    if (!sel.status.ok()) {
-      if (!sink(i, sel.status)) return;
-      continue;
+  // One round trip is one SelectRows call: the whole batch, or — NoOpt, a
+  // naive compiler's one query per visualization — one statement.
+  const size_t per_trip = batched ? stmts.size() : 1;
+  for (size_t first = 0; first < stmts.size(); first += per_trip) {
+    std::vector<const sql::SelectStatement*> trip;
+    for (size_t i = first; i < first + per_trip; ++i) {
+      trip.push_back(&stmts[i]);
     }
-    // The pass selected the rows, the table-size-pure blocked runner
-    // aggregates them — so the bytes can not depend on who shared the
-    // pass or how many chunks it fanned over.
-    const auto tf = SteadyNow();
-    Result<ResultSet> rs = st_->db->FinishChunkScan(stmts[i], sel.rows[i]);
-    tally->scan_ms += MsSince(tf);
-    if (!sink(i, std::move(rs))) return;
+    const auto t0 = SteadyNow();
+    st_->db->AccountRequest(trip.size());
+    BatchScanQueue::Selection sel;
+    {
+      // The group-commit span covers the whole SelectRows stay — window
+      // hold, queueing, and the covering pass — while pass_ms is the
+      // pass's own wall time; the difference is time spent waiting to be
+      // grouped.
+      TraceScope pass_span(st_->trace, span_parent, "SharedScanPass", track);
+      sel = queue_->SelectRows(st_->db, st_->table_name, trip);
+      pass_span.SetInt("statements", static_cast<int64_t>(trip.size()));
+      pass_span.SetBool("shared", sel.shared);
+      pass_span.SetInt("chunks", static_cast<int64_t>(sel.chunks_scanned));
+      pass_span.SetDouble("pass_ms", sel.scan_ms);
+    }
+    tally->scan_ms += MsSince(t0);
+    tally->chunks_scanned += sel.chunks_scanned;
+    tally->shard_ms += sel.job_ms;
+    tally->batched_scans += trip.size();
+    if (sel.shared) tally->scans_shared += trip.size();
+    for (size_t i = 0; i < trip.size(); ++i) {
+      Result<ResultSet> rs = sel.status;
+      if (sel.status.ok()) {
+        // The pass selected the rows, the table-size-pure blocked runner
+        // aggregates them — so the bytes can not depend on who shared the
+        // pass or how many chunks it fanned over. Each statement's lists
+        // are released as soon as they are aggregated.
+        const auto tf = SteadyNow();
+        rs = st_->db->FinishChunkScan(*trip[i], sel.rows[i]);
+        sel.rows[i].clear();
+        tally->scan_ms += MsSince(tf);
+      }
+      // A stopped sink ends the batch: later statements are never scanned.
+      if (!sink(first + i, std::move(rs))) return;
+    }
   }
 }
 

@@ -6,21 +6,19 @@
 ///    statements execute and route — before any downstream operator runs.
 ///    This is exactly the pre-plan executor's behavior.
 ///  - *pipelined*: a flush hands its statement batch to a dedicated fetch
-///    thread, which drives the backend's streaming ScanBatch entry point
-///    and pushes each ResultSet through a bounded hand-off queue. The
-///    coordinator keeps walking the plan; a MaterializeOp drains (routes)
-///    only the fetches tagged at or before its own row, so scoring of an
-///    already-materialized row overlaps the backend scan of later rows.
+///    thread, which runs the batch's round trips and pushes each ResultSet
+///    through a bounded hand-off queue. The coordinator keeps walking the
+///    plan; a MaterializeOp drains (routes) only the fetches tagged at or
+///    before its own row, so scoring of an already-materialized row
+///    overlaps the backend scan of later rows.
 ///
-/// Under either schedule a flush selects its rows one of two ways
-/// (docs/architecture.md "Batched execution"). Without a BatchScanQueue in
-/// the options it runs the reference blocked scan (Database::ScanBatch).
-/// With one — every served query — the whole flush joins one chunk-
-/// parallel pass of the cross-query shared-scan queue
-/// (engine/shared_scan.h), possibly alongside other queries' statements,
-/// and each statement finishes through the shared blocked aggregation
-/// (FinishChunkScan) — so what a pass happens to share, and how many
-/// chunks it fans over, never shows up in the bytes.
+/// Under either schedule a flush selects its rows through chunk passes of
+/// a BatchScanQueue (engine/shared_scan.h; docs/architecture.md "Batched
+/// execution") — ZqlOptions::batch_scans, else the backend's own — one
+/// SelectRows call per round trip, possibly alongside other queries'
+/// statements, and each statement finishes through the shared blocked
+/// aggregation (FinishChunkScan) — so what a pass happens to share, and
+/// how many chunks it fans over, never shows up in the bytes.
 ///
 /// Determinism contract: everything except the backend scan — routing,
 /// derivations, scoring, reduction, variable binding — runs on the
@@ -35,9 +33,9 @@
 /// a pass, and per scored combination.
 ///
 /// Threads: the only thread a query creates is the pipelined fetch thread.
-/// Chunk passes and the blocked scan both run on the common/parallel pool:
-/// the BatchScanQueue owns no thread — whichever waiting caller leads a
-/// pass (a coordinator or a fetch thread) runs its chunk jobs there.
+/// Chunk passes run on the common/parallel pool: the BatchScanQueue owns
+/// no thread — whichever waiting caller leads a pass (a coordinator or a
+/// fetch thread) runs its chunk jobs there.
 
 #ifndef ZV_ZQL_SCHEDULER_H_
 #define ZV_ZQL_SCHEDULER_H_
@@ -104,17 +102,14 @@ class PipelineScheduler {
   /// row_tag is <= `limit_tag` (SIZE_MAX = drain everything outstanding).
   Status DrainUpTo(size_t limit_tag);
 
-  /// Executes one flush's statement batch and feeds results to `sink` —
-  /// contract identical to Database::ScanBatch, which it delegates to when
-  /// the query has no batch queue. With one, the whole flush goes to the
-  /// queue in one SelectRows call — so its statements always share one
-  /// pass, possibly joined by other queries' — and each statement
-  /// finishes through FinishChunkScan on the calling thread, with
-  /// AccountRequest mirroring ScanBatch's round-trip accounting. Adds its
-  /// accounting into `tally`. Runs on the coordinator (staged) or the
-  /// fetch thread (pipelined) — never both. `span_parent`/`track` locate
-  /// the pass's trace span in the query's span tree; null parent with
-  /// tracing off records nothing.
+  /// Executes one flush's statement batch and feeds results to `sink` in
+  /// statement order: `batched` = one round trip (AccountRequest plus one
+  /// SelectRows call) for the whole batch, otherwise one per statement.
+  /// A sink returning false stops the batch. Adds its accounting into
+  /// `tally`. Runs on the coordinator (staged) or the fetch thread
+  /// (pipelined) — never both. `span_parent`/`track` locate the passes'
+  /// trace spans in the query's span tree; null parent with tracing off
+  /// records nothing.
   void RunBatch(const std::vector<sql::SelectStatement>& stmts, bool batched,
                 const std::function<bool(size_t, Result<ResultSet>)>& sink,
                 ScanTally* tally, TraceSpan* span_parent, int track);
@@ -143,10 +138,8 @@ class PipelineScheduler {
   /// Tells the fetch thread to stop scanning (teardown after an error).
   std::atomic<bool> abandon_{false};
 
-  /// Cross-query shared-scan batching (resolved in the constructor:
-  /// ZqlOptions::batch_scans when the table has a non-empty chunk map);
-  /// null = the reference blocked scan.
-  BatchScanQueue* batch_queue_ = nullptr;
+  /// ZqlOptions::batch_scans, else the backend's own queue.
+  BatchScanQueue* queue_ = nullptr;
 };
 
 }  // namespace zv::zql::exec

@@ -1,13 +1,15 @@
 /// \file batch_test.cc
 /// \brief The batched-execution contract (docs/architecture.md "Batched
 /// execution"): results served through the shared-scan queue are
-/// byte-identical to the per-query oracle across {batched, unbatched} ×
-/// {1, 4} sessions × both backends × ZV_THREADS {1, 4}. Plus: the
-/// multi-statement scanners and the queue select, per statement, exactly
-/// what a plain whole-table predicate loop selects, a cancelled member
-/// leaves its pass siblings
-/// unaffected, a ReplaceDataset epoch bump mid-window isolates pre- and
-/// post-bump queries on their own snapshots, binning pushdown reproduces
+/// byte-identical to testing::ReferenceDatabase (a naive row loop, staged,
+/// ZV_THREADS=1, the table as one chunk) across {one chunk, small chunks}
+/// × {1, 4} sessions × ZV_THREADS {1, 4} × {staged, pipelined} × both
+/// backends, and so are concurrent direct callers sharing one backend's
+/// own queue. Plus: the multi-statement scanners and the queue select, per
+/// statement, exactly what a plain whole-table predicate loop selects, a
+/// cancelled member leaves its pass siblings unaffected, a ReplaceDataset
+/// epoch bump mid-window isolates pre- and post-bump queries on their own
+/// snapshots, the batching window is bounded, binning pushdown reproduces
 /// the client-side binner bit for bit on integer data, and a randomized
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
 /// runs it long) hammers submit/cancel/replace concurrently. Runs under
@@ -20,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -76,6 +79,16 @@ bool SameVisualization(const Visualization& a, const Visualization& b) {
   return ::testing::AssertionSuccess();
 }
 
+/// A statement's selected rows as one list: its chunk parts, in order.
+std::vector<uint32_t> Concat(
+    const std::vector<std::vector<uint32_t>>& parts) {
+  std::vector<uint32_t> rows;
+  for (const auto& part : parts) {
+    rows.insert(rows.end(), part.begin(), part.end());
+  }
+  return rows;
+}
+
 /// Distinct query shapes whose row selections can share a pass: different
 /// predicates (union-able conjuncts), a no-WHERE full scan (the Roaring
 /// bitmap fast path), a scored pipeline, and a binned numeric x axis.
@@ -102,13 +115,14 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// The unbatched oracle: a private executor without a queue (the reference
-/// blocked scan), serial, staged.
-ZqlResult Oracle(Database* db, const char* zql) {
+/// The reference: ReferenceDatabase over `table`, staged, serial.
+ZqlResult Oracle(const std::shared_ptr<Table>& table, const char* zql) {
   ScopedThreads threads(1);
+  testing::ReferenceDatabase db;
+  EXPECT_TRUE(db.RegisterTable(table).ok());
   ZqlOptions opts;
   opts.pipelined_execution = false;
-  ZqlExecutor exec(db, "sales", opts);
+  ZqlExecutor exec(&db, "sales", opts);
   Result<ZqlResult> r = exec.ExecuteText(zql);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
   return r.ok() ? std::move(r).value() : ZqlResult{};
@@ -118,54 +132,48 @@ template <typename DbType>
 void RunBatchIdentityMatrix() {
   auto table = MediumSales();
   std::vector<ZqlResult> oracle;
-  {
-    DbType db;
-    ZV_ASSERT_OK(db.RegisterTable(table));
-    ZV_ASSERT_OK(db.RebuildChunkMap("sales", 256));
-    for (const char* zql : kQueries) oracle.push_back(Oracle(&db, zql));
-  }
-  for (bool shared : {false, true}) {
+  for (const char* zql : kQueries) oracle.push_back(Oracle(table, zql));
+  // 0 = the default chunk size, which the 3000-row table fits inside.
+  for (size_t chunk_rows : {size_t{0}, size_t{256}}) {
     for (size_t sessions : {size_t{1}, size_t{4}}) {
       for (size_t nthreads : {size_t{1}, size_t{4}}) {
-        ScopedThreads threads(nthreads);
-        server::ServiceOptions sopts;
-        sopts.result_cache = false;  // every submit must really execute
-        sopts.shared_scans = shared;
-        sopts.max_inflight = 4;
-        server::QueryService service(sopts);
-        auto db = std::make_shared<DbType>();
-        ZV_ASSERT_OK(db->RegisterTable(table));
-        ZV_ASSERT_OK(db->RebuildChunkMap("sales", 256));
-        ZV_ASSERT_OK(service.RegisterDataset(table, db));
-        std::vector<server::SessionId> sids;
-        for (size_t s = 0; s < sessions; ++s) {
-          ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
-                                  service.CreateSession());
-          sids.push_back(sid);
-        }
-        std::vector<server::QueryHandle> handles;
-        for (size_t i = 0; i < kNumQueries; ++i) {
-          ZV_ASSERT_OK_AND_ASSIGN(
-              server::QueryHandle h,
-              service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
-          handles.push_back(h);
-        }
-        uint64_t batched_total = 0;
-        for (size_t i = 0; i < handles.size(); ++i) {
-          ZV_ASSERT_OK(handles[i].Wait());
-          auto res = handles[i].result();
-          ASSERT_NE(res, nullptr);
-          EXPECT_TRUE(SameResult(oracle[i], *res))
-              << "query " << i << " shared=" << shared
-              << " sessions=" << sessions << " threads=" << nthreads;
-          batched_total += handles[i].stats().batched_scans;
-        }
-        if (shared) {
+        for (bool pipelined : {false, true}) {
+          ScopedThreads threads(nthreads);
+          server::ServiceOptions sopts;
+          sopts.result_cache = false;  // every submit must really execute
+          sopts.max_inflight = 4;
+          sopts.zql.pipelined_execution = pipelined;
+          server::QueryService service(sopts);
+          auto db = std::make_shared<DbType>();
+          ZV_ASSERT_OK(db->RegisterTable(table));
+          ZV_ASSERT_OK(db->RebuildChunkMap("sales", chunk_rows));
+          ZV_ASSERT_OK(service.RegisterDataset(table, db));
+          std::vector<server::SessionId> sids;
+          for (size_t s = 0; s < sessions; ++s) {
+            ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
+                                    service.CreateSession());
+            sids.push_back(sid);
+          }
+          std::vector<server::QueryHandle> handles;
+          for (size_t i = 0; i < kNumQueries; ++i) {
+            ZV_ASSERT_OK_AND_ASSIGN(
+                server::QueryHandle h,
+                service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
+            handles.push_back(h);
+          }
+          uint64_t batched_total = 0;
+          for (size_t i = 0; i < handles.size(); ++i) {
+            ZV_ASSERT_OK(handles[i].Wait());
+            auto res = handles[i].result();
+            ASSERT_NE(res, nullptr);
+            EXPECT_TRUE(SameResult(oracle[i], *res))
+                << "query " << i << " chunk_rows=" << chunk_rows
+                << " sessions=" << sessions << " threads=" << nthreads
+                << " pipelined=" << pipelined;
+            batched_total += handles[i].stats().batched_scans;
+          }
           EXPECT_GT(batched_total, 0u);
           EXPECT_GT(service.stats().batch_passes, 0u);
-        } else {
-          EXPECT_EQ(batched_total, 0u);
-          EXPECT_EQ(service.stats().batch_passes, 0u);
         }
       }
     }
@@ -243,7 +251,7 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
   ASSERT_EQ(sel.rows.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     const sql::SelectStatement& stmt = i == 0 ? a : b;
-    EXPECT_EQ(sel.rows[i], testing::ReferenceRows(*table, stmt));
+    EXPECT_EQ(Concat(sel.rows[i]), testing::ReferenceRows(*table, stmt));
   }
   EXPECT_GT(sel.chunks_scanned, 0u);
   EXPECT_EQ(queue.passes(), 1u);
@@ -294,12 +302,115 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
   for (size_t i = 0; i < stmts.size(); ++i) {
     ZV_ASSERT_OK(sels[i].status);
     EXPECT_TRUE(sels[i].shared) << "caller " << i;
-    EXPECT_EQ(sels[i].rows[0], testing::ReferenceRows(*table, stmts[i]))
+    EXPECT_EQ(Concat(sels[i].rows[0]),
+              testing::ReferenceRows(*table, stmts[i]))
         << "caller " << i;
   }
   EXPECT_EQ(queue.passes(), 1u);
   EXPECT_EQ(queue.shared_passes(), 1u);
   EXPECT_EQ(queue.statements_served(), 3u);
+}
+
+/// Concurrent direct callers of one Database — ExecuteSql and direct
+/// executors, none given a queue — share the backend's own queue: every
+/// result equals the reference's, and at least one pass carries more than
+/// one caller's statements. Both backends, ZV_THREADS 1 and 4.
+template <typename DbType>
+void RunConcurrentDirectCallers() {
+  auto table = MediumSales();
+  const char* const sqls[] = {
+      "SELECT year, SUM(sales) FROM sales WHERE location = 'US' GROUP BY "
+      "year",
+      "SELECT product, COUNT(*) FROM sales WHERE sales > 100 GROUP BY "
+      "product",
+      "SELECT year, MAX(profit) FROM sales GROUP BY year",
+  };
+  constexpr size_t kNumSqls = sizeof(sqls) / sizeof(sqls[0]);
+  std::vector<ResultSet> expected_sql;
+  std::vector<ZqlResult> expected_zql;
+  {
+    ScopedThreads threads(1);
+    testing::ReferenceDatabase reference;
+    ZV_ASSERT_OK(reference.RegisterTable(table));
+    for (const char* text : sqls) {
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs, reference.ExecuteSql(text));
+      expected_sql.push_back(std::move(rs));
+    }
+  }
+  for (const char* zql : kQueries) expected_zql.push_back(Oracle(table, zql));
+
+  constexpr size_t kCallers = 8;
+  for (size_t nthreads : {size_t{1}, size_t{4}}) {
+    ScopedThreads threads(nthreads);
+    DbType db;
+    ZV_ASSERT_OK(db.RegisterTable(table));
+    ZV_ASSERT_OK(db.RebuildChunkMap("sales", 256));
+    // Rounds until some pass was shared (almost always the first): callers
+    // that arrive while a pass runs pile up and form the next one.
+    for (int round = 0; round < 20 && db.scan_queue()->shared_passes() == 0;
+         ++round) {
+      std::atomic<size_t> ready{0};
+      std::vector<std::thread> callers;
+      for (size_t t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+          ++ready;
+          while (ready.load() < kCallers) std::this_thread::yield();
+          for (size_t i = 0; i < 3; ++i) {
+            const size_t pick = t + i;
+            if (t % 2 == 0) {
+              Result<ResultSet> rs = db.ExecuteSql(sqls[pick % kNumSqls]);
+              ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+              EXPECT_EQ(rs->columns, expected_sql[pick % kNumSqls].columns);
+              EXPECT_EQ(rs->rows, expected_sql[pick % kNumSqls].rows)
+                  << db.name() << " sql " << pick % kNumSqls;
+            } else {
+              ZqlExecutor exec(&db, "sales");
+              Result<ZqlResult> r =
+                  exec.ExecuteText(kQueries[pick % kNumQueries]);
+              ASSERT_TRUE(r.ok()) << r.status().ToString();
+              EXPECT_TRUE(SameResult(expected_zql[pick % kNumQueries], *r))
+                  << db.name() << " query " << pick % kNumQueries;
+            }
+          }
+        });
+      }
+      for (auto& c : callers) c.join();
+    }
+    EXPECT_GE(db.scan_queue()->shared_passes(), 1u)
+        << db.name() << " threads=" << nthreads;
+  }
+}
+
+TEST(BatchTest, ConcurrentDirectCallersShareTheBackendQueue) {
+  RunConcurrentDirectCallers<ScanDatabase>();
+  RunConcurrentDirectCallers<RoaringDatabase>();
+}
+
+/// The batching window resolves to a bounded, finite hold: non-finite
+/// values mean no window, and anything above kMaxBatchWindowMs is capped,
+/// whether it comes from the options or from ZV_BATCH_WINDOW_MS.
+TEST(BatchTest, WindowIsBounded) {
+  const auto window = [](double ms) {
+    BatchScanOptions opts;
+    opts.window_ms = ms;
+    return BatchScanQueue(opts).window_ms();
+  };
+  EXPECT_EQ(window(100), 100.0);
+  EXPECT_EQ(window(0), 0.0);
+  EXPECT_EQ(window(1e300), kMaxBatchWindowMs);
+  EXPECT_EQ(window(std::numeric_limits<double>::infinity()), 0.0);
+  EXPECT_EQ(window(std::numeric_limits<double>::quiet_NaN()), 0.0);
+  for (const char* env : {"inf", "nan", "1e300", "-5", "2"}) {
+    setenv("ZV_BATCH_WINDOW_MS", env, 1);
+    const double got = window(-1);
+    EXPECT_TRUE(got >= 0 && got <= kMaxBatchWindowMs) << env << ": " << got;
+  }
+  setenv("ZV_BATCH_WINDOW_MS", "1e300", 1);
+  EXPECT_EQ(window(-1), kMaxBatchWindowMs);
+  setenv("ZV_BATCH_WINDOW_MS", "2", 1);
+  EXPECT_EQ(window(-1), 2.0);
+  unsetenv("ZV_BATCH_WINDOW_MS");
+  EXPECT_EQ(window(-1), 0.0);
 }
 
 /// Mid-batch cancellation, queue level: a member cancelled while its pass
@@ -345,7 +456,8 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
     EXPECT_EQ(cancelled_sel.status.code(), StatusCode::kCancelled)
         << cancelled_sel.status.ToString();
     ZV_ASSERT_OK(survivor_sel.status);
-    EXPECT_EQ(survivor_sel.rows[0], testing::ReferenceRows(*table, survivor));
+    EXPECT_EQ(Concat(survivor_sel.rows[0]),
+              testing::ReferenceRows(*table, survivor));
     EXPECT_FALSE(survivor_sel.shared);
     EXPECT_EQ(queue.passes(), 1u);
     EXPECT_EQ(queue.statements_served(), 1u);
@@ -429,7 +541,7 @@ TEST(BatchTest, LeaderCancelledMidPassReturnsWhenThePassEnds) {
       << leader_sel.status.ToString();
   EXPECT_EQ(passes_at_leader_return, 1u);
   ZV_ASSERT_OK(follower_sel.status);
-  EXPECT_EQ(follower_sel.rows[0],
+  EXPECT_EQ(Concat(follower_sel.rows[0]),
             testing::ReferenceRows(*table, follower_stmt));
   EXPECT_FALSE(follower_sel.shared);
   EXPECT_EQ(queue.passes(), 2u);
@@ -442,12 +554,7 @@ TEST(BatchTest, ServiceCancelMidBatchSiblingsUnaffected) {
   auto db = std::make_shared<ScanDatabase>();
   ZV_ASSERT_OK(db->RegisterTable(table));
   ZV_ASSERT_OK(db->RebuildChunkMap("sales", 256));
-  ZqlResult oracle;
-  {
-    ScanDatabase oracle_db;
-    ZV_ASSERT_OK(oracle_db.RegisterTable(table));
-    oracle = Oracle(&oracle_db, kQueries[0]);
-  }
+  const ZqlResult oracle = Oracle(table, kQueries[0]);
   server::ServiceOptions sopts;
   sopts.result_cache = false;
   sopts.batch_window_ms = 100;
@@ -486,15 +593,8 @@ TEST(BatchTest, EpochBumpMidWindowIsolatesSnapshots) {
   new_opts.seed = 23;
   auto new_table = MakeSalesTable(new_opts);
 
-  ZqlResult oracle_old, oracle_new;
-  {
-    RoaringDatabase odb;
-    ZV_ASSERT_OK(odb.RegisterTable(old_table));
-    oracle_old = Oracle(&odb, kQueries[0]);
-    RoaringDatabase ndb;
-    ZV_ASSERT_OK(ndb.RegisterTable(new_table));
-    oracle_new = Oracle(&ndb, kQueries[0]);
-  }
+  const ZqlResult oracle_old = Oracle(old_table, kQueries[0]);
+  const ZqlResult oracle_new = Oracle(new_table, kQueries[0]);
 
   server::ServiceOptions sopts;
   sopts.result_cache = false;
@@ -630,10 +730,8 @@ TEST(BatchTest, RandomizedMultiSessionSoak) {
   // Oracle per (snapshot, query).
   std::vector<std::vector<ZqlResult>> oracle(2);
   for (size_t v = 0; v < 2; ++v) {
-    RoaringDatabase odb;
-    ZV_ASSERT_OK(odb.RegisterTable(v == 0 ? table_a : table_b));
     for (const char* zql : kQueries) {
-      oracle[v].push_back(Oracle(&odb, zql));
+      oracle[v].push_back(Oracle(v == 0 ? table_a : table_b, zql));
     }
   }
 

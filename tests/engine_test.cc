@@ -168,18 +168,6 @@ TEST_F(EngineTest, CountersTrackQueriesAndRequests) {
   ZV_ASSERT_OK(scan_.ExecuteSql("SELECT COUNT(*) FROM sales").status());
   EXPECT_EQ(scan_.queries_executed(), 2u);
   EXPECT_EQ(scan_.requests_made(), 2u);
-
-  scan_.ResetCounters();
-  std::vector<sql::SelectStatement> batch;
-  for (int i = 0; i < 5; ++i) {
-    ZV_ASSERT_OK_AND_ASSIGN(auto st,
-                            sql::ParseSelect("SELECT COUNT(*) FROM sales"));
-    batch.push_back(std::move(st));
-  }
-  auto results = scan_.ExecuteBatch(batch);
-  for (auto& r : results) ZV_EXPECT_OK(r.status());
-  EXPECT_EQ(scan_.queries_executed(), 5u);
-  EXPECT_EQ(scan_.requests_made(), 1u);
 }
 
 TEST_F(EngineTest, RoaringIndexBytesNonZero) {

@@ -1,7 +1,7 @@
 /// \file extensions_test.cc
 /// \brief Tests for the §10.1 future-work features implemented beyond the
-/// paper's prototype: interpolated alignment for missing points, automatic
-/// representative-count selection, and native run-container intersection.
+/// paper's prototype: interpolated alignment for missing points and native
+/// run-container intersection.
 
 #include <gtest/gtest.h>
 
@@ -78,47 +78,6 @@ TEST(InterpolationTest, EmptySeriesStaysZero) {
   b.series = {{"y", {}}};
   auto m = AlignToMatrixInterpolated({&a, &b});
   EXPECT_EQ(m[1], (std::vector<double>{0, 0}));
-}
-
-// --- automatic representative count --------------------------------------------
-
-TEST(AutoKTest, FindsPlantedClusterCount) {
-  // Three clearly distinct shapes, several members each.
-  std::vector<Visualization> storage;
-  Rng rng(5);
-  auto add_cluster = [&](std::vector<double> base, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      std::vector<double> ys = base;
-      for (double& y : ys) y += 0.02 * rng.Normal();
-      storage.push_back(SeriesAt({0, 1, 2, 3}, ys));
-    }
-  };
-  add_cluster({0, 1, 2, 3}, 8);   // rising
-  add_cluster({3, 2, 1, 0}, 8);   // falling
-  add_cluster({0, 3, 0, 3}, 8);   // zigzag
-  std::vector<const Visualization*> set;
-  for (const auto& v : storage) set.push_back(&v);
-  const size_t k = AutoRepresentativeCount(set, 8);
-  EXPECT_GE(k, 2u);
-  EXPECT_LE(k, 4u);
-}
-
-TEST(AutoKTest, DegenerateInputs) {
-  EXPECT_EQ(AutoRepresentativeCount({}, 10), 1u);
-  Visualization one = SeriesAt({0, 1}, {1, 2});
-  EXPECT_EQ(AutoRepresentativeCount({&one}, 10), 1u);
-  Visualization two = SeriesAt({0, 1}, {2, 1});
-  EXPECT_EQ(AutoRepresentativeCount({&one, &two}, 10), 2u);
-}
-
-TEST(AutoKTest, BoundedByMaxK) {
-  std::vector<Visualization> storage;
-  for (int i = 0; i < 30; ++i) {
-    storage.push_back(SeriesAt({0, 1, 2}, {double(i), double(i % 7), 1.0}));
-  }
-  std::vector<const Visualization*> set;
-  for (const auto& v : storage) set.push_back(&v);
-  EXPECT_LE(AutoRepresentativeCount(set, 5), 5u);
 }
 
 // --- native run-container intersection ------------------------------------------

@@ -100,6 +100,23 @@ TEST(ParallelForTest, EnvVariableControlsWorkerCount) {
   EXPECT_EQ(ParallelWorkerCount(), 3u);
 }
 
+/// Huge requests are capped where the count resolves, so no ParallelFor can
+/// grow the pool past kMaxParallelThreads OS threads (checked through the
+/// resolver only: nothing here starts a thread).
+TEST(ParallelForTest, WorkerCountIsCapped) {
+  ThreadGuard guard;
+  setenv("ZV_THREADS", "100000", 1);
+  EXPECT_EQ(ParallelWorkerCount(), kMaxParallelThreads);
+  setenv("ZV_THREADS", "99999999999999999999999", 1);
+  EXPECT_EQ(ParallelWorkerCount(), kMaxParallelThreads);
+  setenv("ZV_THREADS", "256", 1);
+  EXPECT_EQ(ParallelWorkerCount(), 256u);
+  SetParallelThreads(100000);
+  EXPECT_EQ(ParallelWorkerCount(), kMaxParallelThreads);
+  SetParallelThreads(8);
+  EXPECT_EQ(ParallelWorkerCount(), 8u);
+}
+
 TEST(ParallelForTest, ExceptionPropagatesToCaller) {
   ThreadGuard guard;
   SetParallelThreads(8);
@@ -649,24 +666,44 @@ void ExpectMatchesReference(const ResultSet& rs, size_t num_keys,
   }
 }
 
-/// Runs `sql` on every database through both entry points — ExecuteSql,
-/// and FinishChunkScan over `rows`, the rows its WHERE selects — at
-/// ZV_THREADS 1 and 8, passing every result to `expect`.
+/// `rows` cut into uneven ascending parts, with empty ones at both ends,
+/// as a many-chunk pass hands a statement's rows over: most blocks then
+/// straddle a part boundary.
+std::vector<std::vector<uint32_t>> UnevenParts(
+    const std::vector<uint32_t>& rows) {
+  std::vector<std::vector<uint32_t>> parts(1);
+  for (size_t at = 0, len = 1; at < rows.size(); len = len * 3 + 7) {
+    const size_t end = std::min(rows.size(), at + len);
+    parts.emplace_back(rows.begin() + at, rows.begin() + end);
+    at = end;
+  }
+  parts.emplace_back();
+  return parts;
+}
+
+/// Runs `sql` on every database through every entry point — ExecuteSql,
+/// and FinishChunkScan over `rows`, the rows its WHERE selects, handed
+/// over whole and in UnevenParts — at ZV_THREADS 1 and 8, passing every
+/// result to `expect`.
 void ForEveryPath(const std::vector<Database*>& dbs, const std::string& sql,
                   const std::vector<uint32_t>& rows,
                   const std::function<void(const ResultSet&)>& expect) {
   SCOPED_TRACE(sql);
   ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+  const std::vector<std::vector<uint32_t>> whole = {rows};
+  const std::vector<std::vector<uint32_t>> uneven = UnevenParts(rows);
   for (size_t threads : {1, 8}) {
     SetParallelThreads(threads);
     for (Database* db : dbs) {
-      for (bool chunked : {false, true}) {
-        SCOPED_TRACE(db->name() + " threads=" + std::to_string(threads) +
-                     (chunked ? " FinishChunkScan" : " ExecuteSql"));
-        ZV_ASSERT_OK_AND_ASSIGN(ResultSet rs,
-                                chunked ? db->FinishChunkScan(stmt, rows)
-                                        : db->ExecuteSql(sql));
-        expect(rs);
+      SCOPED_TRACE(db->name() + " threads=" + std::to_string(threads));
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet executed, db->ExecuteSql(sql));
+      expect(executed);
+      for (const auto* parts : {&whole, &uneven}) {
+        SCOPED_TRACE("FinishChunkScan over " + std::to_string(parts->size()) +
+                     " parts");
+        ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
+                                db->FinishChunkScan(stmt, *parts));
+        expect(finished);
       }
     }
   }

@@ -1,11 +1,12 @@
 /// \file pipeline_test.cc
 /// \brief The pipelined-execution contract: results are byte-identical to
-/// staged execution — and to the serial oracle — for every optimization
-/// level and every ZV_THREADS setting, across fetch-only, task, reducer,
-/// representative, derived, and user-input queries; cancellation lands
-/// mid-pipeline promptly; per-stage timings are populated. Runs under the
-/// tsan ctest label too (tools/run_tsan.sh): the fetch thread, the bounded
-/// hand-off queue, and the scoring pool all race-check together.
+/// staged execution — and to testing::ReferenceDatabase run staged and
+/// serial — for every optimization level, every ZV_THREADS setting and one
+/// chunk or many, across fetch-only, task, reducer, representative,
+/// derived, and user-input queries; cancellation lands mid-pipeline
+/// promptly; per-stage timings are populated. Runs under the tsan ctest
+/// label too (tools/run_tsan.sh): the fetch thread, the bounded hand-off
+/// queue, and the scoring pool all race-check together.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "common/parallel.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
-#include "engine/shared_scan.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -145,34 +145,26 @@ std::shared_ptr<Table> SharedSales() {
   return table;
 }
 
-/// `queued` gives the executor a private BatchScanQueue, so every flush
-/// takes the shared chunk pass instead of the reference blocked scan.
 Result<ZqlResult> RunCase(Database* db, const Case& c, bool pipelined,
-                          OptLevel level, bool queued = false) {
-  std::unique_ptr<BatchScanQueue> queue;
+                          OptLevel level) {
   ZqlOptions opts;
   opts.optimization = level;
   opts.named_sets = MakeP();
   opts.pipelined_execution = pipelined;
-  if (queued) {
-    queue = std::make_unique<BatchScanQueue>();
-    opts.batch_scans = queue.get();
-  }
   ZqlExecutor exec(db, "sales", opts);
   if (c.needs_sketch) exec.SetUserInput("q", MakeSketch());
   return exec.ExecuteText(c.zql);
 }
 
-/// The oracle matrix: serial staged execution (ZV_THREADS=1, pipelining
-/// off, no queue) is the reference; staged/pipelined at ZV_THREADS in
-/// {1, 4} with and without a private batch queue (a chunk pass over
-/// 512-row chunks) must reproduce it byte for byte — same visuals, same
-/// SQL counts — at every optimization level.
+/// The oracle matrix: ReferenceDatabase run staged at ZV_THREADS=1 is the
+/// reference; staged/pipelined at ZV_THREADS in {1, 4}, over one chunk
+/// and over 512-row chunks (a pass that fans out), must reproduce it byte
+/// for byte — same visuals, same SQL counts — at every optimization level.
 TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
+  testing::ReferenceDatabase reference;
+  ZV_ASSERT_OK(reference.RegisterTable(SharedSales()));
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));
-  // 6000 rows in 512-row chunks: 12 chunks, so a queued pass fans out.
-  ZV_ASSERT_OK(db.RebuildChunkMap("sales", 512));
   for (const Case& c : kCases) {
     for (OptLevel level : {OptLevel::kNoOpt, OptLevel::kIntraTask,
                            OptLevel::kInterTask}) {
@@ -180,18 +172,21 @@ TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
       {
         ScopedThreads threads(1);
         ZV_ASSERT_OK_AND_ASSIGN(
-            baseline, RunCase(&db, c, /*pipelined=*/false, level));
+            baseline, RunCase(&reference, c, /*pipelined=*/false, level));
       }
-      for (size_t nthreads : {size_t{1}, size_t{4}}) {
-        for (bool pipelined : {false, true}) {
-          for (bool queued : {false, true}) {
+      // 0 = the default chunk size, which the 6000-row table fits inside;
+      // 512-row chunks make 12.
+      for (size_t chunk_rows : {size_t{0}, size_t{512}}) {
+        ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
+        for (size_t nthreads : {size_t{1}, size_t{4}}) {
+          for (bool pipelined : {false, true}) {
             ScopedThreads threads(nthreads);
-            ZV_ASSERT_OK_AND_ASSIGN(
-                ZqlResult got, RunCase(&db, c, pipelined, level, queued));
+            ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
+                                    RunCase(&db, c, pipelined, level));
             EXPECT_TRUE(SameResult(baseline, got))
                 << c.name << " opt=" << OptLevelToString(level)
                 << " threads=" << nthreads << " pipelined=" << pipelined
-                << " queued=" << queued;
+                << " chunk_rows=" << chunk_rows;
             EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries)
                 << c.name;
             EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests)
@@ -203,7 +198,7 @@ TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
   }
 }
 
-/// Both backends drive the same streaming ScanBatch entry point.
+/// Both backends run the same chunk pass and FinishChunkScan per statement.
 TEST(PipelineTest, RoaringBackendIdenticalAcrossSchedules) {
   RoaringDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));
@@ -231,7 +226,7 @@ TEST(PipelineTest, PerStageTimingsPopulated) {
 }
 
 /// Cancellation mid-pipeline: the fetch thread observes the coordinator's
-/// token between statements (and the backend's blocked scans poll it), so
+/// token between statements (and the chunk pass's scanners poll it), so
 /// a cancel during a long multi-request scan resolves promptly with
 /// kCancelled — never a partial OK result.
 TEST(PipelineTest, CancelMidPipelineReturnsPromptly) {

@@ -1,7 +1,8 @@
 /// \file shard_test.cc
-/// \brief The chunk-parallel contract: a flush served by the shared chunk
-/// pass (a BatchScanQueue in the options) is byte-identical to the
-/// reference blocked scan (no queue, staged, ZV_THREADS=1) across chunk
+/// \brief The chunk-parallel contract: every flush selects its rows through
+/// a chunk pass — a direct executor through its backend's own queue — and
+/// the result is byte-identical to testing::ReferenceDatabase (a naive
+/// row loop, staged, ZV_THREADS=1, the table as one chunk) across chunk
 /// sizes (including table < 1 chunk, chunk = 1 row, a chunk boundary on
 /// the last row, and an empty table), both backends, both schedules, and
 /// ZV_THREADS in {1, 4, 8} — the pass runs on the common pool, so that is
@@ -9,11 +10,11 @@
 /// same sql_queries/sql_requests deltas. Plus:
 /// cancellation mid-pass resolves promptly, a scanner's per-chunk
 /// selection matches a plain whole-table predicate loop row for row,
-/// served queries report their chunk and job time, EXPLAIN renders the
-/// fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
-/// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// the pass's leader, the pool's workers and the fetch thread race-check
-/// together.
+/// direct and served queries report their chunk and job time, EXPLAIN
+/// renders the fan-out, and a ReplaceDataset swap rebuilds the chunk
+/// catalog. Runs under the tsan/asan ctest gates (tools/run_tsan.sh,
+/// tools/run_asan.sh): the pass's leader, the pool's workers and the fetch
+/// thread race-check together.
 
 #include <gtest/gtest.h>
 
@@ -109,24 +110,22 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// Runs `zql` through a direct executor. `queued` gives it a private
-/// BatchScanQueue, so every flush takes the shared chunk pass (ZV_THREADS
-/// wide on the common pool); otherwise it runs the reference blocked scan.
-Result<ZqlResult> RunZql(Database* db, const char* zql, bool queued,
-                         bool pipelined) {
-  BatchScanQueue queue;
+/// Runs `zql` through a direct executor, which selects rows through the
+/// backend's own queue: a chunk pass ZV_THREADS wide on the common pool.
+Result<ZqlResult> RunZql(Database* db, const char* zql, bool pipelined) {
   ZqlOptions opts;
   opts.named_sets = MakeP(8);
   opts.pipelined_execution = pipelined;
-  if (queued) opts.batch_scans = &queue;
   ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
 }
 
-/// The reference: no queue, staged, serial.
-ZqlResult Reference(Database* db, const char* zql) {
+/// The reference: ReferenceDatabase over `table`, staged, serial.
+ZqlResult Reference(const std::shared_ptr<Table>& table, const char* zql) {
   ScopedThreads threads(1);
-  Result<ZqlResult> r = RunZql(db, zql, /*queued=*/false, /*pipelined=*/false);
+  testing::ReferenceDatabase db;
+  EXPECT_TRUE(db.RegisterTable(table).ok());
+  Result<ZqlResult> r = RunZql(&db, zql, /*pipelined=*/false);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
   return r.ok() ? std::move(r).value() : ZqlResult{};
 }
@@ -136,9 +135,7 @@ void RunIdentityMatrix() {
   DbType db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   for (const char* zql : {kSetQuery, kNoWhereQuery}) {
-    // The reference's blocks depend on table size only, never on the
-    // chunk map, so one run serves every chunk size.
-    const ZqlResult baseline = Reference(&db, zql);
+    const ZqlResult baseline = Reference(MediumSales(), zql);
     // Chunk sizes: 1 row per chunk (maximal fan-out), a mid split, an
     // exact divisor of the 3000-row table (1500: the last chunk boundary
     // lands exactly on the last row — no ragged tail chunk), and the
@@ -153,7 +150,7 @@ void RunIdentityMatrix() {
         for (bool pipelined : {false, true}) {
           ScopedThreads threads(nthreads);
           ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
-                                  RunZql(&db, zql, true, pipelined));
+                                  RunZql(&db, zql, pipelined));
           EXPECT_TRUE(SameResult(baseline, got))
               << db.name() << " chunk_rows=" << chunk_rows
               << " threads=" << nthreads << " pipelined=" << pipelined;
@@ -175,22 +172,18 @@ TEST(ShardTest, RoaringBackendByteIdentityMatrix) {
   RunIdentityMatrix<RoaringDatabase>();
 }
 
-/// chunks_scanned accounts every chunk of every fetched statement and
-/// shard_ms the pass's job time when the chunk pass runs; both stay 0 on
-/// the reference blocked scan.
+/// A direct query reports its passes like a served one: chunks_scanned
+/// accounts every chunk of every fetched statement, shard_ms the passes'
+/// job time, and batched_scans every statement.
 TEST(ShardTest, ChunkStatsPopulated) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 500));  // 6 chunks
   ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed,
-                          RunZql(&db, kSetQuery, true, true));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult reference,
-                          RunZql(&db, kSetQuery, false, true));
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed, RunZql(&db, kSetQuery, true));
   EXPECT_EQ(passed.stats.chunks_scanned, 6 * passed.stats.sql_queries);
+  EXPECT_EQ(passed.stats.batched_scans, passed.stats.sql_queries);
   EXPECT_GT(passed.stats.shard_ms, 0.0);
-  EXPECT_EQ(reference.stats.chunks_scanned, 0u);
-  EXPECT_EQ(reference.stats.shard_ms, 0.0);
 }
 
 /// A served query over several chunks reports the pass's chunk job time
@@ -252,26 +245,26 @@ TEST(ShardTest, MorePoolThreadsThanChunks) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 1500));  // exactly 2 chunks
-  const ZqlResult baseline = Reference(&db, kSetQuery);
+  const ZqlResult baseline = Reference(MediumSales(), kSetQuery);
   ZqlResult matched;
   ZqlResult surplus;
   {
     ScopedThreads threads(2);
-    ZV_ASSERT_OK_AND_ASSIGN(matched, RunZql(&db, kSetQuery, true, true));
+    ZV_ASSERT_OK_AND_ASSIGN(matched, RunZql(&db, kSetQuery, true));
   }
   {
     ScopedThreads threads(8);
-    ZV_ASSERT_OK_AND_ASSIGN(surplus, RunZql(&db, kSetQuery, true, true));
+    ZV_ASSERT_OK_AND_ASSIGN(surplus, RunZql(&db, kSetQuery, true));
   }
   EXPECT_TRUE(SameResult(baseline, matched));
   EXPECT_TRUE(SameResult(baseline, surplus));
   EXPECT_EQ(surplus.stats.chunks_scanned, matched.stats.chunks_scanned);
 }
 
-/// An empty table has zero chunks; an executor carrying a queue must fall
-/// back to the reference blocked scan and produce its (empty-series)
-/// outputs.
-TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
+/// An empty table has zero chunks: SelectRows answers every statement with
+/// an empty list and runs no pass, and the outputs (empty series) match
+/// the reference's.
+TEST(ShardTest, EmptyTableSelectsNothingWithoutAPass) {
   Schema schema({{"year", ColumnType::kCategorical},
                  {"product", ColumnType::kCategorical},
                  {"location", ColumnType::kCategorical},
@@ -281,6 +274,10 @@ TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
     TableBuilder b("sales", schema);
     return b.Finish();
   };
+  // A fixed visualization (value iteration over an empty table would be
+  // an empty Z set, rejected upstream of fetch).
+  const char* fixed = "*f1 | 'year' | 'sales' | | | bar.(y=agg('sum')) |";
+  const ZqlResult baseline = Reference(make_empty(), fixed);
   ScanDatabase scan_db;
   RoaringDatabase roaring_db;
   ZV_ASSERT_OK(scan_db.RegisterTable(make_empty()));
@@ -289,15 +286,12 @@ TEST(ShardTest, EmptyTableFallsBackToReferenceScan) {
                        static_cast<Database*>(&roaring_db)}) {
     ZV_ASSERT_OK_AND_ASSIGN(ChunkMap map, db->GetChunkMap("sales"));
     EXPECT_EQ(map.num_chunks(), 0u);
-    // A fixed visualization (value iteration over an empty table would be
-    // an empty Z set, rejected upstream of fetch on both paths alike).
-    const char* fixed = "*f1 | 'year' | 'sales' | | | bar.(y=agg('sum')) |";
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult baseline,
-                            RunZql(db, fixed, false, false));
-    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult queued, RunZql(db, fixed, true, true));
-    EXPECT_TRUE(SameResult(baseline, queued)) << db->name();
-    EXPECT_EQ(queued.stats.chunks_scanned, 0u);
-    EXPECT_EQ(queued.stats.batched_scans, 0u);
+    for (bool pipelined : {false, true}) {
+      ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got, RunZql(db, fixed, pipelined));
+      EXPECT_TRUE(SameResult(baseline, got)) << db->name();
+      EXPECT_EQ(got.stats.chunks_scanned, 0u);
+    }
+    EXPECT_EQ(db->scan_queue()->passes(), 0u);
   }
 }
 
@@ -311,8 +305,10 @@ TEST(ShardTest, MultiScannerMatchesReferenceSelection) {
   auto table = MediumSales();
   ScanDatabase scan_db;
   RoaringDatabase roaring_db;
+  testing::ReferenceDatabase reference;
   ZV_ASSERT_OK(scan_db.RegisterTable(table));
   ZV_ASSERT_OK(roaring_db.RegisterTable(table));
+  ZV_ASSERT_OK(reference.RegisterTable(table));
   const char* const sqls[] = {
       "SELECT year, SUM(sales) FROM sales GROUP BY year",
       "SELECT year, SUM(sales) FROM sales WHERE location = 'US' GROUP BY "
@@ -339,12 +335,23 @@ TEST(ShardTest, MultiScannerMatchesReferenceSelection) {
           << db->name() << ": " << text;
       // And the finished result must equal the reference execution's.
       ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
-                              db->FinishChunkScan(stmt, outs[0]));
-      ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, db->Execute(stmt));
+                              db->FinishChunkScan(stmt, {outs[0]}));
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, reference.Execute(stmt));
       EXPECT_EQ(finished.columns, serial.columns) << db->name() << ": "
                                                   << text;
       EXPECT_EQ(finished.rows, serial.rows) << db->name() << ": " << text;
     }
+  }
+  // An unknown WHERE column fails alike on every backend, the reference's
+  // included.
+  for (Database* db : {static_cast<Database*>(&scan_db),
+                       static_cast<Database*>(&roaring_db),
+                       static_cast<Database*>(&reference)}) {
+    Result<ResultSet> bad =
+        db->ExecuteSql("SELECT year FROM sales WHERE bogus = 1");
+    EXPECT_EQ(bad.status().ToString(),
+              "NotFound: unknown column 'bogus' in predicate")
+        << db->name();
   }
 }
 
@@ -361,11 +368,9 @@ TEST(ShardTest, CancelMidChunkPassReturnsPromptly) {
   db.set_request_latency_micros(20000);  // 20 ms per round trip
 
   ScopedThreads threads(4);
-  BatchScanQueue queue;
   ZqlOptions opts;
   opts.optimization = OptLevel::kNoOpt;  // one request per visualization
   opts.pipelined_execution = true;
-  opts.batch_scans = &queue;
   ZqlExecutor exec(&db, "sales", opts);
   const char* query = "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | |";
 
@@ -388,32 +393,30 @@ TEST(ShardTest, CancelMidChunkPassReturnsPromptly) {
   EXPECT_LT(elapsed_ms, 400.0) << "cancellation latency far too high";
 }
 
-/// EXPLAIN's FetchOp fan-out annotation: `chunks=K` rides next to
-/// `shared-scan` when the caller supplies a chunk count; the reference
-/// blocked scan renders neither.
+/// EXPLAIN's FetchOp fan-out annotation: `chunks=K` whenever the caller
+/// supplies a chunk count, whatever queue the options name — every fetch
+/// takes a chunk pass, so no route marker is rendered.
 TEST(ShardTest, ExplainRendersFanOut) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(kNoWhereQuery));
-  BatchScanQueue queue;
   ZqlOptions opts;
-  opts.batch_scans = &queue;
   ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, BuildPhysicalPlan(q, opts));
-  EXPECT_NE(plan.Render(q, 38).find("[batched scan, shared-scan, chunks=38]"),
+  EXPECT_NE(plan.Render(q, 38).find("[batched scan, chunks=38]"),
             std::string::npos);
-  EXPECT_NE(plan.Render(q, 1).find("shared-scan, chunks=1]"),
+  EXPECT_NE(plan.Render(q, 1).find("[batched scan, chunks=1]"),
             std::string::npos);
-  EXPECT_NE(plan.Render(q).find("[batched scan, shared-scan]"),
-            std::string::npos);
+  EXPECT_NE(plan.Render(q).find("[batched scan]"), std::string::npos);
   EXPECT_EQ(plan.Render(q).find("chunks="), std::string::npos);
   EXPECT_EQ(plan.Render(q, 38).find("shards="), std::string::npos);
-  opts.batch_scans = nullptr;
-  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan reference, BuildPhysicalPlan(q, opts));
-  EXPECT_EQ(reference.Render(q, 38).find("chunks="), std::string::npos);
-  EXPECT_EQ(reference.Render(q, 38).find("shared-scan"), std::string::npos);
+  EXPECT_EQ(plan.Render(q, 38).find("shared-scan"), std::string::npos);
+  BatchScanQueue queue;
+  opts.batch_scans = &queue;
+  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan served, BuildPhysicalPlan(q, opts));
+  EXPECT_EQ(served.Render(q, 38), plan.Render(q, 38));
 }
 
 /// ReplaceDataset swaps table and backend atomically; the fresh backend's
 /// RegisterTable rebuilds the chunk catalog, so post-swap served queries
-/// partition the *new* row space and reproduce the reference scan.
+/// partition the *new* row space and reproduce the reference.
 TEST(ShardTest, ReplaceDatasetRebuildsChunkMap) {
   server::ServiceOptions service_opts;
   service_opts.result_cache = false;
@@ -431,7 +434,8 @@ TEST(ShardTest, ReplaceDatasetRebuildsChunkMap) {
 
   SalesDataOptions bigger = small;
   bigger.num_rows = 2500;
-  ZV_ASSERT_OK(service.ReplaceDataset(MakeSalesTable(bigger)));
+  const std::shared_ptr<Table> bigger_table = MakeSalesTable(bigger);
+  ZV_ASSERT_OK(service.ReplaceDataset(bigger_table));
   ZV_ASSERT_OK_AND_ASSIGN(std::shared_ptr<Database> db1,
                           service.DatasetDatabase("sales"));
   EXPECT_NE(db0.get(), db1.get());
@@ -439,9 +443,9 @@ TEST(ShardTest, ReplaceDatasetRebuildsChunkMap) {
   EXPECT_EQ(after.num_rows(), 2500u);
 
   // A served query against the swapped dataset fans out over its chunks
-  // and matches the reference scan.
+  // and matches the reference.
   ZV_ASSERT_OK(db1->RebuildChunkMap("sales", 250));
-  const ZqlResult baseline = Reference(db1.get(), kNoWhereQuery);
+  const ZqlResult baseline = Reference(bigger_table, kNoWhereQuery);
   ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid, service.CreateSession());
   ZV_ASSERT_OK_AND_ASSIGN(server::QueryHandle handle,
                           service.Submit(sid, "sales", kNoWhereQuery));

@@ -160,7 +160,7 @@ TEST(KMeansTest, EmptyInput) {
   EXPECT_TRUE(km.centroids.empty());
 }
 
-// --- representatives / outliers --------------------------------------------------------
+// --- representatives ------------------------------------------------------------------
 
 TEST(RepresentativesTest, PicksOnePerCluster) {
   std::vector<Visualization> set;
@@ -172,20 +172,6 @@ TEST(RepresentativesTest, PicksOnePerCluster) {
   ASSERT_EQ(reps.size(), 2u);
   const bool one_each = (reps[0] < 8) != (reps[1] < 8);
   EXPECT_TRUE(one_each);
-}
-
-TEST(OutlierTest, SpikeScoresHighest) {
-  std::vector<Visualization> set;
-  for (int i = 0; i < 10; ++i) set.push_back(Series({1, 2, 3, 4, 5}));
-  set.push_back(Series({1, 9, 1, 9, 1}));  // the anomaly
-  std::vector<const Visualization*> ptrs;
-  for (const auto& v : set) ptrs.push_back(&v);
-  auto scores = OutlierScores(ptrs, 2);
-  size_t best = 0;
-  for (size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] > scores[best]) best = i;
-  }
-  EXPECT_EQ(best, 10u);
 }
 
 // --- mechanisms -------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 /// \file test_util.h
 /// \brief Shared fixtures: a tiny hand-written sales table with known
-/// aggregates, so tests can assert exact visualization values.
+/// aggregates, so tests can assert exact visualization values, and the
+/// naive row-selection references (ReferenceRows, ReferenceDatabase) the
+/// identity suites check the scanners against.
 
 #ifndef ZV_TESTS_TEST_UTIL_H_
 #define ZV_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
+#include "common/strings.h"
+#include "engine/database.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 
@@ -184,6 +191,76 @@ inline std::vector<uint32_t> ReferenceRows(const Table& table,
   }
   return rows;
 }
+
+/// Rejects a WHERE leaf over an unknown column the way the backends'
+/// predicate compilers do (kNotFound, same message).
+inline Status ReferenceCheck(const Table& table, const sql::Expr& e) {
+  for (const auto& child : e.children) {
+    ZV_RETURN_NOT_OK(ReferenceCheck(table, *child));
+  }
+  if (!e.children.empty() || table.schema().Find(e.column) >= 0) {
+    return Status::OK();
+  }
+  return Status::NotFound(
+      StrFormat("unknown column '%s' in predicate", e.column.c_str()));
+}
+
+/// The reference backend of the identity suites: a Database whose row
+/// selection is ReferenceMatches on every row of a range — no
+/// CompiledPredicate, no bitmap, and it never absorbs another scanner — so
+/// it shares no code with the scanners it checks. Every table registers as
+/// one chunk; run it staged at ZV_THREADS=1 and its pass is one plain loop
+/// over the table. Aggregation is the shared FinishChunkScan.
+class ReferenceDatabase : public Database {
+ public:
+  std::string name() const override { return "reference"; }
+
+  Status RegisterTable(std::shared_ptr<Table> table) override {
+    const std::string name = table->name();
+    const size_t rows = table->num_rows();
+    ZV_RETURN_NOT_OK(Database::RegisterTable(std::move(table)));
+    return RebuildChunkMap(name, std::max<size_t>(1, rows));
+  }
+
+  Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const sql::SelectStatement*>& stmts) override {
+    ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, BatchTable(stmts));
+    auto scanner = std::make_unique<Scanner>();
+    for (const sql::SelectStatement* stmt : stmts) {
+      if (stmt->where != nullptr) {
+        ZV_RETURN_NOT_OK(ReferenceCheck(*table, *stmt->where));
+      }
+      scanner->wheres.push_back(stmt->where == nullptr ? nullptr
+                                                       : stmt->where->Clone());
+    }
+    scanner->table = std::move(table);
+    return std::unique_ptr<MultiChunkScanner>(std::move(scanner));
+  }
+
+ private:
+  struct Scanner : MultiChunkScanner {
+    size_t num_statements() const override { return wheres.size(); }
+    Status ScanRange(uint32_t begin, uint32_t end,
+                     std::vector<std::vector<uint32_t>>* outs) const override {
+      ZV_RETURN_NOT_OK(CheckCancelled());
+      for (size_t i = 0; i < wheres.size(); ++i) {
+        for (uint32_t row = begin; row < end; ++row) {
+          if (wheres[i] == nullptr ||
+              ReferenceMatches(*table, row, *wheres[i])) {
+            (*outs)[i].push_back(row);
+          }
+        }
+      }
+      return Status::OK();
+    }
+    bool Absorb(std::unique_ptr<MultiChunkScanner>&) override {
+      return false;
+    }
+
+    std::shared_ptr<Table> table;
+    std::vector<std::unique_ptr<sql::Expr>> wheres;
+  };
+};
 
 #define ZV_ASSERT_OK(expr)                                       \
   do {                                                           \

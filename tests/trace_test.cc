@@ -1,12 +1,14 @@
 /// \file trace_test.cc
 /// \brief The tracing contract: a traced query's operator spans match its
 /// physical plan step for step; results are byte-identical with tracing on
-/// vs off across the full schedule matrix (staged/pipelined x {no queue,
-/// private queue} x both backends); the serving layer's span tree carries
-/// queue_wait / cache_lookup / execute in the right shape (including the
-/// cache-hit fast path); the slow-query ring caps at kSlowRingCapacity
-/// most-recent-first; the wire `metrics` request kind and trace response
-/// payloads round-trip; and the Chrome trace_event export parses. Runs
+/// vs off, and to testing::ReferenceDatabase, across the full schedule
+/// matrix (staged/pipelined x {one chunk, small chunks} x both backends);
+/// every flush opens a SharedScanPass span; the serving layer's span tree
+/// carries queue_wait / cache_lookup / execute in the right shape
+/// (including the cache-hit fast path); the slow-query ring caps at
+/// kSlowRingCapacity most-recent-first; the wire `metrics` request kind
+/// and trace response payloads round-trip; and the Chrome trace_event
+/// export parses. Runs
 /// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
 /// spans are opened concurrently from the coordinator, the pipelined fetch
 /// thread, and the serving workers, so the trace mutex race-checks with
@@ -23,11 +25,11 @@
 #include "api/service.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "common/trace.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
-#include "engine/shared_scan.h"
 #include "server/query_service.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -93,17 +95,10 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// `queued` gives the executor a private BatchScanQueue (the shared chunk
-/// pass); otherwise it runs the reference blocked scan.
 Result<zql::ZqlResult> RunZql(Database* db, const char* zql, bool pipelined,
-                              bool queued, Trace* trace) {
-  std::unique_ptr<BatchScanQueue> queue;
+                              Trace* trace) {
   zql::ZqlOptions opts;
   opts.pipelined_execution = pipelined;
-  if (queued) {
-    queue = std::make_unique<BatchScanQueue>();
-    opts.batch_scans = queue.get();
-  }
   opts.trace = trace;
   zql::ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
@@ -142,7 +137,7 @@ TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
     Trace trace;
     ZV_ASSERT_OK_AND_ASSIGN(
         zql::ZqlResult result,
-        RunZql(&db, zql, /*pipelined=*/false, /*queued=*/false, &trace));
+        RunZql(&db, zql, /*pipelined=*/false, &trace));
     (void)result;
 
     const TraceSpan* exec = trace.root()->FindChild("execute");
@@ -187,7 +182,7 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/true, /*queued=*/false, &trace));
+      RunZql(&db, kPipelineQuery, /*pipelined=*/true, &trace));
   (void)result;
 
   const TraceSpan* exec = trace.root()->FindChild("execute");
@@ -211,18 +206,17 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   EXPECT_EQ(coordinator.back(), "OutputOp");
 }
 
-/// A queued flush opens one SharedScanPass under its Flush span,
-/// annotated with the chunk fan-out (chunks × statements) and the pass's
-/// wall time.
-TEST(TraceGolden, QueuedScanOpensSharedScanPass) {
+/// Every flush — here a direct one, through the backend's own queue —
+/// opens one SharedScanPass under its Flush span, annotated with the
+/// chunk fan-out (chunks × statements) and the pass's wall time.
+TEST(TraceGolden, FlushOpensSharedScanPass) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));  // 3000 rows -> 4 chunks
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, /*queued=*/true,
-             &trace));
+      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, &trace));
   EXPECT_EQ(CountSpans(*trace.root(), "SharedScanPass"), 1u);
   const TraceSpan* exec = trace.root()->FindChild("execute");
   ASSERT_NE(exec, nullptr);
@@ -250,24 +244,29 @@ TEST(TraceGolden, QueuedScanOpensSharedScanPass) {
 
 template <typename DbType>
 void RunTraceIdentityMatrix() {
+  zv::testing::ReferenceDatabase reference;
+  ZV_ASSERT_OK(reference.RegisterTable(MediumSales()));
   DbType db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
-  ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));
   for (const char* zql : {kPipelineQuery, kNoWhereQuery}) {
-    ZV_ASSERT_OK_AND_ASSIGN(
-        zql::ZqlResult baseline,
-        RunZql(&db, zql, /*pipelined=*/false, /*queued=*/false, nullptr));
-    const std::string expect = Canon(baseline);
-    for (bool pipelined : {false, true}) {
-      for (bool queued : {false, true}) {
+    SetParallelThreads(1);
+    Result<zql::ZqlResult> baseline =
+        RunZql(&reference, zql, /*pipelined=*/false, nullptr);
+    SetParallelThreads(0);
+    ZV_ASSERT_OK(baseline.status());
+    const std::string expect = Canon(*baseline);
+    // 0 = the default chunk size (one chunk); 800-row chunks make 4.
+    for (size_t chunk_rows : {size_t{0}, size_t{800}}) {
+      ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
+      for (bool pipelined : {false, true}) {
         for (bool traced : {false, true}) {
           Trace trace;
           ZV_ASSERT_OK_AND_ASSIGN(
               zql::ZqlResult got,
-              RunZql(&db, zql, pipelined, queued, traced ? &trace : nullptr));
+              RunZql(&db, zql, pipelined, traced ? &trace : nullptr));
           EXPECT_EQ(Canon(got), expect)
               << db.name() << " pipelined=" << pipelined
-              << " queued=" << queued << " traced=" << traced;
+              << " chunk_rows=" << chunk_rows << " traced=" << traced;
         }
       }
     }
@@ -542,7 +541,7 @@ TEST(ChromeExport, ParsesWithCompleteEvents) {
   Trace trace;
   ZV_ASSERT_OK_AND_ASSIGN(
       zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/false, /*queued=*/false, &trace));
+      RunZql(&db, kPipelineQuery, /*pipelined=*/false, &trace));
   (void)result;
 
   const std::string chrome = ToChromeTrace(*trace.root());

@@ -6,11 +6,13 @@
 #   api_test          (protocol encode/decode, end-to-end wire path)
 #   zql_builder_test  (AST construction + canonical serialization)
 #   server_test       (task lifecycle: shared QueryTask state, caches)
-#   shard_test        (per-chunk row-id buffers demultiplexed out of
-#                      chunk passes; MultiChunkScanner lifetime)
+#   shard_test        (per-chunk row-id buffers moved or appended and
+#                      freed out of chunk passes, released after each
+#                      statement's aggregation; MultiChunkScanner lifetime)
 #   batch_test        (per-statement row-id buffers fanning out of shared
 #                      scan passes; MultiChunkScanner + snapshot lifetime
-#                      across epoch bumps and abandoning members)
+#                      across epoch bumps and abandoning members; the
+#                      tests' ReferenceDatabase scanners)
 #   zql_roundtrip_test (parser + canonical serializer over generated
 #                      inputs — string-buffer heavy, cheap to keep)
 #   engine_test       (batch predicate kernels indexing raw column arrays
