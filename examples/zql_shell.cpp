@@ -411,7 +411,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(st.rejected));
       std::printf(
           "result cache: %llu/%llu hits (%.0f%%), %zu entries, %.1f KB; "
-          "contexts reused: %llu (%zu cached, %.1f KB)\n",
+          "contexts reused within queries: %llu\n",
           static_cast<unsigned long long>(st.cache_hits),
           static_cast<unsigned long long>(probes),
           probes > 0 ? 100.0 * static_cast<double>(st.cache_hits) /
@@ -419,9 +419,7 @@ int main(int argc, char** argv) {
                      : 0.0,
           st.result_cache_entries,
           static_cast<double>(st.result_cache_bytes) / 1024.0,
-          static_cast<unsigned long long>(st.contexts_reused),
-          st.context_cache_entries,
-          static_cast<double>(st.context_cache_bytes) / 1024.0);
+          static_cast<unsigned long long>(st.contexts_reused));
       std::printf("sessions: %zu active; %zu in flight, %zu queued\n",
                   st.sessions, st.in_flight, st.queued);
       continue;

@@ -2,10 +2,10 @@
 /// \brief A 128-bit FNV-1a accumulator for cache fingerprints.
 ///
 /// Two independent multiply-xor streams (different offset bases AND
-/// different multiplier primes), rendered as 32 hex chars. Used wherever a wrong-collision
-/// failure mode would be serving another query's data (ContextCache keys,
-/// ResultCache fingerprints) — 128 bits makes that probability negligible
-/// at any realistic cache population.
+/// different multiplier primes), rendered as 32 hex chars. Used wherever a
+/// wrong-collision failure mode would be serving another query's data
+/// (ResultCache fingerprints and the sketch hash they fold in) — 128 bits
+/// makes that probability negligible at any realistic cache population.
 
 #ifndef ZV_COMMON_HASH_H_
 #define ZV_COMMON_HASH_H_

@@ -1,7 +1,6 @@
 /// \file lru_cache.h
 /// \brief A byte-budgeted, sharded LRU cache of shared_ptr values — the
-/// substrate of the serving layer's ResultCache (query results) and the
-/// tasks layer's ContextCache (shared ScoringContext alignment matrices).
+/// substrate of the serving layer's ResultCache (query results).
 ///
 /// Design:
 ///  - String keys, shared_ptr<const V> values: hits hand out refcounted

@@ -1,53 +1,56 @@
 #include "server/fingerprint.h"
 
 #include "common/hash.h"
-#include "tasks/context_cache.h"
 
 namespace zv::server {
 
-std::string CanonicalZql(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  std::string line;
-  auto flush_line = [&] {
-    // Trim trailing whitespace (leading/internal handled during the scan).
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\t')) {
-      line.pop_back();
-    }
-    if (!line.empty()) {
-      out += line;
-      out += '\n';
-    }
-    line.clear();
-  };
-  bool in_quote = false;
-  bool pending_space = false;  // a collapsed whitespace run awaits a token
-  for (char c : text) {
-    if (c == '\n') {
-      in_quote = false;  // ZQL string literals do not span lines
-      pending_space = false;
-      flush_line();
-      continue;
-    }
-    if (in_quote) {
-      line += c;
-      if (c == '\'') in_quote = false;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!line.empty()) pending_space = true;  // drop leading whitespace
-      continue;
-    }
-    if (pending_space) {
-      line += ' ';
-      pending_space = false;
-    }
-    line += c;
-    if (c == '\'') in_quote = true;
+namespace {
+
+/// Exact Value hashing: type tag + full-precision payload. ToString would
+/// be lossy (%.6g doubles, untagged "NULL"/"5" collisions), and a
+/// collision here serves one sketch's result for another. Int(5) and
+/// Double(5.0) hash differently even though Value::Compare treats them as
+/// equal — that can only split cache entries, never merge distinct data.
+void HashValue(Fingerprint128* fp, const Value& v) {
+  fp->U64(static_cast<uint64_t>(v.type()));
+  switch (v.type()) {
+    case DataType::kNull:
+      break;
+    case DataType::kInt64:
+      fp->U64(static_cast<uint64_t>(v.AsInt()));
+      break;
+    case DataType::kDouble:
+      fp->F64(v.AsDouble());
+      break;
+    case DataType::kString:
+      fp->Str(v.AsString());
+      break;
   }
-  flush_line();
-  return out;
 }
+
+/// One sketch's identity (axes, slices, constraints, spec) and data (x
+/// values, y series), every field length-prefixed.
+void HashSketch(Fingerprint128* fp, const Visualization& v) {
+  fp->Str(v.x_attr);
+  fp->Str(v.y_attr);
+  fp->Str(v.constraints);
+  fp->Str(v.spec.ToString());
+  fp->U64(v.slices.size());
+  for (const Slice& s : v.slices) {
+    fp->Str(s.attribute);
+    HashValue(fp, s.value);
+  }
+  fp->U64(v.xs.size());
+  for (const Value& x : v.xs) HashValue(fp, x);
+  fp->U64(v.series.size());
+  for (const Series& s : v.series) {
+    fp->Str(s.name);
+    fp->U64(s.ys.size());
+    for (double y : s.ys) fp->F64(y);
+  }
+}
+
+}  // namespace
 
 std::string UserInputsFingerprint(
     const std::map<std::string, Visualization>& inputs) {
@@ -56,11 +59,7 @@ std::string UserInputsFingerprint(
   fp.U64(inputs.size());
   for (const auto& [name, viz] : inputs) {  // std::map: deterministic order
     fp.Str(name);
-    // Identity + data, via the same content hash the ContextCache uses
-    // (the norm/align arguments only need to be fixed, not meaningful).
-    const Visualization* v = &viz;
-    fp.Str(ScoringSetFingerprint({v}, Normalization::kZScore,
-                                 Alignment::kZeroFill));
+    HashSketch(&fp, viz);
   }
   return fp.Hex();
 }

@@ -28,14 +28,6 @@
 
 namespace zv::server {
 
-/// Whitespace-normalized ZQL: per line, leading/trailing whitespace is
-/// trimmed and internal runs of spaces/tabs collapse to one space — except
-/// inside single-quoted literals, which are preserved verbatim. Blank
-/// lines are dropped. No longer the cache-key path (QueryService now keys
-/// on zql::CanonicalText of the AST); kept for text-level tooling that
-/// wants normalization without a full parse.
-std::string CanonicalZql(const std::string& text);
-
 /// Content hash of a session's registered user-input visualizations
 /// (name binding + identity + data). Empty map hashes to "".
 std::string UserInputsFingerprint(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/cancel.h"
@@ -46,14 +47,15 @@ double EnvDouble(const char* name, double def) {
   return def;
 }
 
-/// ZV_CACHE_MB split: results dominate by value-per-byte for an
-/// interactive UI (a hit skips the whole query), contexts amortize the
-/// alignment pass — 3/4 : 1/4.
+/// The result-cache budget in bytes: `cache_mb`, or ZV_CACHE_MB when it
+/// is SIZE_MAX. A budget past SIZE_MAX bytes saturates instead of
+/// wrapping (2^44 MB would otherwise wrap to 0 and disable the cache).
 size_t ResolveCacheBytes(size_t cache_mb) {
+  constexpr size_t kMiB = size_t{1} << 20;
   const size_t mb = cache_mb == static_cast<size_t>(-1)
-                        ? EnvSize("ZV_CACHE_MB", 64)
+                        ? EnvSize("ZV_CACHE_MB", 48)
                         : cache_mb;
-  return mb * (1ull << 20);
+  return mb > SIZE_MAX / kMiB ? SIZE_MAX : mb * kMiB;
 }
 
 }  // namespace
@@ -191,9 +193,10 @@ std::shared_ptr<const Trace> QueryHandle::trace() const {
 
 QueryService::QueryService(ServiceOptions options)
     : base_zql_(std::move(options.zql)),
-      max_inflight_(options.max_inflight > 0
-                        ? options.max_inflight
-                        : EnvSizePositive("ZV_MAX_INFLIGHT", 4)),
+      max_inflight_(std::min(options.max_inflight > 0
+                                 ? options.max_inflight
+                                 : EnvSizePositive("ZV_MAX_INFLIGHT", 4),
+                             kMaxInflight)),
       max_queue_(options.max_queue > 0
                      ? options.max_queue
                      : EnvSizePositive("ZV_MAX_QUEUE", 32)),
@@ -206,9 +209,7 @@ QueryService::QueryService(ServiceOptions options)
                          : options.slow_query_ms),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : MetricsRegistry::Global()),
-      result_cache_(ResolveCacheBytes(options.cache_mb) / 4 * 3),
-      context_cache_(ResolveCacheBytes(options.cache_mb) / 4),
-      context_pool_(&context_cache_),
+      result_cache_(ResolveCacheBytes(options.cache_mb)),
       sessions_(clock_, options.session_ttl_ms) {
   base_zql_.sql_trace = nullptr;  // executors run concurrently
   // Traces are per-task (QueryTask::trace); a caller-provided shared span
@@ -623,12 +624,6 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
   zql::ZqlOptions opts = base_zql_;
   opts.trace = trace;
   opts.trace_parent = nullptr;  // operator spans nest under the root
-  if (context_cache_.max_bytes_total() > 0) {
-    opts.context_cache = &context_cache_;
-  }
-  // The pool deduplicates in-flight builds even when the cache budget is
-  // 0 (its cache probe just never hits).
-  opts.context_pool = &context_pool_;
   if (task->opt_override.has_value()) {
     opts.optimization = *task->opt_override;
   }
@@ -777,8 +772,6 @@ ServiceStats QueryService::stats() const {
   s.slow_queries = slow_queries_.load(std::memory_order_relaxed);
   s.result_cache_bytes = result_cache_.bytes();
   s.result_cache_entries = result_cache_.entries();
-  s.context_cache_bytes = context_cache_.bytes();
-  s.context_cache_entries = context_cache_.entries();
   const int64_t waiting = queued_count_->load(std::memory_order_relaxed);
   s.queued = waiting > 0 ? static_cast<size_t>(waiting) : 0;
   {

@@ -13,9 +13,8 @@
 ///  - ResultCache (result_cache.h): sharded LRU over finished results,
 ///    keyed by canonicalized query fingerprint + dataset epoch. Any table
 ///    mutation bumps the epoch, so a stale entry can never be served.
-///  - ContextCache (tasks/context_cache.h): ScoringContext alignment
-///    matrices shared across queries and sessions by content fingerprint —
-///    the dominant setup cost of repeat exploration becomes a hash lookup.
+///    It is the only cross-query cache: a ScoringContext lives for one
+///    query (zql/operators.cc PrepareScoring dedupes it within the query).
 ///  - Async execution: Submit() returns a QueryHandle immediately; the
 ///    query runs on one of max_inflight service workers (each of which
 ///    still fans its scoring loops over the ZV_THREADS pool). Cancel()
@@ -30,13 +29,12 @@
 ///    same dataset snapshot coalesce their row-selection passes into one
 ///    chunk-parallel scan (docs/architecture.md "Batched execution"),
 ///    byte-identically to per-query scans.
-///  - ScoringContextPool (tasks/context_pool.h): single-flight context
-///    builds across the workers, feeding the ContextCache.
 ///
 /// Knobs (constructor options override; 0 / unset falls back to env):
-///   ZV_CACHE_MB          total cache budget, MB (default 64; 3/4 results,
-///                        1/4 contexts; 0 disables both caches)
-///   ZV_MAX_INFLIGHT      concurrent executing queries (default 4)
+///   ZV_CACHE_MB          result-cache budget, MB (default 48; 0 disables
+///                        the cache; saturates instead of wrapping)
+///   ZV_MAX_INFLIGHT      concurrent executing queries (default 4; capped
+///                        at kMaxInflight)
 ///   ZV_MAX_QUEUE         waiting queries before kUnavailable (default 32)
 ///   ZV_BATCH_WINDOW_MS   shared-scan group-commit window (default 0:
 ///                        coalesce only work already waiting)
@@ -78,26 +76,30 @@
 #include "engine/shared_scan.h"
 #include "server/result_cache.h"
 #include "server/session.h"
-#include "tasks/context_cache.h"
-#include "tasks/context_pool.h"
 #include "zql/executor.h"
 
 namespace zv::server {
+
+/// The most queries a service executes at once; larger max_inflight
+/// requests (option or ZV_MAX_INFLIGHT) are capped.
+constexpr size_t kMaxInflight = 64;
 
 struct ServiceOptions {
   /// Base executor configuration (task library, optimization level, named
   /// sets, …) applied to every query. sql_trace is ignored (executors run
   /// concurrently; a shared trace pointer would race).
   zql::ZqlOptions zql;
-  /// 0 = resolve from ZV_MAX_INFLIGHT (default 4).
+  /// 0 = resolve from ZV_MAX_INFLIGHT (default 4). Either way capped at
+  /// kMaxInflight: each slot is a worker thread started at construction.
   size_t max_inflight = 0;
   /// 0 = resolve from ZV_MAX_QUEUE (default 32).
   size_t max_queue = 0;
-  /// Total cache budget in MB; SIZE_MAX = resolve from ZV_CACHE_MB
-  /// (default 64). 0 disables both the result and the context cache.
+  /// ResultCache budget in MB; SIZE_MAX = resolve from ZV_CACHE_MB
+  /// (default 48). 0 disables the cache; a budget past SIZE_MAX bytes
+  /// saturates.
   size_t cache_mb = static_cast<size_t>(-1);
   /// Serve repeat queries from the ResultCache (tests disable this to
-  /// isolate ContextCache effects while keeping the budget).
+  /// force re-execution while keeping the budget).
   bool result_cache = true;
   /// Shared-scan group-commit window, ms; negative = resolve from
   /// ZV_BATCH_WINDOW_MS (default 0 — never delay a lone query).
@@ -128,7 +130,7 @@ struct ServiceStats {
   uint64_t rejected = 0;    ///< refused by admission control
   uint64_t cache_hits = 0;  ///< ResultCache
   uint64_t cache_misses = 0;
-  uint64_t contexts_reused = 0;  ///< ScoringContext dedupe + cache hits
+  uint64_t contexts_reused = 0;  ///< within-query ScoringContext reuse
   uint64_t batch_passes = 0;         ///< shared-scan passes executed
   uint64_t batch_passes_shared = 0;  ///< …that carried >1 query's work
   uint64_t batch_statements = 0;     ///< statements served by those passes
@@ -138,8 +140,6 @@ struct ServiceStats {
   size_t queued = 0;
   size_t result_cache_bytes = 0;
   size_t result_cache_entries = 0;
-  size_t context_cache_bytes = 0;
-  size_t context_cache_entries = 0;
 };
 
 struct QueryTask;  // internal; defined in query_service.cc
@@ -372,9 +372,6 @@ class QueryService {
   std::atomic<uint64_t> slow_queries_{0};
 
   ResultCache result_cache_;
-  ContextCache context_cache_;
-  /// Single-flight ScoringContext builds across workers (wraps the cache).
-  ScoringContextPool context_pool_;
   /// Cross-query shared-scan queue: every served query's row selections
   /// join its passes (engine/shared_scan.h). Destroyed after the workers
   /// join (dtor body), so no caller can still be blocked in SelectRows

@@ -116,12 +116,4 @@ double ScoringContext::PairDistanceBounded(size_t i, size_t j,
   return SpanDistanceBounded(a.data(), b.data(), a.size(), metric, bound);
 }
 
-size_t ScoringContext::MemoryBytes() const {
-  return sizeof(*this) +
-         (raw_.data.capacity() + normalized_.data.capacity()) *
-             sizeof(double) +
-         cell_present_.capacity() + x_present_.capacity() +
-         full_.capacity() + series_count_.capacity() * sizeof(uint32_t);
-}
-
 }  // namespace zv

@@ -77,10 +77,6 @@ class ScoringContext {
   /// against any other full row). Exposed for tests and benches.
   bool full(size_t i) const { return full_[i] != 0; }
 
-  /// Approximate resident bytes of the context's matrices and presence
-  /// maps — what a ContextCache entry charges against its byte budget.
-  size_t MemoryBytes() const;
-
  private:
   /// Gathers row `r` restricted to the pairwise domain described by
   /// `positions` (sorted global x positions) and `pair_series` segments,

@@ -35,16 +35,14 @@
 
 #include "common/status.h"
 #include "engine/database.h"
-#include "tasks/context_cache.h"
 #include "tasks/primitives.h"
 #include "viz/visualization.h"
 #include "zql/ast.h"
 
 namespace zv {
-class BatchScanQueue;      // engine/shared_scan.h
-class ScoringContextPool;  // tasks/context_pool.h
-class Trace;               // common/trace.h
-struct TraceSpan;          // common/trace.h
+class BatchScanQueue;  // engine/shared_scan.h
+class Trace;           // common/trace.h
+struct TraceSpan;      // common/trace.h
 }  // namespace zv
 
 namespace zv::zql {
@@ -89,14 +87,6 @@ struct ZqlOptions {
   /// flag off (topk_test.cc asserts it); exposed so tests and benches can
   /// compare against the full scan.
   bool topk_pruning = true;
-  /// When set, Process-declaration ScoringContexts are shared across
-  /// queries (and sessions) through this cache, keyed by content
-  /// fingerprint (see tasks/context_cache.h) — the serving layer wires the
-  /// QueryService's cache in here. Within one query, identical scoring
-  /// sets are always deduplicated, cache or no cache. Reuse is a pure
-  /// optimization: fingerprints cover identity, data, and configuration,
-  /// so a reused context scores bit-identically to a rebuilt one.
-  ContextCache* context_cache = nullptr;
   /// Pipelined execution of the physical plan (see zql/plan.h): backend
   /// scans run on a dedicated fetch thread feeding a bounded hand-off
   /// queue, so scoring of an already-materialized row overlaps the scan of
@@ -106,10 +96,6 @@ struct ZqlOptions {
   /// this); off = the staged oracle, which executes every flush to
   /// completion before anything downstream runs.
   bool pipelined_execution = true;
-  /// Capacity of the fetch->materialize hand-off queue: how many scanned
-  /// ResultSets the fetch thread may run ahead of the consumer before it
-  /// blocks (memory bound per in-flight query).
-  size_t pipeline_depth = 4;
   /// Retired: selects nothing — every flush selects rows through a chunk
   /// pass (batch_scans below). Still declared only because the benchmark
   /// harness's oracle (zvbench/oracle.h) assigns it; it goes together
@@ -127,14 +113,6 @@ struct ZqlOptions {
   /// happen to share a pass (tests/shard_test.cc and tests/batch_test.cc
   /// lock the matrices).
   BatchScanQueue* batch_scans = nullptr;
-  /// Single-flight ScoringContext construction across concurrent queries
-  /// (tasks/context_pool.h): when set, context acquisition goes through
-  /// the pool, which lets the first query for a fingerprint build while
-  /// identical concurrent requests wait and share the result, layered in
-  /// front of the optional context_cache. Reuse is bit-exact for the same
-  /// reason the cache's is: fingerprints cover identity, data, and
-  /// configuration.
-  ScoringContextPool* context_pool = nullptr;
   /// Binning pushdown: viz specs that bin the x axis aggregate inside the
   /// backend scan (GROUP BY the bin's lower edge) instead of fetching
   /// every raw row and binning client-side — fetched volume drops from
@@ -179,9 +157,10 @@ struct ZqlStats {
   /// when the executor runs outside a service.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// ScoringContexts reused instead of rebuilt: within-query dedupe (two
-  /// Process declarations sharing one (x, y, z, normalization) candidate
-  /// set) plus cross-query ContextCache hits.
+  /// ScoringContexts reused instead of rebuilt within this query: a
+  /// Process declaration whose D() calls cover the same component set as
+  /// an earlier declaration's shares that declaration's context. Contexts
+  /// never outlive their query.
   uint64_t contexts_reused = 0;
   double total_ms = 0;
   double exec_ms = 0;     ///< flush time: backend scans + result routing

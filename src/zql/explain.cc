@@ -48,14 +48,6 @@ void CollectExprFuncs(const ProcessExpr& e, std::set<std::string>* out) {
 /// and an argmin[k=n] over a bare D(f, g) additionally takes the top-k
 /// pruned scan with early-terminating kernels. Anything calling a
 /// non-default function is scored serially, one pair at a time.
-///
-/// The trailing cache verdict says how the serving layer's ContextCache
-/// treats the declaration: ScoringContext-scored tasks are
-/// "context-cacheable" (their alignment matrices are deduplicated within
-/// the query and shared across queries/sessions by content fingerprint);
-/// user functions bypass the context machinery entirely. EXPLAIN is
-/// static, so it reports cacheability — hit/miss counts land in ZqlStats
-/// (contexts_reused) at run time.
 std::string DescribeTaskScoring(const ProcessDecl& p) {
   if (p.kind == ProcessDecl::Kind::kRepresentative) {
     return StrFormat("R k=%lld: k-means medoids",
@@ -65,7 +57,7 @@ std::string DescribeTaskScoring(const ProcessDecl& p) {
   if (p.expr) CollectExprFuncs(*p.expr, &funcs);
   bool user_fn = false;
   for (const std::string& f : funcs) user_fn |= f != "T" && f != "D";
-  if (user_fn) return "user fn: serial per-pair scoring, context cache bypassed";
+  if (user_fn) return "user fn: serial per-pair scoring";
   if (funcs.count("D")) {
     std::string out = "D: ScoringContext batch scan";
     const bool bare_d = p.expr->kind == ProcessExpr::Kind::kCall &&
@@ -79,7 +71,6 @@ std::string DescribeTaskScoring(const ProcessDecl& p) {
     // constant per process, but EXPLAIN consumers comparing latency across
     // machines need to know which kernel produced the numbers.
     out += StrFormat(", kernel=%s", simd::LevelName(simd::ActiveLevel()));
-    out += ", context-cacheable";
     return out;
   }
   if (funcs.count("T")) return "T: parallel trend scan";

@@ -53,9 +53,9 @@ Result<QueryPlan> ExplainQuery(const ZqlQuery& query);
 
 /// One-line description of how the default task library will score a
 /// Process declaration (batch ScoringContext scan / top-k pruned / serial
-/// user function / R k-means) plus its context-cacheability verdict.
-/// Shared EXPLAIN vocabulary: QueryPlan task annotations and the physical
-/// plan's ScoreOp lines (zql/plan.h) both use it.
+/// user function / R k-means). Shared EXPLAIN vocabulary: QueryPlan task
+/// annotations and the physical plan's ScoreOp lines (zql/plan.h) both
+/// use it.
 std::string DescribeTaskScoring(const ProcessDecl& decl);
 
 }  // namespace zv::zql

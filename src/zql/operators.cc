@@ -13,7 +13,6 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "sql/parser.h"
-#include "tasks/context_pool.h"
 #include "tasks/topk.h"
 #include "viz/binning.h"
 #include "zql/canonical.h"
@@ -1123,16 +1122,12 @@ void CollectDComponents(const ProcessExpr& e, std::set<std::string>* out) {
 /// scored pair. Only active when the task library's distance is the
 /// default one (a custom distance must keep being called per pair).
 ///
-/// Reuse happens at two levels, both keyed by the content fingerprint of
-/// the pool (identity + data + normalization/alignment):
-///  - within this query: two Process declarations over the same candidate
-///    set — e.g. an argmin and an argmax over one (x, y, z) config —
-///    share one context instead of rebuilding it per declaration;
-///  - across queries/sessions: ZqlOptions::context_cache, when wired by
-///    the serving layer.
-/// The pool (and therefore the row order the fingerprint covers) is
-/// rebuilt deterministically here, so scoring_index maps this query's
-/// Visualization pointers onto the cached context's rows.
+/// A context lives for one query. Within it, two Process declarations
+/// whose D() calls cover the same component set — e.g. an argmin and an
+/// argmax over one (x, y, z) config — share one context, keyed by the
+/// sorted component names (ExecState::query_contexts). The pool is
+/// rebuilt here in that set's order either way, so scoring_index maps
+/// this declaration's Visualization pointers onto the shared rows.
 void PrepareScoring(const ProcessDecl& decl, ExecState* st) {
   st->scoring_ctx.reset();
   st->scoring_index.clear();
@@ -1151,51 +1146,15 @@ void PrepareScoring(const ProcessDecl& decl, ExecState* st) {
     }
   }
   if (pool.empty()) return;
-  const TaskOptions& topts = st->opts->tasks.default_options;
-  const std::string key =
-      ScoringSetFingerprint(pool, topts.normalization, topts.alignment);
-  if (auto it = st->query_contexts.find(key); it != st->query_contexts.end()) {
-    st->scoring_ctx = it->second;
+  std::shared_ptr<const ScoringContext>& ctx = st->query_contexts[dcomps];
+  if (ctx != nullptr) {
     ++st->stats.contexts_reused;
-    return;
+  } else {
+    const TaskOptions& topts = st->opts->tasks.default_options;
+    ctx = std::make_shared<const ScoringContext>(pool, topts.normalization,
+                                                 topts.alignment);
   }
-  if (st->opts->context_pool != nullptr) {
-    // Single-flight across concurrent queries (tasks/context_pool.h): at
-    // most one of N same-fingerprint queries builds; the rest share. The
-    // pool probes and feeds the serving layer's cache itself.
-    bool reused = false;
-    auto ctx = st->opts->context_pool->GetOrBuild(
-        key,
-        [&]() -> std::shared_ptr<const ScoringContext> {
-          if (CancellationRequested()) return nullptr;
-          return std::make_shared<const ScoringContext>(
-              pool, topts.normalization, topts.alignment);
-        },
-        &reused);
-    if (ctx != nullptr) {
-      st->scoring_ctx = std::move(ctx);
-      st->query_contexts[key] = st->scoring_ctx;
-      if (reused) ++st->stats.contexts_reused;
-      return;
-    }
-    // Cancelled while waiting on another query's build: fall through to
-    // the local build — the cancel surfaces at the next scoring poll.
-  }
-  if (st->opts->context_cache != nullptr) {
-    if (auto cached = st->opts->context_cache->Get(key)) {
-      st->scoring_ctx = std::move(cached);
-      st->query_contexts[key] = st->scoring_ctx;
-      ++st->stats.contexts_reused;
-      return;
-    }
-  }
-  auto ctx = std::make_shared<const ScoringContext>(
-      pool, topts.normalization, topts.alignment);
   st->scoring_ctx = ctx;
-  st->query_contexts[key] = ctx;
-  if (st->opts->context_cache != nullptr) {
-    st->opts->context_cache->Put(key, ctx);
-  }
 }
 
 /// True when `decl` can take the top-k pruned scan: an argmin mechanism

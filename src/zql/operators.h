@@ -30,6 +30,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -137,9 +138,12 @@ struct ExecState {
   /// loop runs; reset afterwards.
   std::shared_ptr<const ScoringContext> scoring_ctx;
   std::map<const Visualization*, size_t> scoring_index;
-  /// Contexts already built (or fetched from the cross-query cache) during
-  /// this query, by content fingerprint — the within-query dedupe level.
-  std::map<std::string, std::shared_ptr<const ScoringContext>> query_contexts;
+  /// Contexts already built during this query, by the set of D()
+  /// component names they cover. Ready components never change and the
+  /// scoring options are fixed per executor, so one name set always
+  /// yields the same candidate pool — and so the same context.
+  std::map<std::set<std::string>, std::shared_ptr<const ScoringContext>>
+      query_contexts;
 
   /// Snapshots the table and wires the immutable query inputs.
   Status Init(Database* db_in, std::string table_name_in,

@@ -1,6 +1,5 @@
 #include "zql/scheduler.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/cancel.h"
@@ -12,6 +11,11 @@ namespace zv::zql::exec {
 namespace {
 
 constexpr size_t kDrainAll = static_cast<size_t>(-1);
+
+/// Capacity of the pipelined fetch->materialize hand-off queue: how many
+/// scanned ResultSets the fetch thread may run ahead of the coordinator
+/// before it blocks (the memory bound per in-flight query).
+constexpr size_t kPipelineDepth = 4;
 
 /// Tags an operator span with its plan coordinates, mirroring what the
 /// EXPLAIN rendering shows for the same step — so a traced query's
@@ -207,8 +211,7 @@ void PipelineScheduler::StartWorker() {
   // Jobs can never pile up past the flush count; the results bound is the
   // actual pipeline depth (how far the fetch thread may run ahead).
   jobs_ = std::make_unique<BoundedQueue<FetchJob>>(plan_.steps.size() + 1);
-  results_ = std::make_unique<BoundedQueue<FetchItem>>(
-      std::max<size_t>(1, st_->opts->pipeline_depth));
+  results_ = std::make_unique<BoundedQueue<FetchItem>>(kPipelineDepth);
   fetch_thread_ = std::thread([this] { FetchWorkerMain(); });
 }
 

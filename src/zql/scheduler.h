@@ -129,7 +129,8 @@ class PipelineScheduler {
   std::deque<PendingFetch> in_flight_;
 
   // Pipelined-mode machinery. Queues are sized so the fetch thread can run
-  // only pipeline_depth results ahead of the coordinator (back-pressure).
+  // only kPipelineDepth (scheduler.cc) results ahead of the coordinator
+  // (back-pressure).
   std::unique_ptr<BoundedQueue<FetchJob>> jobs_;
   std::unique_ptr<BoundedQueue<FetchItem>> results_;
   std::thread fetch_thread_;

@@ -14,8 +14,8 @@
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
 /// runs it long) hammers submit/cancel/replace concurrently. Runs under
 /// the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh): pass
-/// leaders, the common pool that runs their chunk jobs, the context pool,
-/// and the service workers race-check together.
+/// leaders, the common pool that runs their chunk jobs, and the service
+/// workers race-check together.
 
 #include <gtest/gtest.h>
 

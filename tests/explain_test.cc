@@ -84,8 +84,7 @@ TEST(ExplainTest, AnnotatesTaskScoringPaths) {
   ASSERT_EQ(plan.rows[1].task_scoring.size(), 1u);
   EXPECT_EQ(plan.rows[1].task_scoring[0],
             "D: ScoringContext batch scan, top-k pruned k=2, kernel=" +
-                std::string(simd::LevelName(simd::ActiveLevel())) +
-                ", context-cacheable");
+                std::string(simd::LevelName(simd::ActiveLevel())));
   ASSERT_EQ(plan.rows[2].task_scoring.size(), 1u);
   EXPECT_EQ(plan.rows[2].task_scoring[0], "T: parallel trend scan");
   const std::string rendered = plan.ToString();
@@ -100,7 +99,7 @@ TEST(ExplainTest, UserFunctionsAnnotatedSerial) {
   ZV_ASSERT_OK_AND_ASSIGN(QueryPlan plan, ExplainQuery(q));
   ASSERT_EQ(plan.rows[0].task_scoring.size(), 1u);
   EXPECT_EQ(plan.rows[0].task_scoring[0],
-            "user fn: serial per-pair scoring, context cache bypassed");
+            "user fn: serial per-pair scoring");
 }
 
 TEST(ExplainTest, IndependentRowsShareWave) {

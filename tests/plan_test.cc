@@ -44,8 +44,7 @@ TEST(PlanTest, GoldenInterTaskOperatorTree) {
             "  MaterializeOp  f1\n"
             "  MaterializeOp  f2\n"
             "  ScoreOp        f2: v2 <- argmax_v1[k=10] D(f1, f2)  "
-            "[D: ScoringContext batch scan" + KernelNote() +
-            ", context-cacheable]\n"
+            "[D: ScoringContext batch scan" + KernelNote() + "]\n"
             "  ReduceOp       f2 -> {v2}\n"
             "stage 1:\n"
             "  FetchOp        *f3  [batched scan]\n"
@@ -73,7 +72,7 @@ TEST(PlanTest, GoldenUserInputAndDerivedTree) {
             "  MaterializeOp  f1\n"
             "  ScoreOp        f1: o1 <- argmin_v1[k=2] D(f1, q)  "
             "[D: ScoringContext batch scan, top-k pruned k=2" + KernelNote() +
-            ", context-cacheable]\n"
+            "]\n"
             "  ReduceOp       f1 -> {o1}\n"
             "  MaterializeOp  *f2=f1.order  [derived]\n"
             "OutputOp       *f2\n");

@@ -22,17 +22,19 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "engine/roaring_db.h"
+#include "engine/scan_db.h"
 #include "server/fingerprint.h"
 #include "server/query_service.h"
 #include "tests/test_util.h"
 #include "zql/builder.h"
 #include "zql/canonical.h"
 #include "zql/executor.h"
+#include "zql/parser.h"
 
 namespace zv {
 namespace {
 
-using server::CanonicalZql;
+using server::kMaxInflight;
 using server::QueryFingerprint;
 using server::QueryHandle;
 using server::QueryService;
@@ -135,40 +137,66 @@ class ScopedThreads {
 // Fingerprinting
 // ---------------------------------------------------------------------------
 
-TEST(FingerprintTest, CanonicalZqlNormalizesOutsideQuotes) {
-  EXPECT_EQ(CanonicalZql("  f1 |\t 'year'   | 'a  b'  \n\n *f2 | x |"),
-            "f1 | 'year' | 'a  b'\n*f2 | x |\n");
-  // Whitespace inside string literals survives; outside it collapses.
-  EXPECT_EQ(CanonicalZql("f1|'x  y'|  z"), "f1|'x  y'| z\n");
-  EXPECT_EQ(CanonicalZql(""), "");
-  EXPECT_EQ(CanonicalZql("\n  \n"), "");
-}
-
 TEST(FingerprintTest, CoversEveryResultRelevantCoordinate) {
+  // The service keys on the canonical text of the parsed query, so one
+  // query spelled two ways — whitespace, tabs, blank lines — is one key.
+  const auto canonical = [](const std::string& text) {
+    auto q = zql::ParseQuery(text);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return q.ok() ? zql::CanonicalText(q.value()) : std::string();
+  };
+  const std::string text = canonical("*f1 | 'year' | 'sales' | | | |");
+  ASSERT_FALSE(text.empty());
   const std::string base = QueryFingerprint(
-      "sales", 1, "roaring", zql::OptLevel::kInterTask, "f1 | x |\n", "");
+      "sales", 1, "roaring", zql::OptLevel::kInterTask, text, "");
   // Cosmetic retyping: same fingerprint.
-  EXPECT_EQ(base, QueryFingerprint("sales", 1, "roaring",
-                                   zql::OptLevel::kInterTask,
-                                   CanonicalZql("  f1 \t|  x |"), ""));
+  EXPECT_EQ(base,
+            QueryFingerprint("sales", 1, "roaring", zql::OptLevel::kInterTask,
+                             canonical("\n  *f1 |\t'year'|  'sales' |||  \n\n"),
+                             ""));
   // Any real coordinate change: different fingerprint.
   EXPECT_NE(base, QueryFingerprint("sales", 2, "roaring",
-                                   zql::OptLevel::kInterTask, "f1 | x |\n",
-                                   ""));
+                                   zql::OptLevel::kInterTask, text, ""));
   EXPECT_NE(base, QueryFingerprint("census", 1, "roaring",
-                                   zql::OptLevel::kInterTask, "f1 | x |\n",
-                                   ""));
+                                   zql::OptLevel::kInterTask, text, ""));
   EXPECT_NE(base, QueryFingerprint("sales", 1, "scan",
-                                   zql::OptLevel::kInterTask, "f1 | x |\n",
-                                   ""));
+                                   zql::OptLevel::kInterTask, text, ""));
   EXPECT_NE(base, QueryFingerprint("sales", 1, "roaring",
-                                   zql::OptLevel::kNoOpt, "f1 | x |\n", ""));
+                                   zql::OptLevel::kNoOpt, text, ""));
+  EXPECT_NE(base,
+            QueryFingerprint("sales", 1, "roaring", zql::OptLevel::kInterTask,
+                             canonical("*f1 | 'year' | 'profit' | | | |"),
+                             ""));
   EXPECT_NE(base, QueryFingerprint("sales", 1, "roaring",
-                                   zql::OptLevel::kInterTask, "f1 | y |\n",
-                                   ""));
-  EXPECT_NE(base, QueryFingerprint("sales", 1, "roaring",
-                                   zql::OptLevel::kInterTask, "f1 | x |\n",
+                                   zql::OptLevel::kInterTask, text,
                                    "sketchhash"));
+}
+
+TEST(FingerprintTest, SketchHashSeparatesEverySketchCoordinate) {
+  Visualization base;
+  base.x_attr = "year";
+  base.y_attr = "sales";
+  base.xs = {Value::Int(2014), Value::Int(2015)};
+  base.series = {{"sales", {1.0, 2.0}}};
+  const auto fp = [](const Visualization& v) {
+    return server::UserInputsFingerprint({{"f1", v}});
+  };
+  EXPECT_EQ(server::UserInputsFingerprint({}), "");
+  Visualization same = base;
+  EXPECT_EQ(fp(base), fp(same));
+  std::vector<Visualization> changed(7, base);
+  changed[0].y_attr = "profit";
+  changed[1].constraints = "location='US'";
+  changed[2].slices = {{"product", Value::Str("chair")}};
+  changed[3].xs[1] = Value::Double(2015.0);  // same value, other type
+  changed[4].series[0].ys[1] = 2.5;
+  changed[5].series[0].name = "profit";
+  changed[6].series.push_back({"profit", {1.0, 2.0}});
+  for (size_t i = 0; i < changed.size(); ++i) {
+    EXPECT_NE(fp(base), fp(changed[i])) << "coordinate " << i;
+  }
+  // The binding name is part of the key.
+  EXPECT_NE(fp(base), server::UserInputsFingerprint({{"f2", base}}));
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
@@ -494,45 +522,128 @@ TEST(QueryServiceTest, UserInputChangesFingerprintNotStaleServed) {
   EXPECT_EQ(Canon(*h3.result()), Canon(*h1.result()));
 }
 
-TEST(QueryServiceTest, ContextCacheReusedWhenResultCacheDisabled) {
-  ServiceOptions opts;
-  opts.result_cache = false;  // force re-execution; isolate the ContextCache
-  QueryService service(opts);
-  ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));
-  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+/// Runs `run` once per backend, on a fresh database holding the tiny
+/// sales table.
+template <typename Fn>
+void ForBothBackends(Fn run) {
+  const std::vector<std::shared_ptr<Database>> dbs = {
+      std::make_shared<RoaringDatabase>(), std::make_shared<ScanDatabase>()};
+  for (const std::shared_ptr<Database>& db : dbs) {
+    SCOPED_TRACE(db->name());
+    auto table = zv::testing::MakeTinySales();
+    ZV_ASSERT_OK(db->RegisterTable(table));
+    run(db, table);
+  }
+}
+
+TEST(QueryServiceTest, ReExecutionIsByteIdenticalWithoutResultCache) {
+  // A ScoringContext lives for one query: with the result cache off, a
+  // repeat query rebuilds its context and must score to the same bytes.
   const std::string q =
       "f1 | 'year' | 'sales' | 'product'.'chair' | | |\n"
       "*f2 | 'year' | 'sales' | v1 <- 'product'.* | | | v2 <- "
       "argmin_v1[k=2] D(f2, f1)";
-
-  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h1, service.Submit(session, "sales", q));
-  ZV_ASSERT_OK(h1.Wait());
-  EXPECT_EQ(h1.stats().contexts_reused, 0u);  // built fresh
-
-  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h2, service.Submit(session, "sales", q));
-  ZV_ASSERT_OK(h2.Wait());
-  EXPECT_EQ(h2.stats().cache_hits, 0u);          // result cache off
-  EXPECT_GE(h2.stats().contexts_reused, 1u);     // alignment reused
-  EXPECT_EQ(Canon(*h1.result()), Canon(*h2.result()));  // bit-exact reuse
-  EXPECT_GE(service.stats().contexts_reused, 1u);
+  ForBothBackends([&](std::shared_ptr<Database> db,
+                      std::shared_ptr<Table> table) {
+    ServiceOptions opts;
+    opts.result_cache = false;  // force re-execution
+    QueryService service(opts);
+    ZV_ASSERT_OK(service.RegisterDataset(table, db));
+    ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h1,
+                            service.Submit(session, "sales", q));
+    ZV_ASSERT_OK(h1.Wait());
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h2,
+                            service.Submit(session, "sales", q));
+    ZV_ASSERT_OK(h2.Wait());
+    EXPECT_EQ(h2.stats().cache_hits, 0u);  // result cache off
+    EXPECT_EQ(h1.stats().contexts_reused, 0u);
+    EXPECT_EQ(h2.stats().contexts_reused, 0u);  // nothing outlives h1
+    EXPECT_EQ(Canon(*h1.result()), Canon(*h2.result()));
+    EXPECT_EQ(service.stats().contexts_reused, 0u);
+  });
 }
 
 TEST(ZqlExecutorTest, ScoringContextDedupedWithinOneQuery) {
-  // Two Process declarations over the same (x, y, z, normalization)
-  // candidate set build the alignment once — with no cross-query cache
-  // wired at all.
-  auto table = zv::testing::MakeTinySales();
-  RoaringDatabase db;
-  ZV_ASSERT_OK(db.RegisterTable(table));
-  zql::ZqlExecutor exec(&db, "sales");
-  ZV_ASSERT_OK_AND_ASSIGN(
-      zql::ZqlResult r,
-      exec.ExecuteText(
-          "f1 | 'year' | 'profit' | 'product'.'desk' | | |\n"
-          "*f2 | 'year' | 'profit' | v1 <- 'product'.* | | | (v2 <- "
-          "argmin_v1[k=1] D(f2, f1)), (v3 <- argmax_v1[k=1] D(f2, f1))"));
-  EXPECT_EQ(r.stats.contexts_reused, 1u)
-      << "second Process declaration should reuse the first's context";
+  // Declarations whose D() calls cover one component set share a context,
+  // in either argument order; declarations over different sets build
+  // their own. The three sets of the second query pairwise share a name,
+  // so a key that dropped any one name would merge two of them.
+  const std::string f1_row =
+      "f1 | 'year' | 'profit' | 'product'.'desk' | | |\n";
+  const std::string f3_row =
+      "f3 | 'year' | 'profit' | 'product'.'chair' | | |\n";
+  const std::string candidates =
+      "*f2 | 'year' | 'profit' | v1 <- 'product'.* | | | ";
+  const std::string same_set =
+      f1_row + candidates +
+      "(v2 <- argmin_v1[k=1] D(f2, f1)), (v3 <- argmax_v1[k=1] D(f1, f2))";
+  const std::string three_sets =
+      f1_row + f3_row + candidates +
+      "(v2 <- argmin_v1[k=1] D(f2, f1)), (v3 <- argmax_v1[k=1] D(f2, f3)), "
+      "(v4 <- argmin_v1[k=1] D(f1, f3))";
+  ForBothBackends([&](std::shared_ptr<Database> db, std::shared_ptr<Table>) {
+    zql::ZqlExecutor exec(db.get(), "sales");
+    ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult shared, exec.ExecuteText(same_set));
+    EXPECT_EQ(shared.stats.contexts_reused, 1u)
+        << "the second declaration should reuse the first's context";
+    ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult distinct,
+                            exec.ExecuteText(three_sets));
+    EXPECT_EQ(distinct.stats.contexts_reused, 0u)
+        << "declarations over different component sets share nothing";
+  });
+}
+
+TEST(QueryServiceTest, CacheBudgetIsTheResultCaches) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  const auto budget = [](size_t cache_mb) {
+    ServiceOptions opts;
+    opts.cache_mb = cache_mb;
+    opts.max_inflight = 1;
+    return QueryService(opts).cache_bytes();
+  };
+  const size_t from_env = static_cast<size_t>(-1);
+  unsetenv("ZV_CACHE_MB");
+  EXPECT_EQ(budget(from_env), 48 * kMiB);  // the default
+  setenv("ZV_CACHE_MB", "10", 1);
+  EXPECT_EQ(budget(from_env), 10 * kMiB);  // all of it goes to results
+  setenv("ZV_CACHE_MB", "0", 1);
+  EXPECT_EQ(budget(from_env), 0u);
+  // 2^44 MB is past SIZE_MAX bytes: the budget saturates instead of
+  // wrapping to 0 (nothing is reserved up front).
+  setenv("ZV_CACHE_MB", "17592186044416", 1);
+  EXPECT_EQ(budget(from_env), SIZE_MAX);
+  unsetenv("ZV_CACHE_MB");
+  EXPECT_EQ(budget(10), 10 * kMiB);
+  EXPECT_EQ(budget(size_t{1} << 44), SIZE_MAX);
+
+  // 0 disables the cache: a repeat query executes again.
+  ServiceOptions off;
+  off.cache_mb = 0;
+  QueryService service(off);
+  ZV_ASSERT_OK(service.RegisterDataset(zv::testing::MakeTinySales()));
+  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+  const std::string q = "*f1 | 'year' | 'sales' | | | |";
+  for (int i = 0; i < 2; ++i) {
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h, service.Submit(session, "sales", q));
+    ZV_ASSERT_OK(h.Wait());
+    EXPECT_EQ(h.stats().cache_hits, 0u);
+  }
+  EXPECT_EQ(service.stats().result_cache_entries, 0u);
+}
+
+TEST(QueryServiceTest, MaxInflightIsCapped) {
+  // One past the cap, through the option and through the environment;
+  // the service starts kMaxInflight workers, never more.
+  ServiceOptions opts;
+  opts.max_inflight = kMaxInflight + 1;
+  EXPECT_EQ(QueryService(opts).max_inflight(), kMaxInflight);
+  const std::string over = std::to_string(kMaxInflight + 1);
+  setenv("ZV_MAX_INFLIGHT", over.c_str(), 1);
+  EXPECT_EQ(QueryService().max_inflight(), kMaxInflight);
+  setenv("ZV_MAX_INFLIGHT", "3", 1);
+  EXPECT_EQ(QueryService().max_inflight(), 3u);
+  unsetenv("ZV_MAX_INFLIGHT");
 }
 
 TEST(QueryServiceTest, EpochBumpInvalidatesCachedResults) {

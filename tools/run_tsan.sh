@@ -5,17 +5,17 @@
 #                   eight concurrent callers over the pool's job list with
 #                   nested calls, seeded errors and a cancelled caller)
 #   topk_test      (SharedTopK's relaxed atomic bound)
-#   server_test    (sessions, caches, async execution, admission control)
+#   server_test    (sessions, the result cache, async execution, admission
+#                   control)
 #   pipeline_test  (fetch thread + bounded hand-off queue byte-identity,
 #                   mid-pipeline cancellation)
 #   shard_test     (chunk-parallel passes on the backend's own queue: the
 #                   pass's leader and the pool's workers vs the fetch
 #                   thread, mid-pass cancellation)
 #   batch_test     (cross-query shared scans: group commit by leader
-#                   election, fused passes on the common pool,
-#                   ScoringContextPool single-flight, cancelled leaders
-#                   and followers, eight direct callers sharing one
-#                   backend's queue)
+#                   election, fused passes on the common pool, cancelled
+#                   leaders and followers, eight direct callers sharing
+#                   one backend's queue)
 #   zql_roundtrip_test (canonical serialization / fingerprint property
 #                   suite — serial, but cheap enough to keep in the gate)
 #   trace_test     (trace spans opened concurrently from the coordinator,
