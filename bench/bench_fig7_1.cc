@@ -278,147 +278,6 @@ bool TopKScoring(JsonRecorder* recorder, zv::DistanceMetric metric,
   return all_identical;
 }
 
-/// The paper's deployment runs against a *remote* PostgreSQL: each
-/// statement's execution happens server-side, so the client core is idle
-/// while it waits. This stand-in adds that per-statement service delay on
-/// top of the local scan, in the per-statement step a fetch streams
-/// (FinishChunkScan) — the wait is exactly what the pipelined schedule
-/// overlaps with scoring (and the only overlap a single-core machine can
-/// realize; multi-core machines additionally overlap the scan CPU
-/// itself).
-class RemoteScanDatabase : public zv::ScanDatabase {
- public:
-  explicit RemoteScanDatabase(uint64_t stmt_micros)
-      : stmt_micros_(stmt_micros) {}
-  std::string name() const override { return "scan-remote"; }
-
-  zv::Result<zv::ResultSet> FinishChunkScan(
-      const zv::sql::SelectStatement& stmt,
-      const std::vector<std::vector<uint32_t>>& parts) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(stmt_micros_));
-    return ScanDatabase::FinishChunkScan(stmt, parts);
-  }
-
- private:
-  uint64_t stmt_micros_;
-};
-
-/// The pipeline section: fetch/score overlap on a fetch-heavy workload.
-/// K independent (fetch, fetch + score) row pairs land in one Inter-Task
-/// wave against the remote-backend stand-in; each pair fetches two
-/// month*year series sets and then runs a quadratic DTW scoring task
-/// (argmin over va with an inner min over vb -> |P|^2 DTW pairs at width
-/// ~120). Staged execution performs every fetch, then every scoring pass;
-/// pipelined execution scores pair i on the coordinator while the fetch
-/// thread works through pair i+1's statements, so end-to-end time
-/// approaches max(fetch, score) instead of their sum. Outputs are compared
-/// byte-for-byte between the two schedules — a false speedup fails the
-/// harness (returns false) rather than landing in BENCH_fig7.json.
-bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
-                     JsonRecorder* recorder) {
-  PrintSubHeader("pipelined fetch/score overlap (fetch-heavy, DTW tasks)");
-  constexpr uint64_t kStmtServiceMicros = 30000;  // remote statement time
-  RemoteScanDatabase db(kStmtServiceMicros);
-  if (auto s = db.RegisterTable(sales); !s.ok()) {
-    std::printf("register failed: %s\n", s.ToString().c_str());
-    return false;
-  }
-  db.set_request_latency_micros(kRequestLatencyMicros);
-  constexpr int kPairs = 5;
-  constexpr int kProducts = 32;
-  const char* const countries[] = {"US", "UK", "country2", "country3",
-                                   "country4", "country5", "country6",
-                                   "country7"};
-  zv::zql::NamedSets sets;
-  std::vector<zv::Value> products;
-  for (int i = 0; i < kProducts; ++i) {
-    products.push_back(zv::Value::Str("product" + std::to_string(i)));
-  }
-  sets.value_sets["P"] = {"product", products};
-
-  std::string query;
-  for (int i = 0; i < kPairs; ++i) {
-    query += zv::StrFormat(
-        "*a%d | 'month'*'year' | 'sales' | va%d <- P | country='%s' | "
-        "bar.(y=agg('sum')) |\n",
-        i, i, countries[(2 * i) % 8]);
-    query += zv::StrFormat(
-        "*b%d | 'month'*'year' | 'sales' | vb%d <- P | country='%s' | "
-        "bar.(y=agg('sum')) | o%d <- argmin_va%d[k=3] min_vb%d D(a%d, b%d)\n",
-        i, i, countries[(2 * i + 1) % 8], i, i, i, i, i);
-  }
-
-  auto identical = [](const zv::zql::ZqlResult& a,
-                      const zv::zql::ZqlResult& b) {
-    if (a.outputs.size() != b.outputs.size()) return false;
-    for (size_t o = 0; o < a.outputs.size(); ++o) {
-      const auto& av = a.outputs[o].visuals;
-      const auto& bv = b.outputs[o].visuals;
-      if (a.outputs[o].name != b.outputs[o].name || av.size() != bv.size()) {
-        return false;
-      }
-      for (size_t i = 0; i < av.size(); ++i) {
-        if (!(av[i].xs == bv[i].xs) || !(av[i].series == bv[i].series) ||
-            !(av[i].slices == bv[i].slices)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-
-  std::printf("%-10s %-10s %10s %10s %10s %10s\n", "threads", "schedule",
-              "total(ms)", "fetch(ms)", "score(ms)", "speedup");
-  bool all_identical = true;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    zv::SetParallelThreads(threads);
-    double staged_ms = 0;
-    zv::zql::ZqlResult staged_result;
-    for (const bool pipelined : {false, true}) {
-      zv::zql::ZqlOptions opts;
-      opts.optimization = OptLevel::kInterTask;
-      opts.named_sets = sets;
-      opts.pipelined_execution = pipelined;
-      opts.tasks.default_options.metric = zv::DistanceMetric::kDtw;
-      zv::zql::ZqlExecutor exec(&db, "sales", opts);
-      auto result = exec.ExecuteText(query);
-      if (!result.ok()) {
-        std::printf("FAILED: %s\n", result.status().ToString().c_str());
-        return false;
-      }
-      const char* schedule = pipelined ? "pipelined" : "staged";
-      double speedup = 0;
-      if (!pipelined) {
-        staged_ms = result->stats.total_ms;
-        staged_result = std::move(result).value();
-        std::printf("%-10zu %-10s %10.1f %10.1f %10.1f %10s\n", threads,
-                    schedule, staged_ms, staged_result.stats.fetch_ms,
-                    staged_result.stats.score_ms, "-");
-        recorder->Record(
-            "pipeline/staged_t" + std::to_string(threads), staged_ms,
-            {{"threads", std::to_string(threads)}, {"kind", "pipeline"}});
-        continue;
-      }
-      speedup = staged_ms / result->stats.total_ms;
-      all_identical &= identical(staged_result, result.value());
-      std::printf("%-10zu %-10s %10.1f %10.1f %10.1f %9.2fx\n", threads,
-                  schedule, result->stats.total_ms, result->stats.fetch_ms,
-                  result->stats.score_ms, speedup);
-      recorder->Record(
-          "pipeline/pipelined_t" + std::to_string(threads),
-          result->stats.total_ms,
-          {{"threads", std::to_string(threads)},
-           {"kind", "pipeline"},
-           {"fetch_ms", std::to_string(result->stats.fetch_ms)},
-           {"score_ms", std::to_string(result->stats.score_ms)}});
-    }
-  }
-  zv::SetParallelThreads(0);
-  std::printf("outputs identical across schedules: %s\n",
-              all_identical ? "yes" : "NO");
-  return all_identical;
-}
-
 /// The shard section models the deployment the ChunkMap fan-out is built
 /// for: each chunk is a partition of a *remote* store (the paper's
 /// PostgreSQL serves scans server-side), so scanning a row range costs a
@@ -426,9 +285,8 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
 /// extraction. The override wraps every scanner the backend prepares: at
 /// ZV_THREADS=1 a pass waits chunk by chunk on one thread, while wider
 /// settings overlap its chunks' waits across the common pool's threads
-/// — the same overlap PipelineOverlap's RemoteScanDatabase realizes one
-/// level up, and the only scan speedup any machine sees once the store is
-/// remote (multi-core machines additionally overlap the extraction CPU).
+/// — the only scan speedup any machine sees once the store is remote
+/// (multi-core machines additionally overlap the extraction CPU).
 class PartitionedScanDatabase : public zv::ScanDatabase {
  public:
   explicit PartitionedScanDatabase(uint64_t service_ns_per_row)
@@ -655,18 +513,11 @@ int main() {
   topk_ok &= TopKScoring(&recorder, zv::DistanceMetric::kDtw, "dtw");
 
   EndToEndThreads(&db, sets, &recorder);
-  const bool pipeline_ok = PipelineOverlap(sales, &recorder);
   const bool shard_ok = ShardScaling(&recorder);
   if (!topk_ok) {
     std::fprintf(stderr,
                  "FATAL: pruned top-k selection diverged from the full "
                  "scan\n");
-    return 1;
-  }
-  if (!pipeline_ok) {
-    std::fprintf(stderr,
-                 "FATAL: pipelined execution diverged from the staged "
-                 "schedule\n");
     return 1;
   }
   if (!shard_ok) {

@@ -60,7 +60,7 @@ void AppendChromeEvents(const TraceSpan& span, Json* events) {
   ev.Set("ts", Json::Double(span.start_ms * 1000.0));    // microseconds
   ev.Set("dur", Json::Double(span.duration_ms * 1000.0));
   ev.Set("pid", Json::Int(1));
-  ev.Set("tid", Json::Int(span.track));
+  ev.Set("tid", Json::Int(0));
   if (!span.attrs.empty()) {
     Json args = Json::MakeObject();
     for (const auto& [key, value] : span.attrs) {
@@ -88,12 +88,11 @@ Trace::Trace(std::string root_name)
   root_.name = std::move(root_name);
 }
 
-TraceSpan* Trace::Begin(TraceSpan* parent, std::string name, int track) {
+TraceSpan* Trace::Begin(TraceSpan* parent, std::string name) {
   const double start = NowMs();
   auto span = std::make_unique<TraceSpan>();
   span->name = std::move(name);
   span->start_ms = start;
-  span->track = track;
   TraceSpan* raw = span.get();
   std::lock_guard<std::mutex> lock(mu_);
   (parent == nullptr ? root_ : *parent).children.push_back(std::move(span));
@@ -106,12 +105,11 @@ void Trace::End(TraceSpan* span) {
 }
 
 TraceSpan* Trace::Add(TraceSpan* parent, std::string name, double start_ms,
-                      double duration_ms, int track) {
+                      double duration_ms) {
   auto span = std::make_unique<TraceSpan>();
   span->name = std::move(name);
   span->start_ms = start_ms;
   span->duration_ms = duration_ms;
-  span->track = track;
   TraceSpan* raw = span.get();
   std::lock_guard<std::mutex> lock(mu_);
   (parent == nullptr ? root_ : *parent).children.push_back(std::move(span));
@@ -123,7 +121,6 @@ Json EncodeTraceSpan(const TraceSpan& span) {
   j.Set("name", Json::Str(span.name));
   j.Set("start_ms", Json::Double(span.start_ms));
   j.Set("dur_ms", Json::Double(span.duration_ms));
-  if (span.track != 0) j.Set("track", Json::Int(span.track));
   if (!span.attrs.empty()) {
     Json attrs = Json::MakeObject();
     for (const auto& [key, value] : span.attrs) {

@@ -1,26 +1,29 @@
 /// \file trace.h
 /// \brief Per-query execution tracing: a TraceSpan tree recording where
 /// each millisecond of one query went — one span per plan operator
-/// (FetchOp / MaterializeOp / ScoreOp / ReduceOp / OutputOp), per scan
-/// batch, per shared-scan (group-commit) pass, plus the serving layer's
+/// (FetchOp / MaterializeOp / ScoreOp / ReduceOp / OutputOp), per flush,
+/// per shared-scan (group-commit) pass, plus the serving layer's
 /// admission queue-wait and cache-lookup spans.
 ///
 /// Tracing is a *pure observer*: spans record steady-clock timestamps and
 /// typed attributes, never influence scheduling or results, and never
 /// enter QueryFingerprint or any cache (tests/trace_test.cc locks
-/// byte-identity with tracing on vs off across the full schedule matrix).
+/// byte-identity with tracing on vs off across chunk sizes and backends).
 ///
 /// Threading model: the Trace owns every span (stable heap nodes) and
-/// guards tree mutation with an internal mutex, because spans are opened
-/// concurrently from the coordinator, the pipelined fetch thread, and
-/// serving workers. Each span's fields (duration, attributes) are written
-/// only by the thread that opened it; readers consume the finished tree
-/// after the query resolves, ordered by the task-resolution handshake.
+/// guards tree mutation with an internal mutex. A query opens its spans on
+/// the thread that runs it; under the serving layer the submitting thread
+/// may open the first cache-lookup span and hand the trace to a worker
+/// through the admission queue. The mutex keeps Begin/Add safe from any
+/// thread all the same. Each span's fields (duration, attributes) are
+/// written only by the thread that opened it; readers consume the
+/// finished tree after the query resolves, ordered by the task-resolution
+/// handshake.
 ///
 /// Exports: a deterministic JSON encoding (the QueryResponse::trace wire
 /// payload), an indented text rendering (zql_shell `:trace`), and Chrome
-/// `trace_event` JSON for chrome://tracing flame views (spans land on one
-/// timeline row per track: coordinator / fetch thread / scan pool).
+/// `trace_event` JSON for chrome://tracing flame views (every span on one
+/// timeline row, tid 0).
 
 #ifndef ZV_COMMON_TRACE_H_
 #define ZV_COMMON_TRACE_H_
@@ -49,10 +52,6 @@ struct TraceSpan {
   std::string name;
   double start_ms = 0;
   double duration_ms = 0;
-  /// Logical timeline lane for the Chrome export: 0 = coordinator (the
-  /// serving worker / plan walker), 1 = the pipelined fetch thread,
-  /// 2 = the chunk/shared scan pool.
-  int track = 0;
   std::vector<std::pair<std::string, TraceValue>> attrs;
   std::vector<std::unique_ptr<TraceSpan>> children;
 
@@ -84,7 +83,7 @@ class Trace {
   /// Opens a child span under `parent` (nullptr = the root) starting now.
   /// Thread-safe: concurrent opens under one parent serialize on the
   /// trace mutex; the returned pointer stays stable for the trace's life.
-  TraceSpan* Begin(TraceSpan* parent, std::string name, int track = 0);
+  TraceSpan* Begin(TraceSpan* parent, std::string name);
 
   /// Closes `span`: duration = now - start. Call from the opening thread.
   void End(TraceSpan* span);
@@ -93,7 +92,7 @@ class Trace {
   /// timed elsewhere (e.g. a shared-scan pass whose wall time comes back
   /// from the coordinator) where Begin/End can't bracket the interval.
   TraceSpan* Add(TraceSpan* parent, std::string name, double start_ms,
-                 double duration_ms, int track = 0);
+                 double duration_ms);
 
  private:
   std::chrono::steady_clock::time_point epoch_;
@@ -105,10 +104,10 @@ class Trace {
 /// instrumentation sites need no `if (traced)` guards.
 class TraceScope {
  public:
-  TraceScope(Trace* trace, TraceSpan* parent, std::string name, int track = 0)
+  TraceScope(Trace* trace, TraceSpan* parent, std::string name)
       : trace_(trace),
         span_(trace == nullptr ? nullptr
-                               : trace->Begin(parent, std::move(name), track)) {}
+                               : trace->Begin(parent, std::move(name))) {}
   ~TraceScope() {
     if (trace_ != nullptr) trace_->End(span_);
   }
@@ -138,16 +137,16 @@ class TraceScope {
 };
 
 /// Deterministic JSON form of a span (sub)tree:
-///   {"name", "start_ms", "dur_ms", "track"?, "attrs"?, "children"?}
-/// track is omitted when 0, attrs/children when empty — the wire payload
-/// of QueryResponse::trace.
+///   {"name", "start_ms", "dur_ms", "attrs"?, "children"?}
+/// attrs/children are omitted when empty — the wire payload of
+/// QueryResponse::trace.
 Json EncodeTraceSpan(const TraceSpan& span);
 
 /// Indented text rendering of a span (sub)tree (zql_shell `:trace`).
 std::string RenderTraceTree(const TraceSpan& span);
 
 /// Chrome trace_event JSON for chrome://tracing: one complete ("ph":"X")
-/// event per span, timestamps in microseconds, one tid per track.
+/// event per span, timestamps in microseconds, tid 0.
 std::string ToChromeTrace(const TraceSpan& root);
 
 }  // namespace zv

@@ -32,10 +32,7 @@ const char* OptLevelToString(OptLevel level) {
 //
 // Execution = lower the query into a physical plan (zql/plan.h), then walk
 // it with the scheduler (zql/scheduler.h) over the operator layer
-// (zql/operators.h). The staged schedule reproduces the historical
-// phase-at-a-time executor exactly; the pipelined schedule (default)
-// overlaps backend scans with materialization and scoring without changing
-// a single byte of the result.
+// (zql/operators.h), step by step on the calling thread.
 
 ZqlExecutor::ZqlExecutor(Database* db, std::string table, ZqlOptions options)
     : db_(db), table_name_(std::move(table)), options_(std::move(options)) {}
@@ -60,12 +57,8 @@ Result<ZqlResult> ZqlExecutor::Execute(const ZqlQuery& query) {
   state.trace_span = exec_scope.span();
   ZV_ASSIGN_OR_RETURN(PhysicalPlan plan, BuildPhysicalPlan(query, options_));
   exec_scope.SetStr("optimization", OptLevelToString(plan.optimization));
-  exec_scope.SetBool("pipelined", plan.pipelined);
   exec_scope.SetInt("stages", plan.num_stages);
-  {
-    exec::PipelineScheduler scheduler(plan, query, &state);
-    ZV_RETURN_NOT_OK(scheduler.Run());
-  }
+  ZV_RETURN_NOT_OK(exec::RunPlan(plan, query, &state));
 
   // A cancelled token must never yield an OK result: void ParallelFor
   // consumers (k-means in R tasks, outlier scans) stop early when

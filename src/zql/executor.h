@@ -6,11 +6,9 @@
 ///
 /// Execution is plan-driven: the query is first lowered into a physical
 /// plan of typed operators (zql/plan.h — FetchOp, MaterializeOp, ScoreOp,
-/// ReduceOp, OutputOp) and then run by a scheduler (zql/scheduler.h) that
-/// is either staged (every flush completes before anything downstream
-/// runs) or pipelined (backend scans overlap materialization and scoring;
-/// see ZqlOptions::pipelined_execution). Both schedules produce
-/// byte-identical results.
+/// ReduceOp, OutputOp) and then run by the scheduler (zql/scheduler.h) on
+/// the calling thread, each flush completing before anything downstream
+/// runs.
 ///
 /// Optimization levels (§5.2):
 ///  - kNoOpt:     one SQL query *and* one request per visualization — the
@@ -87,20 +85,16 @@ struct ZqlOptions {
   /// flag off (topk_test.cc asserts it); exposed so tests and benches can
   /// compare against the full scan.
   bool topk_pruning = true;
-  /// Pipelined execution of the physical plan (see zql/plan.h): backend
-  /// scans run on a dedicated fetch thread feeding a bounded hand-off
-  /// queue, so scoring of an already-materialized row overlaps the scan of
-  /// the next one. A pure scheduling change: routing and scoring still run
-  /// on the calling thread in plan order, so results are byte-identical to
-  /// the staged path at any ZV_THREADS (tests/pipeline_test.cc locks
-  /// this); off = the staged oracle, which executes every flush to
-  /// completion before anything downstream runs.
-  bool pipelined_execution = true;
   /// Retired: selects nothing — every flush selects rows through a chunk
   /// pass (batch_scans below). Still declared only because the benchmark
   /// harness's oracle (zvbench/oracle.h) assigns it; it goes together
   /// with that assignment.
   size_t shards = 0;
+  /// Retired: selects nothing — every query runs its plan on the calling
+  /// thread, one flush at a time. Still declared only because the
+  /// benchmark harness's oracle (zvbench/oracle.h) assigns it; it goes
+  /// together with that assignment.
+  bool pipelined_execution = false;
   /// Which shared-scan queue (engine/shared_scan.h) selects this query's
   /// rows (docs/architecture.md "Batched execution"); null = the backend's
   /// own (Database::scan_queue). Either way every flush's row selection
@@ -129,8 +123,8 @@ struct ZqlOptions {
   /// records a span tree under `trace_parent` (null = the trace root) —
   /// one "execute" span holding one span per plan operator
   /// (FetchOp/MaterializeOp/ScoreOp/ReduceOp/OutputOp, names matching the
-  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch")
-  /// and per shared-scan group-commit pass ("SharedScanPass"). A pure
+  /// EXPLAIN rendering), plus one span per flush ("Flush") and per
+  /// shared-scan group-commit pass ("SharedScanPass"). A pure
   /// observer: spans never influence scheduling, results are
   /// byte-identical with tracing on or off (tests/trace_test.cc locks the
   /// matrix), and the serving layer keeps trace state out of
@@ -168,10 +162,9 @@ struct ZqlStats {
   /// Per-stage breakdown across the operator pipeline. fetch_ms is pure
   /// backend scan time (statement execution + simulated request latency,
   /// a subset of exec_ms); score_ms is pure combination-scoring time
-  /// (including ScoringContext assembly, a subset of compute_ms). Under
-  /// pipelined execution the stages overlap in wall time, so
-  /// fetch_ms + score_ms may exceed total_ms — the gap between
-  /// (fetch_ms + score_ms) and total_ms is the overlap won.
+  /// (including ScoringContext assembly, a subset of compute_ms). Both
+  /// are disjoint intervals on the calling thread, so
+  /// fetch_ms + score_ms <= total_ms.
   double fetch_ms = 0;
   double score_ms = 0;
   /// Chunk-pass instrumentation, served and direct alike: chunks_scanned

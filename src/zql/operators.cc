@@ -499,7 +499,7 @@ Status ExecState::Init(
 // FetchOp
 // ---------------------------------------------------------------------------
 
-Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
+Status PlanRowFetches(const ZqlRow& row, ExecState* st,
                       std::vector<PendingFetch>* out) {
   if (st->comps.count(row.name.name)) {
     return Status::AlreadyExists(StrFormat(
@@ -615,7 +615,6 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
       pf.fixed_z = std::move(fixed_z);
       pf.varying_z_attrs = varying_z_attrs;
       pf.aggregated = spec.y_agg != sql::AggFunc::kNone;
-      pf.row_tag = row_tag;
       for (size_t si : varying_slots) {
         const Slot& s = zslots[si];
         // Distinct values in first-seen order; the hash set only answers

@@ -7,10 +7,10 @@
 ///  - FetchOp       (PlanRowFetches): resolves a row's variable slots,
 ///    materializes its visualization identities, and lowers them into
 ///    batched SQL statements (PendingFetch) against the backend.
-///  - MaterializeOp (RouteFetch / MaterializeLocal / MarkReady): routes a
-///    scanned ResultSet back into the visualizations it covers, assembles
-///    user-input and derived components, and publishes components to
-///    downstream operators.
+///  - MaterializeOp (MaterializeLocal / MarkReady): assembles user-input
+///    and derived components and publishes components to downstream
+///    operators. RouteFetch, which splits a scanned ResultSet into the
+///    visualizations it covers, runs inside the flush that scanned it.
 ///  - ScoreOp       (ScoreProcess): evaluates one Process declaration's
 ///    objective over its flattened iteration domain — ScoringContext batch
 ///    scans, top-k pruned scans, ParallelFor fan-out, or the serial loop
@@ -19,10 +19,11 @@
 ///    scores and binds the declaration's output variables.
 ///
 /// Operators communicate only through ExecState (variables, components,
-/// stats) and the PendingFetch hand-off, which is what lets the scheduler
-/// overlap them: a fetch thread runs FetchOp's scans while the coordinator
-/// thread materializes and scores earlier rows. Every operator is
-/// deterministic given ExecState, so the schedule cannot change results.
+/// stats) and the PendingFetch hand-off: FetchOp buffers a row's
+/// statements, and the flush that ends the batch scans them and routes
+/// each ResultSet, all on the thread that runs the query. Every operator
+/// is deterministic given ExecState, so neither ZV_THREADS nor how a
+/// chunk pass is shared can change results.
 
 #ifndef ZV_ZQL_OPERATORS_H_
 #define ZV_ZQL_OPERATORS_H_
@@ -106,10 +107,6 @@ struct PendingFetch {
   std::vector<Member> members;
   /// y attribute -> result column display name.
   std::map<std::string, std::string> y_columns;
-  /// Plan-order index of the row this fetch belongs to — the scheduler's
-  /// drain key: a MaterializeOp for row r waits only for fetches tagged
-  /// <= r, which is what lets later rows' scans keep running underneath.
-  size_t row_tag = 0;
 };
 
 /// \brief Mutable execution state shared by every operator of one query.
@@ -127,9 +124,7 @@ struct ExecState {
 
   /// Per-query trace (ZqlOptions::trace; null when tracing is off) and
   /// the "execute" span operator spans parent under. Wired by the
-  /// executor before the scheduler runs and immutable afterwards — the
-  /// fetch thread reads them concurrently, the Trace
-  /// itself synchronizes span creation.
+  /// executor before the scheduler runs and immutable afterwards.
   Trace* trace = nullptr;
   TraceSpan* trace_span = nullptr;
 
@@ -158,8 +153,8 @@ struct ExecState {
 /// Plans one fetch row: resolves its slots against ExecState's variable
 /// bindings, materializes the component's visualization identities, groups
 /// them into batched SQL statements, and appends the resulting
-/// PendingFetches (tagged `row_tag`) to *out. Registers the component.
-Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
+/// PendingFetches to *out. Registers the component.
+Status PlanRowFetches(const ZqlRow& row, ExecState* st,
                       std::vector<PendingFetch>* out);
 
 // ---------------------------------------------------------------------------

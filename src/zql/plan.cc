@@ -283,7 +283,6 @@ Result<PhysicalPlan> BuildPhysicalPlan(const ZqlQuery& query,
                                        const ZqlOptions& options) {
   PhysicalPlan plan;
   plan.optimization = options.optimization;
-  plan.pipelined = options.pipelined_execution;
   PlanEmitter emit(&plan);
 
   if (options.optimization == OptLevel::kInterTask) {
@@ -330,10 +329,9 @@ Result<PhysicalPlan> BuildPhysicalPlan(const ZqlQuery& query,
 
 std::string PhysicalPlan::Render(const ZqlQuery& query,
                                  size_t table_chunks) const {
-  std::string out = StrFormat(
-      "physical plan: opt=%s, %s, %d stage%s\n", OptLevelToString(optimization),
-      pipelined ? "pipelined (fetch/score overlap)" : "staged", num_stages,
-      num_stages == 1 ? "" : "s");
+  std::string out = StrFormat("physical plan: opt=%s, %d stage%s\n",
+                              OptLevelToString(optimization), num_stages,
+                              num_stages == 1 ? "" : "s");
   int printed_stage = -1;
   for (const PlanStep& step : steps) {
     if (step.kind == PlanStep::Kind::kFlush) continue;

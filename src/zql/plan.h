@@ -12,11 +12,9 @@
 /// render it and the serving layer ship it over the wire without
 /// executing.
 ///
-/// The scheduler (zql/scheduler.h) interprets the step list in order; the
-/// *pipelined* schedule additionally overlaps FetchOp's backend scans with
-/// downstream MaterializeOp/ScoreOp work, which the step ordering makes
-/// safe: a MaterializeOp waits only for fetches of rows at or before its
-/// own, so scans of later rows proceed underneath scoring.
+/// The scheduler (zql/scheduler.h) interprets the step list in order on
+/// the calling thread: each flush scans and routes its batch before the
+/// next step runs.
 
 #ifndef ZV_ZQL_PLAN_H_
 #define ZV_ZQL_PLAN_H_
@@ -42,11 +40,11 @@ inline bool IsLocalRow(const ZqlRow& row) {
 struct PlanStep {
   enum class Kind {
     kFetch,        ///< FetchOp: plan row's SQL statements into the batch
-    kFlush,        ///< batch boundary: dispatch buffered statements
-    kMaterialize,  ///< MaterializeOp: route row's results / build derived
+    kFlush,        ///< batch boundary: scan + route buffered statements
+    kMaterialize,  ///< MaterializeOp: publish row's component / build derived
     kScore,        ///< ScoreOp: evaluate one Process declaration
     kReduce,       ///< ReduceOp: apply mechanism, bind output variables
-    kOutput,       ///< OutputOp: final drain + collect *-flagged components
+    kOutput,       ///< OutputOp: end of plan; *-flagged components are final
   };
   Kind kind;
   int row = -1;   ///< index into ZqlQuery::rows (kFetch/kMaterialize/kScore/kReduce)
@@ -57,7 +55,6 @@ struct PlanStep {
 /// \brief The physical plan for one query under one option set.
 struct PhysicalPlan {
   OptLevel optimization = OptLevel::kInterTask;
-  bool pipelined = true;
   int num_stages = 0;
   std::vector<PlanStep> steps;
   /// kInterTask: wavefront wave per row; sequential levels leave it empty.

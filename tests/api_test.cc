@@ -93,7 +93,7 @@ TEST(ApiProtocolTest, ResponseWireRoundTripIsLossless) {
   response.stats.fetch_ms = 0.0625;
   response.stats.score_ms = 0.03125;
   response.fingerprint = "abc123";
-  response.plan = "physical plan: opt=Inter-Task, staged, 1 stage\n";
+  response.plan = "physical plan: opt=Inter-Task, 1 stage\n";
   response.client_tag = "panel-3";
 
   const std::string wire = EncodeResponse(response).Dump();

@@ -1,16 +1,16 @@
 /// \file batch_test.cc
 /// \brief The batched-execution contract (docs/architecture.md "Batched
 /// execution"): results served through the shared-scan queue are
-/// byte-identical to testing::ReferenceDatabase (a naive row loop, staged,
+/// byte-identical to testing::ReferenceDatabase (a naive row loop,
 /// ZV_THREADS=1, the table as one chunk) across {one chunk, small chunks}
-/// × {1, 4} sessions × ZV_THREADS {1, 4} × {staged, pipelined} × both
-/// backends, and so are concurrent direct callers sharing one backend's
-/// own queue. Plus: the multi-statement scanners and the queue select, per
-/// statement, exactly what a plain whole-table predicate loop selects, a
-/// cancelled member leaves its pass siblings unaffected, a ReplaceDataset
-/// epoch bump mid-window isolates pre- and post-bump queries on their own
-/// snapshots, the batching window is bounded, binning pushdown reproduces
-/// the client-side binner bit for bit on integer data, and a randomized
+/// × {1, 4} sessions × ZV_THREADS {1, 4} × both backends, and so are
+/// concurrent direct callers sharing one backend's own queue. Plus: the
+/// multi-statement scanners and the queue select, per statement, exactly
+/// what a plain whole-table predicate loop selects, a cancelled member
+/// leaves its pass siblings unaffected, a ReplaceDataset epoch bump
+/// mid-window isolates pre- and post-bump queries on their own snapshots,
+/// the batching window is bounded, binning pushdown reproduces the
+/// client-side binner bit for bit on integer data, and a randomized
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
 /// runs it long) hammers submit/cancel/replace concurrently. Runs under
 /// the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh): pass
@@ -115,14 +115,12 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// The reference: ReferenceDatabase over `table`, staged, serial.
+/// The reference: ReferenceDatabase over `table`, serial.
 ZqlResult Oracle(const std::shared_ptr<Table>& table, const char* zql) {
   ScopedThreads threads(1);
   testing::ReferenceDatabase db;
   EXPECT_TRUE(db.RegisterTable(table).ok());
-  ZqlOptions opts;
-  opts.pipelined_execution = false;
-  ZqlExecutor exec(&db, "sales", opts);
+  ZqlExecutor exec(&db, "sales", ZqlOptions{});
   Result<ZqlResult> r = exec.ExecuteText(zql);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
   return r.ok() ? std::move(r).value() : ZqlResult{};
@@ -137,44 +135,40 @@ void RunBatchIdentityMatrix() {
   for (size_t chunk_rows : {size_t{0}, size_t{256}}) {
     for (size_t sessions : {size_t{1}, size_t{4}}) {
       for (size_t nthreads : {size_t{1}, size_t{4}}) {
-        for (bool pipelined : {false, true}) {
-          ScopedThreads threads(nthreads);
-          server::ServiceOptions sopts;
-          sopts.result_cache = false;  // every submit must really execute
-          sopts.max_inflight = 4;
-          sopts.zql.pipelined_execution = pipelined;
-          server::QueryService service(sopts);
-          auto db = std::make_shared<DbType>();
-          ZV_ASSERT_OK(db->RegisterTable(table));
-          ZV_ASSERT_OK(db->RebuildChunkMap("sales", chunk_rows));
-          ZV_ASSERT_OK(service.RegisterDataset(table, db));
-          std::vector<server::SessionId> sids;
-          for (size_t s = 0; s < sessions; ++s) {
-            ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
-                                    service.CreateSession());
-            sids.push_back(sid);
-          }
-          std::vector<server::QueryHandle> handles;
-          for (size_t i = 0; i < kNumQueries; ++i) {
-            ZV_ASSERT_OK_AND_ASSIGN(
-                server::QueryHandle h,
-                service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
-            handles.push_back(h);
-          }
-          uint64_t batched_total = 0;
-          for (size_t i = 0; i < handles.size(); ++i) {
-            ZV_ASSERT_OK(handles[i].Wait());
-            auto res = handles[i].result();
-            ASSERT_NE(res, nullptr);
-            EXPECT_TRUE(SameResult(oracle[i], *res))
-                << "query " << i << " chunk_rows=" << chunk_rows
-                << " sessions=" << sessions << " threads=" << nthreads
-                << " pipelined=" << pipelined;
-            batched_total += handles[i].stats().batched_scans;
-          }
-          EXPECT_GT(batched_total, 0u);
-          EXPECT_GT(service.stats().batch_passes, 0u);
+        ScopedThreads threads(nthreads);
+        server::ServiceOptions sopts;
+        sopts.result_cache = false;  // every submit must really execute
+        sopts.max_inflight = 4;
+        server::QueryService service(sopts);
+        auto db = std::make_shared<DbType>();
+        ZV_ASSERT_OK(db->RegisterTable(table));
+        ZV_ASSERT_OK(db->RebuildChunkMap("sales", chunk_rows));
+        ZV_ASSERT_OK(service.RegisterDataset(table, db));
+        std::vector<server::SessionId> sids;
+        for (size_t s = 0; s < sessions; ++s) {
+          ZV_ASSERT_OK_AND_ASSIGN(server::SessionId sid,
+                                  service.CreateSession());
+          sids.push_back(sid);
         }
+        std::vector<server::QueryHandle> handles;
+        for (size_t i = 0; i < kNumQueries; ++i) {
+          ZV_ASSERT_OK_AND_ASSIGN(
+              server::QueryHandle h,
+              service.Submit(sids[i % sids.size()], "sales", kQueries[i]));
+          handles.push_back(h);
+        }
+        uint64_t batched_total = 0;
+        for (size_t i = 0; i < handles.size(); ++i) {
+          ZV_ASSERT_OK(handles[i].Wait());
+          auto res = handles[i].result();
+          ASSERT_NE(res, nullptr);
+          EXPECT_TRUE(SameResult(oracle[i], *res))
+              << "query " << i << " chunk_rows=" << chunk_rows
+              << " sessions=" << sessions << " threads=" << nthreads;
+          batched_total += handles[i].stats().batched_scans;
+        }
+        EXPECT_GT(batched_total, 0u);
+        EXPECT_GT(service.stats().batch_passes, 0u);
       }
     }
   }

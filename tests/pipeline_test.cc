@@ -1,12 +1,12 @@
 /// \file pipeline_test.cc
-/// \brief The pipelined-execution contract: results are byte-identical to
-/// staged execution — and to testing::ReferenceDatabase run staged and
-/// serial — for every optimization level, every ZV_THREADS setting and one
-/// chunk or many, across fetch-only, task, reducer, representative,
-/// derived, and user-input queries; cancellation lands mid-pipeline
-/// promptly; per-stage timings are populated. Runs under the tsan ctest
-/// label too (tools/run_tsan.sh): the fetch thread, the bounded hand-off
-/// queue, and the scoring pool all race-check together.
+/// \brief The plan-execution contract: results are byte-identical to
+/// testing::ReferenceDatabase run serially for every optimization level,
+/// every ZV_THREADS setting and one chunk or many, on both backends,
+/// across fetch-only, task, reducer, representative, derived, and
+/// user-input queries; a cancel landing mid-flush resolves promptly;
+/// per-stage timings are populated and disjoint. Runs under the tsan ctest
+/// label too (tools/run_tsan.sh): the chunk passes and the scoring pool
+/// race-check together.
 
 #include <gtest/gtest.h>
 
@@ -145,22 +145,20 @@ std::shared_ptr<Table> SharedSales() {
   return table;
 }
 
-Result<ZqlResult> RunCase(Database* db, const Case& c, bool pipelined,
-                          OptLevel level) {
+Result<ZqlResult> RunCase(Database* db, const Case& c, OptLevel level) {
   ZqlOptions opts;
   opts.optimization = level;
   opts.named_sets = MakeP();
-  opts.pipelined_execution = pipelined;
   ZqlExecutor exec(db, "sales", opts);
   if (c.needs_sketch) exec.SetUserInput("q", MakeSketch());
   return exec.ExecuteText(c.zql);
 }
 
-/// The oracle matrix: ReferenceDatabase run staged at ZV_THREADS=1 is the
-/// reference; staged/pipelined at ZV_THREADS in {1, 4}, over one chunk
-/// and over 512-row chunks (a pass that fans out), must reproduce it byte
-/// for byte — same visuals, same SQL counts — at every optimization level.
-TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
+/// The oracle matrix: ReferenceDatabase run at ZV_THREADS=1 is the
+/// reference; ZV_THREADS in {1, 4}, over one chunk and over 512-row
+/// chunks (a pass that fans out), must reproduce it byte for byte — same
+/// visuals, same SQL counts — at every optimization level.
+TEST(PipelineTest, MatchesReferenceAtEveryLevel) {
   testing::ReferenceDatabase reference;
   ZV_ASSERT_OK(reference.RegisterTable(SharedSales()));
   ScanDatabase db;
@@ -171,65 +169,78 @@ TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
       ZqlResult baseline;
       {
         ScopedThreads threads(1);
-        ZV_ASSERT_OK_AND_ASSIGN(
-            baseline, RunCase(&reference, c, /*pipelined=*/false, level));
+        ZV_ASSERT_OK_AND_ASSIGN(baseline, RunCase(&reference, c, level));
       }
       // 0 = the default chunk size, which the 6000-row table fits inside;
       // 512-row chunks make 12.
       for (size_t chunk_rows : {size_t{0}, size_t{512}}) {
         ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
         for (size_t nthreads : {size_t{1}, size_t{4}}) {
-          for (bool pipelined : {false, true}) {
-            ScopedThreads threads(nthreads);
-            ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
-                                    RunCase(&db, c, pipelined, level));
-            EXPECT_TRUE(SameResult(baseline, got))
-                << c.name << " opt=" << OptLevelToString(level)
-                << " threads=" << nthreads << " pipelined=" << pipelined
-                << " chunk_rows=" << chunk_rows;
-            EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries)
-                << c.name;
-            EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests)
-                << c.name;
-          }
+          ScopedThreads threads(nthreads);
+          ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got, RunCase(&db, c, level));
+          EXPECT_TRUE(SameResult(baseline, got))
+              << c.name << " opt=" << OptLevelToString(level)
+              << " threads=" << nthreads << " chunk_rows=" << chunk_rows;
+          EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries)
+              << c.name;
+          EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests)
+              << c.name;
         }
       }
     }
   }
 }
 
-/// Both backends run the same chunk pass and FinishChunkScan per statement.
-TEST(PipelineTest, RoaringBackendIdenticalAcrossSchedules) {
+/// Both backends run the same chunk pass and FinishChunkScan per statement:
+/// Roaring reproduces the reference at ZV_THREADS 1 and 4.
+TEST(PipelineTest, RoaringBackendMatchesReference) {
+  testing::ReferenceDatabase reference;
+  ZV_ASSERT_OK(reference.RegisterTable(SharedSales()));
   RoaringDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));
   const Case& c = kCases[1];  // table_5_2
-  ScopedThreads threads(4);
-  ZV_ASSERT_OK_AND_ASSIGN(
-      ZqlResult staged, RunCase(&db, c, false, OptLevel::kInterTask));
-  ZV_ASSERT_OK_AND_ASSIGN(
-      ZqlResult pipelined, RunCase(&db, c, true, OptLevel::kInterTask));
-  EXPECT_TRUE(SameResult(staged, pipelined));
+  ZqlResult baseline;
+  {
+    ScopedThreads threads(1);
+    ZV_ASSERT_OK_AND_ASSIGN(baseline,
+                            RunCase(&reference, c, OptLevel::kInterTask));
+  }
+  for (size_t nthreads : {size_t{1}, size_t{4}}) {
+    ScopedThreads threads(nthreads);
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
+                            RunCase(&db, c, OptLevel::kInterTask));
+    EXPECT_TRUE(SameResult(baseline, got)) << "threads=" << nthreads;
+  }
 }
 
 /// Per-stage timings: fetch_ms (backend scans) and score_ms (combination
-/// scoring) are populated and nested inside their umbrella timings.
+/// scoring) are populated, nested inside their umbrella timings, and —
+/// both being intervals on the calling thread — disjoint, so together
+/// they fit inside total_ms. The round-trip latency keeps fetch_ms far
+/// from negligible.
 TEST(PipelineTest, PerStageTimingsPopulated) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));
-  ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(
-      ZqlResult r, RunCase(&db, kCases[1], true, OptLevel::kInterTask));
-  EXPECT_GT(r.stats.fetch_ms, 0.0);
-  EXPECT_GT(r.stats.score_ms, 0.0);
-  EXPECT_LE(r.stats.fetch_ms, r.stats.exec_ms * 1.5 + 1.0);
-  EXPECT_LE(r.stats.score_ms, r.stats.compute_ms * 1.5 + 1.0);
+  db.set_request_latency_micros(2000);  // 2 ms per round trip
+  for (size_t nthreads : {size_t{1}, size_t{4}}) {
+    ScopedThreads threads(nthreads);
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult r,
+                            RunCase(&db, kCases[1], OptLevel::kInterTask));
+    EXPECT_GT(r.stats.fetch_ms, 2.0) << "threads=" << nthreads;
+    EXPECT_GT(r.stats.score_ms, 0.0) << "threads=" << nthreads;
+    EXPECT_LE(r.stats.fetch_ms, r.stats.exec_ms) << "threads=" << nthreads;
+    EXPECT_LE(r.stats.score_ms, r.stats.compute_ms) << "threads=" << nthreads;
+    EXPECT_LE(r.stats.fetch_ms + r.stats.score_ms, r.stats.total_ms)
+        << "threads=" << nthreads;
+  }
 }
 
-/// Cancellation mid-pipeline: the fetch thread observes the coordinator's
-/// token between statements (and the chunk pass's scanners poll it), so
-/// a cancel during a long multi-request scan resolves promptly with
-/// kCancelled — never a partial OK result.
-TEST(PipelineTest, CancelMidPipelineReturnsPromptly) {
+/// Cancellation mid-flush: a NoOpt flush makes one round trip per
+/// visualization on the calling thread, and each trip's SelectRows polls
+/// the token (as do the chunk pass's waits), so a cancel during a long
+/// multi-request flush resolves promptly with kCancelled — never a
+/// partial OK result.
+TEST(PipelineTest, CancelMidFlushReturnsPromptly) {
   SalesDataOptions data_opts;
   data_opts.num_rows = 20000;
   data_opts.num_products = 30;
@@ -239,7 +250,6 @@ TEST(PipelineTest, CancelMidPipelineReturnsPromptly) {
 
   ZqlOptions opts;
   opts.optimization = OptLevel::kNoOpt;  // one request per visualization
-  opts.pipelined_execution = true;
   ZqlExecutor exec(&db, "sales", opts);
   // 30 product scans at >= 20 ms each: ~600+ ms if left alone.
   const char* query = "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | |";

@@ -33,11 +33,10 @@ const char* const kTable5_2 =
 
 TEST(PlanTest, GoldenInterTaskOperatorTree) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(kTable5_2));
-  ZqlOptions opts;  // Inter-Task, pipelined — the defaults
+  ZqlOptions opts;  // Inter-Task — the default
   ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, BuildPhysicalPlan(q, opts));
   EXPECT_EQ(plan.Render(q),
-            "physical plan: opt=Inter-Task, pipelined (fetch/score overlap), "
-            "2 stages\n"
+            "physical plan: opt=Inter-Task, 2 stages\n"
             "stage 0:\n"
             "  FetchOp        f1  [batched scan]\n"
             "  FetchOp        f2  [batched scan]\n"
@@ -62,10 +61,9 @@ TEST(PlanTest, GoldenUserInputAndDerivedTree) {
                  "argmin_v1[k=2] D(f1, q)\n"
                  "*f2=f1.order | 'year' | 'sales' | o1 -> | | |"));
   ZqlOptions opts;
-  opts.pipelined_execution = false;  // header reflects the schedule
   ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, BuildPhysicalPlan(q, opts));
   EXPECT_EQ(plan.Render(q),
-            "physical plan: opt=Inter-Task, staged, 1 stage\n"
+            "physical plan: opt=Inter-Task, 1 stage\n"
             "stage 0:\n"
             "  FetchOp        f1  [batched scan]\n"
             "  MaterializeOp  -q  [user input]\n"

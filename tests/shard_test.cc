@@ -2,10 +2,10 @@
 /// \brief The chunk-parallel contract: every flush selects its rows through
 /// a chunk pass — a direct executor through its backend's own queue — and
 /// the result is byte-identical to testing::ReferenceDatabase (a naive
-/// row loop, staged, ZV_THREADS=1, the table as one chunk) across chunk
-/// sizes (including table < 1 chunk, chunk = 1 row, a chunk boundary on
-/// the last row, and an empty table), both backends, both schedules, and
-/// ZV_THREADS in {1, 4, 8} — the pass runs on the common pool, so that is
+/// row loop, ZV_THREADS=1, the table as one chunk) across chunk sizes
+/// (including table < 1 chunk, chunk = 1 row, a chunk boundary on the
+/// last row, and an empty table), both backends, and ZV_THREADS in
+/// {1, 4, 8} — the pass runs on the common pool, so that is
 /// also its width, including more pool threads than chunks — with the
 /// same sql_queries/sql_requests deltas. Plus:
 /// cancellation mid-pass resolves promptly, a scanner's per-chunk
@@ -13,8 +13,8 @@
 /// direct and served queries report their chunk and job time, EXPLAIN
 /// renders the fan-out, and a ReplaceDataset swap rebuilds the chunk
 /// catalog. Runs under the tsan/asan ctest gates (tools/run_tsan.sh,
-/// tools/run_asan.sh): the pass's leader, the pool's workers and the fetch
-/// thread race-check together.
+/// tools/run_asan.sh): the pass's leader and the pool's workers
+/// race-check together.
 
 #include <gtest/gtest.h>
 
@@ -112,20 +112,19 @@ std::shared_ptr<Table> MediumSales() {
 
 /// Runs `zql` through a direct executor, which selects rows through the
 /// backend's own queue: a chunk pass ZV_THREADS wide on the common pool.
-Result<ZqlResult> RunZql(Database* db, const char* zql, bool pipelined) {
+Result<ZqlResult> RunZql(Database* db, const char* zql) {
   ZqlOptions opts;
   opts.named_sets = MakeP(8);
-  opts.pipelined_execution = pipelined;
   ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
 }
 
-/// The reference: ReferenceDatabase over `table`, staged, serial.
+/// The reference: ReferenceDatabase over `table`, serial.
 ZqlResult Reference(const std::shared_ptr<Table>& table, const char* zql) {
   ScopedThreads threads(1);
   testing::ReferenceDatabase db;
   EXPECT_TRUE(db.RegisterTable(table).ok());
-  Result<ZqlResult> r = RunZql(&db, zql, /*pipelined=*/false);
+  Result<ZqlResult> r = RunZql(&db, zql);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
   return r.ok() ? std::move(r).value() : ZqlResult{};
 }
@@ -147,17 +146,14 @@ void RunIdentityMatrix() {
          {size_t{1}, size_t{256}, size_t{1500}, size_t{0}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
       for (size_t nthreads : {size_t{1}, size_t{4}, size_t{8}}) {
-        for (bool pipelined : {false, true}) {
-          ScopedThreads threads(nthreads);
-          ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got,
-                                  RunZql(&db, zql, pipelined));
-          EXPECT_TRUE(SameResult(baseline, got))
-              << db.name() << " chunk_rows=" << chunk_rows
-              << " threads=" << nthreads << " pipelined=" << pipelined;
-          EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries);
-          EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests);
-          EXPECT_GT(got.stats.chunks_scanned, 0u);
-        }
+        ScopedThreads threads(nthreads);
+        ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got, RunZql(&db, zql));
+        EXPECT_TRUE(SameResult(baseline, got))
+            << db.name() << " chunk_rows=" << chunk_rows
+            << " threads=" << nthreads;
+        EXPECT_EQ(baseline.stats.sql_queries, got.stats.sql_queries);
+        EXPECT_EQ(baseline.stats.sql_requests, got.stats.sql_requests);
+        EXPECT_GT(got.stats.chunks_scanned, 0u);
       }
     }
     ZV_ASSERT_OK(db.RebuildChunkMap("sales", 0));
@@ -180,7 +176,7 @@ TEST(ShardTest, ChunkStatsPopulated) {
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 500));  // 6 chunks
   ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed, RunZql(&db, kSetQuery, true));
+  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult passed, RunZql(&db, kSetQuery));
   EXPECT_EQ(passed.stats.chunks_scanned, 6 * passed.stats.sql_queries);
   EXPECT_EQ(passed.stats.batched_scans, passed.stats.sql_queries);
   EXPECT_GT(passed.stats.shard_ms, 0.0);
@@ -250,11 +246,11 @@ TEST(ShardTest, MorePoolThreadsThanChunks) {
   ZqlResult surplus;
   {
     ScopedThreads threads(2);
-    ZV_ASSERT_OK_AND_ASSIGN(matched, RunZql(&db, kSetQuery, true));
+    ZV_ASSERT_OK_AND_ASSIGN(matched, RunZql(&db, kSetQuery));
   }
   {
     ScopedThreads threads(8);
-    ZV_ASSERT_OK_AND_ASSIGN(surplus, RunZql(&db, kSetQuery, true));
+    ZV_ASSERT_OK_AND_ASSIGN(surplus, RunZql(&db, kSetQuery));
   }
   EXPECT_TRUE(SameResult(baseline, matched));
   EXPECT_TRUE(SameResult(baseline, surplus));
@@ -286,11 +282,9 @@ TEST(ShardTest, EmptyTableSelectsNothingWithoutAPass) {
                        static_cast<Database*>(&roaring_db)}) {
     ZV_ASSERT_OK_AND_ASSIGN(ChunkMap map, db->GetChunkMap("sales"));
     EXPECT_EQ(map.num_chunks(), 0u);
-    for (bool pipelined : {false, true}) {
-      ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got, RunZql(db, fixed, pipelined));
-      EXPECT_TRUE(SameResult(baseline, got)) << db->name();
-      EXPECT_EQ(got.stats.chunks_scanned, 0u);
-    }
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult got, RunZql(db, fixed));
+    EXPECT_TRUE(SameResult(baseline, got)) << db->name();
+    EXPECT_EQ(got.stats.chunks_scanned, 0u);
     EXPECT_EQ(db->scan_queue()->passes(), 0u);
   }
 }
@@ -370,7 +364,6 @@ TEST(ShardTest, CancelMidChunkPassReturnsPromptly) {
   ScopedThreads threads(4);
   ZqlOptions opts;
   opts.optimization = OptLevel::kNoOpt;  // one request per visualization
-  opts.pipelined_execution = true;
   ZqlExecutor exec(&db, "sales", opts);
   const char* query = "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | |";
 

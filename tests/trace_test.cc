@@ -1,18 +1,16 @@
 /// \file trace_test.cc
 /// \brief The tracing contract: a traced query's operator spans match its
 /// physical plan step for step; results are byte-identical with tracing on
-/// vs off, and to testing::ReferenceDatabase, across the full schedule
-/// matrix (staged/pipelined x {one chunk, small chunks} x both backends);
-/// every flush opens a SharedScanPass span; the serving layer's span tree
-/// carries queue_wait / cache_lookup / execute in the right shape
-/// (including the cache-hit fast path); the slow-query ring caps at
-/// kSlowRingCapacity most-recent-first; the wire `metrics` request kind
-/// and trace response payloads round-trip; and the Chrome trace_event
-/// export parses. Runs
-/// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// spans are opened concurrently from the coordinator, the pipelined fetch
-/// thread, and the serving workers, so the trace mutex race-checks with
-/// real traffic.
+/// vs off, and to testing::ReferenceDatabase, across {one chunk, small
+/// chunks} x both backends; every flush opens a SharedScanPass span; the
+/// serving layer's span tree carries queue_wait / cache_lookup / execute
+/// in the right shape (including the cache-hit fast path); the slow-query
+/// ring caps at kSlowRingCapacity most-recent-first; the wire `metrics`
+/// request kind and trace response payloads round-trip; and the Chrome
+/// trace_event export parses. Runs under the tsan/asan ctest gates
+/// (tools/run_tsan.sh, tools/run_asan.sh): the serving layer hands each
+/// trace from the submitting thread to a worker, so the trace mutex
+/// race-checks with real traffic.
 
 #include <gtest/gtest.h>
 
@@ -95,10 +93,8 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-Result<zql::ZqlResult> RunZql(Database* db, const char* zql, bool pipelined,
-                              Trace* trace) {
+Result<zql::ZqlResult> RunZql(Database* db, const char* zql, Trace* trace) {
   zql::ZqlOptions opts;
-  opts.pipelined_execution = pipelined;
   opts.trace = trace;
   zql::ZqlExecutor exec(db, "sales", opts);
   return exec.ExecuteText(zql);
@@ -127,17 +123,16 @@ const char* StepSpanName(zql::PlanStep::Kind kind) {
 // Executor-level span tree
 // ---------------------------------------------------------------------------
 
-/// Staged execution: the "execute" span's children are exactly the plan's
-/// steps, in order (a Flush step that had nothing buffered opens no span,
-/// so Flush entries are allowed to be absent).
-TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
+/// The "execute" span's children are exactly the plan's steps, in order
+/// (a Flush step that had nothing buffered opens no span, so Flush entries
+/// are allowed to be absent): every scan runs inside its Flush on the
+/// calling thread, so no other span appears.
+TEST(TraceGolden, OperatorSpansMatchPlan) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(zv::testing::MakeTinySales()));
   for (const char* zql : {kPipelineQuery, kNoWhereQuery}) {
     Trace trace;
-    ZV_ASSERT_OK_AND_ASSIGN(
-        zql::ZqlResult result,
-        RunZql(&db, zql, /*pipelined=*/false, &trace));
+    ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult result, RunZql(&db, zql, &trace));
     (void)result;
 
     const TraceSpan* exec = trace.root()->FindChild("execute");
@@ -145,10 +140,8 @@ TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
     EXPECT_GT(exec->duration_ms, 0.0);
 
     ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlQuery query, zql::ParseQuery(zql));
-    zql::ZqlOptions plan_opts;
-    plan_opts.pipelined_execution = false;
     ZV_ASSERT_OK_AND_ASSIGN(zql::PhysicalPlan plan,
-                            zql::BuildPhysicalPlan(query, plan_opts));
+                            zql::BuildPhysicalPlan(query, zql::ZqlOptions{}));
 
     // Greedy in-order match: every non-Flush step must produce a span in
     // plan order; Flush spans are optional per step but never reordered.
@@ -173,39 +166,6 @@ TEST(TraceGolden, StagedOperatorSpansMatchPlan) {
   }
 }
 
-/// Pipelined execution traces its batch scans on the fetch thread
-/// ("FetchBatch", track 1); the coordinator's operator spans still appear
-/// in plan order around them.
-TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
-  ScanDatabase db;
-  ZV_ASSERT_OK(db.RegisterTable(zv::testing::MakeTinySales()));
-  Trace trace;
-  ZV_ASSERT_OK_AND_ASSIGN(
-      zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/true, &trace));
-  (void)result;
-
-  const TraceSpan* exec = trace.root()->FindChild("execute");
-  ASSERT_NE(exec, nullptr);
-  size_t fetch_batches = 0;
-  std::vector<std::string> coordinator;
-  for (const auto& child : exec->children) {
-    if (child->name == "FetchBatch") {
-      EXPECT_EQ(child->track, 1);
-      ++fetch_batches;
-    } else {
-      EXPECT_EQ(child->track, 0) << child->name;
-      coordinator.push_back(child->name);
-    }
-  }
-  EXPECT_GE(fetch_batches, 1u);
-  // The coordinator walked FetchOp ... OutputOp; the final span closes
-  // the plan.
-  ASSERT_FALSE(coordinator.empty());
-  EXPECT_EQ(coordinator.front(), "FetchOp");
-  EXPECT_EQ(coordinator.back(), "OutputOp");
-}
-
 /// Every flush — here a direct one, through the backend's own queue —
 /// opens one SharedScanPass under its Flush span, annotated with the
 /// chunk fan-out (chunks × statements) and the pass's wall time.
@@ -214,9 +174,8 @@ TEST(TraceGolden, FlushOpensSharedScanPass) {
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));  // 3000 rows -> 4 chunks
   Trace trace;
-  ZV_ASSERT_OK_AND_ASSIGN(
-      zql::ZqlResult result,
-      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, &trace));
+  ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult result,
+                          RunZql(&db, kNoWhereQuery, &trace));
   EXPECT_EQ(CountSpans(*trace.root(), "SharedScanPass"), 1u);
   const TraceSpan* exec = trace.root()->FindChild("execute");
   ASSERT_NE(exec, nullptr);
@@ -251,23 +210,20 @@ void RunTraceIdentityMatrix() {
   for (const char* zql : {kPipelineQuery, kNoWhereQuery}) {
     SetParallelThreads(1);
     Result<zql::ZqlResult> baseline =
-        RunZql(&reference, zql, /*pipelined=*/false, nullptr);
+        RunZql(&reference, zql, nullptr);
     SetParallelThreads(0);
     ZV_ASSERT_OK(baseline.status());
     const std::string expect = Canon(*baseline);
     // 0 = the default chunk size (one chunk); 800-row chunks make 4.
     for (size_t chunk_rows : {size_t{0}, size_t{800}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
-      for (bool pipelined : {false, true}) {
-        for (bool traced : {false, true}) {
-          Trace trace;
-          ZV_ASSERT_OK_AND_ASSIGN(
-              zql::ZqlResult got,
-              RunZql(&db, zql, pipelined, traced ? &trace : nullptr));
-          EXPECT_EQ(Canon(got), expect)
-              << db.name() << " pipelined=" << pipelined
-              << " chunk_rows=" << chunk_rows << " traced=" << traced;
-        }
+      for (bool traced : {false, true}) {
+        Trace trace;
+        ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult got,
+                                RunZql(&db, zql, traced ? &trace : nullptr));
+        EXPECT_EQ(Canon(got), expect)
+            << db.name() << " chunk_rows=" << chunk_rows
+            << " traced=" << traced;
       }
     }
   }
@@ -539,9 +495,8 @@ TEST(ChromeExport, ParsesWithCompleteEvents) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(zv::testing::MakeTinySales()));
   Trace trace;
-  ZV_ASSERT_OK_AND_ASSIGN(
-      zql::ZqlResult result,
-      RunZql(&db, kPipelineQuery, /*pipelined=*/false, &trace));
+  ZV_ASSERT_OK_AND_ASSIGN(zql::ZqlResult result,
+                          RunZql(&db, kPipelineQuery, &trace));
   (void)result;
 
   const std::string chrome = ToChromeTrace(*trace.root());
@@ -557,7 +512,9 @@ TEST(ChromeExport, ParsesWithCompleteEvents) {
     EXPECT_NE(event.Find("name"), nullptr);
     EXPECT_NE(event.Find("ts"), nullptr);
     EXPECT_NE(event.Find("dur"), nullptr);
-    EXPECT_NE(event.Find("tid"), nullptr);
+    const Json* tid = event.Find("tid");
+    ASSERT_NE(tid, nullptr);
+    EXPECT_EQ(tid->as_int(), 0);  // every span runs on the query's thread
   }
 }
 

@@ -7,19 +7,19 @@
 #   topk_test      (SharedTopK's relaxed atomic bound)
 #   server_test    (sessions, the result cache, async execution, admission
 #                   control)
-#   pipeline_test  (fetch thread + bounded hand-off queue byte-identity,
-#                   mid-pipeline cancellation)
+#   pipeline_test  (plan execution byte-identity with chunk passes and
+#                   scoring on the pool, mid-flush cancellation)
 #   shard_test     (chunk-parallel passes on the backend's own queue: the
-#                   pass's leader and the pool's workers vs the fetch
-#                   thread, mid-pass cancellation)
+#                   pass's leader and the pool's workers, mid-pass
+#                   cancellation)
 #   batch_test     (cross-query shared scans: group commit by leader
 #                   election, fused passes on the common pool, cancelled
 #                   leaders and followers, eight direct callers sharing
 #                   one backend's queue)
 #   zql_roundtrip_test (canonical serialization / fingerprint property
 #                   suite — serial, but cheap enough to keep in the gate)
-#   trace_test     (trace spans opened concurrently from the coordinator,
-#                   fetch thread, and serving workers; trace mutex)
+#   trace_test     (traces handed from submitting threads to serving
+#                   workers; trace mutex)
 #   metrics_test   (lock-free histogram recording hammered from many
 #                   threads; registry mutex)
 #

@@ -241,12 +241,11 @@ bool HasRawThread(const std::string& code) {
   return false;
 }
 
-/// The files that may start threads: the common pool, the pipelined fetch
-/// thread, and the serving layer's admission workers.
+/// The files that may start threads: the common pool and the serving
+/// layer's admission workers. A query starts none.
 bool IsThreadHome(const std::string& path) {
   for (const char* home :
-       {"common/parallel.h", "common/parallel.cc", "zql/scheduler.h",
-        "zql/scheduler.cc", "server/query_service.h",
+       {"common/parallel.h", "common/parallel.cc", "server/query_service.h",
         "server/query_service.cc"}) {
     if (EndsWith(path, home)) return true;
   }
@@ -490,8 +489,8 @@ const std::vector<RuleInfo>& Rules() {
       {"raw-simd",
        "vector intrinsics (immintrin.h, _mm*/__m*) outside tasks/simd.{h,cc}"},
       {"raw-thread",
-       "std::thread/std::jthread/std::async outside common/parallel, "
-       "zql/scheduler and server/query_service"},
+       "std::thread/std::jthread/std::async outside common/parallel and "
+       "server/query_service"},
       {"layering", "#include edge not in the layer DAG"},
       {"include-cycle", "cycle in the file-level include graph"},
   };
@@ -561,9 +560,8 @@ std::vector<Violation> LintFile(const SourceFile& f,
       out.push_back(MakeViolation(
           "raw-thread", f.path, i, code,
           "raw thread; run the work on the common pool (ParallelFor, "
-          "common/parallel.h) — the only thread owners are that pool, the "
-          "pipelined fetch thread and the serving layer's admission "
-          "workers"));
+          "common/parallel.h) — the only thread owners are that pool and "
+          "the serving layer's admission workers"));
     }
 
     if (HasManualLock(code) && !Suppressed(lines, i, "manual-lock")) {

@@ -22,9 +22,8 @@
 ///                   order is not part of the determinism contract.
 ///   raw-simd        vector intrinsics outside tasks/simd.{h,cc}.
 ///   raw-thread      std::thread/std::jthread/std::async outside the
-///                   files that may start threads: common/parallel,
-///                   zql/scheduler and server/query_service
-///                   (std::this_thread is fine).
+///                   files that may start threads: common/parallel and
+///                   server/query_service (std::this_thread is fine).
 ///   manual-lock     bare .lock()/.unlock() calls — use a scoped guard
 ///                   (std::lock_guard, std::unique_lock, zv::ScopedUnlock)
 ///                   or annotate `// zv-lint: manual-lock`.
