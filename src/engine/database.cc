@@ -107,7 +107,7 @@ Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
       new FusedPredicateScanner(std::move(table), std::move(preds)));
 }
 
-Result<ResultSet> Database::FinishChunkScan(
+Result<ColumnarResult> Database::FinishChunkScan(
     const sql::SelectStatement& stmt,
     const std::vector<std::vector<uint32_t>>& parts) {
   ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
@@ -133,7 +133,9 @@ Result<ResultSet> Database::Execute(const sql::SelectStatement& stmt) {
   BatchScanQueue::Selection sel =
       scan_queue_->SelectRows(this, stmt.table, {&stmt});
   ZV_RETURN_NOT_OK(sel.status);
-  return FinishChunkScan(stmt, sel.rows[0]);
+  ZV_ASSIGN_OR_RETURN(ColumnarResult result,
+                      FinishChunkScan(stmt, sel.rows[0]));
+  return ToResultSet(result);
 }
 
 }  // namespace zv

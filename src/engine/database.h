@@ -94,8 +94,9 @@ class Database {
   Result<ResultSet> ExecuteSql(const std::string& sql);
 
   /// Executes one statement (one request, one query): a pass of
-  /// scan_queue() selects its rows, then FinishChunkScan aggregates them.
-  /// A caller cancelled mid-pass returns kCancelled once the pass ends.
+  /// scan_queue() selects its rows, FinishChunkScan aggregates them, and
+  /// ToResultSet (the SQL adapter) turns the result into rows. A caller
+  /// cancelled mid-pass returns kCancelled once the pass ends.
   Result<ResultSet> Execute(const sql::SelectStatement& stmt);
 
   /// This backend's own shared-scan queue, window 0 (a lone query is never
@@ -133,12 +134,13 @@ class Database {
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
-  /// The per-statement step after a pass: aggregates the statement's
-  /// surviving rows — ascending parts in chunk order, as the pass hands
-  /// them over — with RunBlockedOverRows, whose blocks are cut at
-  /// table-size-pure boundaries, so the bytes never depend on the pass's
-  /// chunking or co-tenancy.
-  virtual Result<ResultSet> FinishChunkScan(
+  /// The per-statement step after a pass, the same on every backend:
+  /// aggregates the statement's surviving rows — ascending parts in chunk
+  /// order, as the pass hands them over — with RunBlockedOverRows, whose
+  /// blocks are cut at table-size-pure boundaries, so the bytes never
+  /// depend on the pass's chunking or co-tenancy. ZQL routes the typed,
+  /// column-major result as it is.
+  Result<ColumnarResult> FinishChunkScan(
       const sql::SelectStatement& stmt,
       const std::vector<std::vector<uint32_t>>& parts);
 

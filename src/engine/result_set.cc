@@ -2,7 +2,31 @@
 
 #include <algorithm>
 
+#include "storage/table.h"
+
 namespace zv {
+
+Value ColumnarResult::At(size_t col, size_t row) const {
+  const ResultColumn& c = columns[col];
+  if (c.kind == ResultColumn::Kind::kCodes) {
+    return table->DictValue(c.table_col, c.codes[row]);
+  }
+  if (c.kind == ResultColumn::Kind::kValues) return c.values[row];
+  return c.count ? Value::Int(static_cast<int64_t>(c.doubles[row]))
+                 : Value::Double(c.doubles[row]);
+}
+
+ResultSet ToResultSet(const ColumnarResult& result) {
+  ResultSet rs;
+  for (const ResultColumn& c : result.columns) rs.columns.push_back(c.name);
+  rs.rows.resize(result.num_rows);
+  for (size_t r = 0; r < result.num_rows; ++r) {
+    for (size_t c = 0; c < result.columns.size(); ++c) {
+      rs.rows[r].push_back(result.At(c, r));
+    }
+  }
+  return rs;
+}
 
 std::string ResultSet::ToString(size_t max_rows) const {
   std::vector<size_t> widths(columns.size());

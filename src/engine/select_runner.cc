@@ -190,6 +190,7 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
     r.items_.push_back(plan);
   }
 
+  if (!r.aggregation_) r.projected_ = r.NewResult();
   if (r.DenseAggregation()) {
     const size_t groups = static_cast<size_t>(r.total_groups_);
     const size_t n = groups * static_cast<size_t>(std::max(1, r.num_aggs_));
@@ -242,12 +243,14 @@ void SelectRunner::AccumulateInto(AggState* states, size_t row) const {
 
 void SelectRunner::Consume(size_t row) {
   if (!aggregation_) {
-    std::vector<Value> out;
-    out.reserve(items_.size());
-    for (const ItemPlan& item : items_) {
-      out.push_back(table_->ValueAt(row, static_cast<size_t>(item.col)));
+    for (ResultColumn& col : projected_.columns) {
+      if (col.kind == ResultColumn::Kind::kCodes) {
+        col.codes.push_back(table_->Code(row, col.table_col));
+      } else {
+        col.values.push_back(table_->ValueAt(row, col.table_col));
+      }
     }
-    projected_rows_.push_back(std::move(out));
+    ++projected_.num_rows;
     return;
   }
   if (groups_categorical_) {
@@ -282,10 +285,9 @@ void SelectRunner::Consume(size_t row) {
       key.push_back(table_->ValueAt(row, col));
     }
   }
-  auto [it, inserted] =
-      generic_slots_.try_emplace(key, static_cast<uint32_t>(generic_keys_.size()));
+  auto [it, inserted] = generic_slots_.try_emplace(
+      std::move(key), static_cast<uint32_t>(generic_slots_.size()));
   if (inserted) {
-    generic_keys_.push_back(key);
     generic_states_.resize(generic_states_.size() +
                            static_cast<size_t>(std::max(1, num_aggs_)));
   }
@@ -312,10 +314,15 @@ void MergeStates(State* into, const State* from, size_t naggs) {
 void SelectRunner::MergeFrom(SelectRunner&& other) {
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
   if (!aggregation_) {
-    projected_rows_.insert(
-        projected_rows_.end(),
-        std::make_move_iterator(other.projected_rows_.begin()),
-        std::make_move_iterator(other.projected_rows_.end()));
+    for (size_t i = 0; i < projected_.columns.size(); ++i) {
+      ResultColumn& into = projected_.columns[i];
+      ResultColumn& from = other.projected_.columns[i];
+      into.codes.insert(into.codes.end(), from.codes.begin(), from.codes.end());
+      into.values.insert(into.values.end(),
+                         std::make_move_iterator(from.values.begin()),
+                         std::make_move_iterator(from.values.end()));
+    }
+    projected_.num_rows += other.projected_.num_rows;
     return;
   }
   if (groups_categorical_) {
@@ -334,11 +341,8 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
   }
   for (const auto& [key, slot] : other.generic_slots_) {
     auto [it, inserted] = generic_slots_.try_emplace(
-        key, static_cast<uint32_t>(generic_keys_.size()));
-    if (inserted) {
-      generic_keys_.push_back(key);
-      generic_states_.resize(generic_states_.size() + naggs);
-    }
+        key, static_cast<uint32_t>(generic_slots_.size()));
+    if (inserted) generic_states_.resize(generic_states_.size() + naggs);
     MergeStates(&generic_states_[static_cast<size_t>(it->second) * naggs],
                 &other.generic_states_[static_cast<size_t>(slot) * naggs],
                 naggs);
@@ -420,33 +424,39 @@ Status SelectRunner::ConsumeBlock(const uint32_t* rows, size_t count) {
   return Status::OK();
 }
 
-Value SelectRunner::GroupColValue(int group_pos, uint64_t key) const {
-  // Decode the mixed-radix key back to the per-column code using the
-  // strides precomputed at Plan() time.
-  const uint64_t divisor = group_strides_[static_cast<size_t>(group_pos)];
-  const uint64_t code =
-      (key / divisor) % group_dict_sizes_[static_cast<size_t>(group_pos)];
-  return table_->DictValue(
-      static_cast<size_t>(group_cols_[static_cast<size_t>(group_pos)]),
-      static_cast<int32_t>(code));
-}
-
-Value SelectRunner::FinalizeAgg(const AggState& s, AggFunc f) const {
+double SelectRunner::FinalizeAgg(const AggState& s, AggFunc f) {
   switch (f) {
     case AggFunc::kSum:
-      return Value::Double(s.sum);
+      return s.sum;
     case AggFunc::kAvg:
-      return Value::Double(s.count ? s.sum / static_cast<double>(s.count) : 0);
+      return s.count ? s.sum / static_cast<double>(s.count) : 0;
     case AggFunc::kCount:
-      return Value::Int(s.count);
+      return static_cast<double>(s.count);
     case AggFunc::kMin:
-      return Value::Double(s.count ? s.min : 0);
+      return s.count ? s.min : 0;
     case AggFunc::kMax:
-      return Value::Double(s.count ? s.max : 0);
+      return s.count ? s.max : 0;
     case AggFunc::kNone:
       break;
   }
-  return Value::Null();
+  return 0;
+}
+
+ColumnarResult SelectRunner::NewResult() const {
+  ColumnarResult rs{table_, 0, std::vector<ResultColumn>(items_.size())};
+  for (size_t i = 0; i < items_.size(); ++i) {
+    ResultColumn& col = rs.columns[i];
+    col.name = columns_[i];
+    col.count = items_[i].agg == AggFunc::kCount;
+    col.table_col = static_cast<size_t>(std::max(0, items_[i].col));
+    const bool coded =
+        !items_[i].is_agg && (!aggregation_ || groups_categorical_) &&
+        table_->column_type(col.table_col) == ColumnType::kCategorical;
+    col.kind = items_[i].is_agg ? ResultColumn::Kind::kDoubles
+               : coded          ? ResultColumn::Kind::kCodes
+                                : ResultColumn::Kind::kValues;
+  }
+  return rs;
 }
 
 bool SelectRunner::OrderKeysByRank(std::vector<uint64_t>* keys) const {
@@ -474,159 +484,175 @@ bool SelectRunner::OrderKeysByRank(std::vector<uint64_t>* keys) const {
     used[pos] = 1;
     rank_keys.push_back({pos, k.descending});
   }
-  // One integer per group: its ORDER BY ranks in mixed radix (their
-  // product is at most total_groups_), then the key itself — the
-  // position a stable sort of key-ordered rows would break ties by.
-  std::vector<uint64_t> sort_keys;
-  sort_keys.reserve(keys->size());
-  for (uint64_t key : *keys) {
-    uint64_t ranked = 0;
-    for (const RankKey& rk : rank_keys) {
-      const uint64_t d = group_dict_sizes_[rk.pos];
-      const uint64_t code = (key / group_strides_[rk.pos]) % d;
-      const uint64_t rank = static_cast<uint64_t>(
-          table_->DictRanks(static_cast<size_t>(
-              group_cols_[rk.pos]))[static_cast<size_t>(code)]);
-      ranked = ranked * d + (rk.desc ? d - 1 - rank : rank);
-    }
-    sort_keys.push_back(ranked * total_groups_ + key);
+  // One stable counting pass per ORDER BY key over its dictionary ranks,
+  // least significant first. The keys arrive ascending, so ties keep key
+  // order, as a stable sort of key-ordered rows would.
+  std::vector<uint64_t> sorted(keys->size());
+  std::vector<size_t> starts;
+  for (auto rk = rank_keys.rbegin(); rk != rank_keys.rend(); ++rk) {
+    const size_t stride = group_strides_[rk->pos];
+    const size_t dict_size = group_dict_sizes_[rk->pos];
+    const std::vector<int32_t>& ranks =
+        table_->DictRanks(static_cast<size_t>(group_cols_[rk->pos]));
+    const bool desc = rk->desc;
+    const auto bucket = [&](uint64_t key) {
+      const size_t rank = static_cast<size_t>(ranks[key / stride % dict_size]);
+      return desc ? dict_size - 1 - rank : rank;
+    };
+    starts.assign(dict_size + 1, 0);
+    for (uint64_t key : *keys) ++starts[bucket(key) + 1];
+    std::partial_sum(starts.begin(), starts.end(), starts.begin());
+    for (uint64_t key : *keys) sorted[starts[bucket(key)]++] = key;
+    keys->swap(sorted);
   }
-  if (limit_ >= 0 && sort_keys.size() > static_cast<size_t>(limit_)) {
-    const auto mid = sort_keys.begin() + limit_;
-    std::partial_sort(sort_keys.begin(), mid, sort_keys.end());
-    sort_keys.erase(mid, sort_keys.end());
-  } else {
-    std::sort(sort_keys.begin(), sort_keys.end());
+  if (limit_ >= 0 && keys->size() > static_cast<size_t>(limit_)) {
+    keys->resize(static_cast<size_t>(limit_));
   }
-  keys->clear();
-  for (uint64_t s : sort_keys) keys->push_back(s % total_groups_);
   return true;
 }
 
-Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
+namespace {
+
+/// Keeps the entries of `v` at `order`, in that order.
+template <typename T>
+void GatherInto(std::vector<T>* v, const std::vector<uint32_t>& order) {
+  if (v->empty()) return;
+  std::vector<T> out;
+  out.reserve(order.size());
+  for (uint32_t i : order) out.push_back(std::move((*v)[i]));
+  *v = std::move(out);
+}
+
+}  // namespace
+
+Status SelectRunner::ApplyOrderAndLimit(ColumnarResult* rs) const {
+  if (order_by_.empty() &&
+      (limit_ < 0 || rs->num_rows <= static_cast<size_t>(limit_))) {
+    return Status::OK();
+  }
+  std::vector<uint32_t> order(rs->num_rows);
+  std::iota(order.begin(), order.end(), 0u);
   if (!order_by_.empty()) {
-    std::vector<std::pair<int, bool>> keys;  // output column idx, desc
+    // Each ORDER BY column's cells as Values, with its direction.
+    std::vector<std::pair<std::vector<Value>, bool>> keys;
     for (const auto& k : order_by_) {
-      const int idx = rs->Find(k.column);
-      if (idx < 0) {
+      const auto it = std::find(columns_.begin(), columns_.end(), k.column);
+      if (it == columns_.end()) {
         return Status::Unsupported(
             StrFormat("ORDER BY column '%s' must appear in the SELECT list",
                       k.column.c_str()));
       }
-      keys.emplace_back(idx, k.descending);
+      std::vector<Value> cells;
+      cells.reserve(rs->num_rows);
+      for (size_t r = 0; r < rs->num_rows; ++r) {
+        cells.push_back(rs->At(static_cast<size_t>(it - columns_.begin()), r));
+      }
+      keys.emplace_back(std::move(cells), k.descending);
     }
-    auto key_compare = [&keys](const std::vector<Value>& a,
-                               const std::vector<Value>& b) {
-      for (const auto& [idx, desc] : keys) {
-        const int c =
-            a[static_cast<size_t>(idx)].Compare(b[static_cast<size_t>(idx)]);
+    auto key_compare = [&keys](uint32_t a, uint32_t b) {
+      for (const auto& [cells, desc] : keys) {
+        const int c = cells[a].Compare(cells[b]);
         if (c != 0) return desc ? c > 0 : c < 0;
       }
       return false;
     };
     const size_t limit = static_cast<size_t>(limit_);
-    if (limit_ >= 0 && rs->rows.size() > limit &&
-        limit <= rs->rows.size() / 2) {
-      // ORDER BY + LIMIT is a top-k problem: partially sort row *indices*
-      // with the original position as the tie-break, which reproduces the
-      // stable full sort's first `limit` rows exactly without ordering the
-      // (possibly much larger) tail. Limits past half the row count fall
-      // through to the stable sort — heap-selecting nearly everything at
-      // double compare cost (the tie-break comparator) would be slower
-      // than sorting once.
-      std::vector<size_t> order(rs->rows.size());
-      std::iota(order.begin(), order.end(), 0);
+    if (limit_ >= 0 && order.size() > limit && limit <= order.size() / 2) {
+      // A top-k: a partial sort with the original position as the
+      // tie-break keeps exactly the stable sort's first `limit` rows. Past
+      // half the rows, sorting once beats the tie-break's double compares.
       std::partial_sort(order.begin(), order.begin() + limit, order.end(),
-                        [&](size_t ia, size_t ib) {
-                          if (key_compare(rs->rows[ia], rs->rows[ib])) {
-                            return true;
-                          }
-                          if (key_compare(rs->rows[ib], rs->rows[ia])) {
-                            return false;
-                          }
-                          return ia < ib;
+                        [&](uint32_t a, uint32_t b) {
+                          if (key_compare(a, b)) return true;
+                          if (key_compare(b, a)) return false;
+                          return a < b;
                         });
-      std::vector<std::vector<Value>> kept;
-      kept.reserve(limit);
-      for (size_t i = 0; i < limit; ++i) {
-        kept.push_back(std::move(rs->rows[order[i]]));
-      }
-      rs->rows = std::move(kept);
-      return Status::OK();
+    } else {
+      std::stable_sort(order.begin(), order.end(), key_compare);
     }
-    std::stable_sort(rs->rows.begin(), rs->rows.end(), key_compare);
   }
-  if (limit_ >= 0 && rs->rows.size() > static_cast<size_t>(limit_)) {
-    rs->rows.resize(static_cast<size_t>(limit_));
+  if (limit_ >= 0 && order.size() > static_cast<size_t>(limit_)) {
+    order.resize(static_cast<size_t>(limit_));
   }
+  for (ResultColumn& col : rs->columns) {
+    GatherInto(&col.codes, order);
+    GatherInto(&col.doubles, order);
+    GatherInto(&col.values, order);
+  }
+  rs->num_rows = order.size();
   return Status::OK();
 }
 
-Result<ResultSet> SelectRunner::Finish() {
-  ResultSet rs;
-  rs.columns = columns_;
-
+Result<ColumnarResult> SelectRunner::Finish() {
   if (!aggregation_) {
-    rs.rows = std::move(projected_rows_);
+    ColumnarResult rs = std::move(projected_);
     ZV_RETURN_NOT_OK(ApplyOrderAndLimit(&rs));
     return rs;
   }
 
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
-  auto emit_group = [&](uint64_t key, const AggState* states) {
-    std::vector<Value> row;
-    row.reserve(items_.size());
-    for (const ItemPlan& item : items_) {
-      if (item.is_agg) {
-        row.push_back(FinalizeAgg(states[item.agg_slot], item.agg));
-      } else {
-        row.push_back(GroupColValue(item.group_pos, key));
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
-
-  if (groups_categorical_) {
-    if (dense_) {
-      std::vector<uint64_t> keys;
-      for (size_t key = 0; key < dense_seen_.size(); ++key) {
-        if (dense_seen_[key]) keys.push_back(key);
-      }
-      if (group_cols_.empty() && keys.empty() && num_aggs_ > 0) {
-        // Aggregates over an empty selection: one row of empty aggregates,
-        // mirroring SQL semantics for aggregate queries with no GROUP BY.
-        keys.push_back(0);
-      }
-      const bool ranked = OrderKeysByRank(&keys);
-      rs.rows.reserve(keys.size());
-      for (uint64_t key : keys) emit_group(key, &dense_states_[key * naggs]);
-      if (ranked) return rs;
-    } else {
-      std::vector<uint64_t> keys = hash_keys_;
-      std::sort(keys.begin(), keys.end());
-      for (uint64_t key : keys) {
-        const uint32_t slot = hash_slots_.at(key);
-        emit_group(key, &hash_states_[static_cast<size_t>(slot) * naggs]);
-      }
-    }
-  } else {
+  if (!groups_categorical_) {
     // generic_slots_ is a std::map — already in key order.
+    ColumnarResult rs = NewResult();
+    rs.num_rows = generic_slots_.size();
     for (const auto& [key, slot] : generic_slots_) {
-      std::vector<Value> row;
-      row.reserve(items_.size());
       const AggState* states =
           &generic_states_[static_cast<size_t>(slot) * naggs];
-      for (const ItemPlan& item : items_) {
+      for (size_t i = 0; i < items_.size(); ++i) {
+        const ItemPlan& item = items_[i];
         if (item.is_agg) {
-          row.push_back(FinalizeAgg(states[item.agg_slot], item.agg));
+          rs.columns[i].doubles.push_back(
+              FinalizeAgg(states[item.agg_slot], item.agg));
         } else {
-          row.push_back(key[static_cast<size_t>(item.group_pos)]);
+          rs.columns[i].values.push_back(
+              key[static_cast<size_t>(item.group_pos)]);
         }
       }
-      rs.rows.push_back(std::move(row));
+    }
+    ZV_RETURN_NOT_OK(ApplyOrderAndLimit(&rs));
+    return rs;
+  }
+
+  std::vector<uint64_t> keys;
+  if (dense_) {
+    for (size_t key = 0; key < dense_seen_.size(); ++key) {
+      if (dense_seen_[key]) keys.push_back(key);
+    }
+    if (group_cols_.empty() && keys.empty() && num_aggs_ > 0) {
+      // Aggregates over an empty selection: one row of empty aggregates,
+      // mirroring SQL semantics for aggregate queries with no GROUP BY.
+      keys.push_back(0);
+    }
+  } else {
+    keys = hash_keys_;
+    std::sort(keys.begin(), keys.end());
+  }
+  const bool ranked = OrderKeysByRank(&keys);
+  std::vector<const AggState*> states;
+  states.reserve(keys.size());
+  for (uint64_t key : keys) {
+    states.push_back(dense_ ? &dense_states_[key * naggs]
+                            : &hash_states_[static_cast<size_t>(
+                                                hash_slots_.at(key)) *
+                                            naggs]);
+  }
+  // One column at a time: keys as their codes, aggregates as doubles.
+  ColumnarResult rs = NewResult();
+  rs.num_rows = keys.size();
+  for (size_t i = 0; i < items_.size(); ++i) {
+    const ItemPlan& item = items_[i];
+    ResultColumn& col = rs.columns[i];
+    for (size_t g = 0; g < keys.size(); ++g) {
+      if (item.is_agg) {
+        col.doubles.push_back(FinalizeAgg(states[g][item.agg_slot], item.agg));
+      } else {
+        const size_t pos = static_cast<size_t>(item.group_pos);
+        col.codes.push_back(static_cast<int32_t>(
+            (keys[g] / group_strides_[pos]) % group_dict_sizes_[pos]));
+      }
     }
   }
-  ZV_RETURN_NOT_OK(ApplyOrderAndLimit(&rs));
+  if (!ranked) ZV_RETURN_NOT_OK(ApplyOrderAndLimit(&rs));
   return rs;
 }
 
@@ -635,7 +661,7 @@ namespace {
 /// The per-block runners of projections, computed keys and hashed group
 /// spaces: block b's rows aggregate into their own runner (`runner`
 /// serves block 0) in parallel, and the runners merge in block order.
-Result<ResultSet> RunPerBlock(const Table& table,
+Result<ColumnarResult> RunPerBlock(const Table& table,
                               const sql::SelectStatement& stmt,
                               SelectRunner runner, const BlockGrid& grid,
                               const std::vector<std::vector<uint32_t>>& parts) {
@@ -663,7 +689,7 @@ Result<ResultSet> RunPerBlock(const Table& table,
 
 }  // namespace
 
-Result<ResultSet> RunBlockedOverRows(
+Result<ColumnarResult> RunBlockedOverRows(
     const Table& table, const sql::SelectStatement& stmt,
     const std::vector<std::vector<uint32_t>>& parts) {
   ZV_RETURN_NOT_OK(CheckCancelled());

@@ -9,7 +9,9 @@
 /// RunBlockedOverRows fixes how a statement's rows fold: dense group spaces
 /// fold block by block on the calling thread (ConsumeBlock) — narrow ones
 /// into a per-block partial merged in block order, wide ones in row order —
-/// and every other statement aggregates in per-block runners.
+/// and every other statement aggregates in per-block runners. Finish hands
+/// the result over column-major (ColumnarResult): categorical keys as
+/// codes, aggregates as doubles, anything else as Values.
 
 #ifndef ZV_ENGINE_SELECT_RUNNER_H_
 #define ZV_ENGINE_SELECT_RUNNER_H_
@@ -69,8 +71,9 @@ class SelectRunner {
   /// rows) finds the calling thread's token cancelled.
   Status ConsumeBlock(const uint32_t* rows, size_t count);
 
-  /// Builds the final result (applies ORDER BY and LIMIT).
-  Result<ResultSet> Finish();
+  /// Builds the final result (applies ORDER BY and LIMIT); a categorical
+  /// group space writes it straight from its states.
+  Result<ColumnarResult> Finish();
 
  private:
   struct AggState {
@@ -97,13 +100,17 @@ class SelectRunner {
   /// The value aggregate `item` (which reads a column) takes from `row`.
   double AggInput(const ItemPlan& item, size_t row) const;
   void AccumulateInto(AggState* states, size_t row) const;
-  Value GroupColValue(int group_pos, uint64_t key) const;
-  Value FinalizeAgg(const AggState& s, sql::AggFunc f) const;
-  /// Sorts dense `keys` by the dictionary ranks of the ORDER BY columns
-  /// and applies LIMIT, when every ORDER BY column is a strictly ordered
-  /// categorical group key; returns false (keys untouched) otherwise.
+  /// An aggregate's output; a COUNT is an exact integer.
+  static double FinalizeAgg(const AggState& s, sql::AggFunc f);
+  /// An empty result, one column per SELECT item: doubles for aggregates,
+  /// codes for categorical columns outside the generic path, else Values.
+  ColumnarResult NewResult() const;
+  /// Orders ascending `keys` by the dictionary ranks of the ORDER BY
+  /// columns (stable counting passes, so ties keep key order) and applies
+  /// LIMIT, when every ORDER BY column is a strictly ordered categorical
+  /// group key; returns false (keys untouched) otherwise.
   bool OrderKeysByRank(std::vector<uint64_t>* keys) const;
-  Status ApplyOrderAndLimit(ResultSet* rs) const;
+  Status ApplyOrderAndLimit(ColumnarResult* rs) const;
 
   const Table* table_ = nullptr;
   /// Output column names (one per SELECT item) and the ORDER BY / LIMIT
@@ -124,8 +131,8 @@ class SelectRunner {
   /// (nullptr for other columns), read by ConsumeBlock.
   std::vector<const int32_t*> group_codes_;
   /// Mixed-radix divisor per group position (suffix products of
-  /// group_dict_sizes_), precomputed once at Plan() time so GroupColValue
-  /// does not rebuild the divisor loop for every emitted group x item.
+  /// group_dict_sizes_), precomputed once at Plan() time: a key's code at
+  /// position i is (key / group_strides_[i]) % group_dict_sizes_[i].
   std::vector<uint64_t> group_strides_;
   bool groups_categorical_ = true;
   uint64_t total_groups_ = 1;
@@ -149,10 +156,9 @@ class SelectRunner {
   // Generic (non-categorical group key) path.
   std::map<std::vector<Value>, uint32_t> generic_slots_;
   std::vector<AggState> generic_states_;
-  std::vector<std::vector<Value>> generic_keys_;
 
-  // Projection state.
-  std::vector<std::vector<Value>> projected_rows_;
+  // Projection state: the rows so far, column-major.
+  ColumnarResult projected_;
 };
 
 /// Aggregates a statement's selected rows, handed over as a chunk pass
@@ -175,8 +181,9 @@ class SelectRunner {
 /// The layout depends only on the table's row count and the group columns'
 /// dictionary sizes, and the dense fold is serial, so floats associate
 /// identically at every thread count, chunk size and on both backends
-/// (Database::FinishChunkScan runs it after every pass).
-Result<ResultSet> RunBlockedOverRows(
+/// (Database::FinishChunkScan runs it after every pass). The result is
+/// SelectRunner::Finish's column-major one.
+Result<ColumnarResult> RunBlockedOverRows(
     const Table& table, const sql::SelectStatement& stmt,
     const std::vector<std::vector<uint32_t>>& parts);
 

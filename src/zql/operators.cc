@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
-#include <cstring>
+#include <limits>
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/cancel.h"
 #include "common/clock.h"
@@ -28,6 +28,23 @@ struct Slot {
   VarValue value;  // fixed
   std::shared_ptr<VarDomain> domain;
   int pos = -1;  // position of the variable inside the domain tuple
+  size_t stride = 0;  // the domain's stride in its component (0: none)
+  /// A Z slot varying across a fetch binds its values once: the IN list
+  /// (distinct by Value ==, first-seen order), each tuple's index into it,
+  /// and each tuple's attribute as an index among the slot's attributes.
+  bool varying = false;
+  std::vector<Value> values;
+  std::vector<uint32_t> value_of_tuple, attr_of_tuple;
+
+  /// The domain tuple the slot reads at flattened position p (0 if none).
+  size_t Tuple(size_t p) const {
+    return stride == 0 ? 0 : (p / stride) % domain->size();
+  }
+  /// The slot's value at flattened position p, by reference.
+  const VarValue& At(size_t p) const {
+    return stride == 0 ? value
+                       : domain->tuples[Tuple(p)][static_cast<size_t>(pos)];
+  }
 };
 
 std::string JoinKey(const std::vector<std::string>& parts) {
@@ -37,20 +54,6 @@ std::string JoinKey(const std::vector<std::string>& parts) {
     out += '\x1f';
   }
   return out;
-}
-
-/// Same type and same payload, doubles by bit pattern — so equal values
-/// always render the same ToString (unlike ==, which equates 1 and 1.0,
-/// or 0.0 and -0.0).
-bool IdenticalValues(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  if (a.is_int()) return a.AsInt() == b.AsInt();
-  if (a.is_string()) return a.AsString() == b.AsString();
-  if (a.is_double()) {
-    const double x = a.AsDouble(), y = b.AsDouble();
-    return std::memcmp(&x, &y, sizeof(double)) == 0;
-  }
-  return true;  // both null
 }
 
 // ---------------------------------------------------------------------------
@@ -426,20 +429,20 @@ Status BuildStatement(PendingFetch* pf, const std::string& constraints,
   for (const std::string& za : pf->varying_z_attrs) {
     stmt.items.push_back({za, {}});
   }
-  // Distinct y attributes across members.
+  // Distinct y attributes across members' series; each series binds the
+  // output column it reads.
   std::vector<std::string> y_attrs;
-  for (const auto& m : pf->members) {
-    for (const std::string& a : m.y.attrs) {
-      if (std::find(y_attrs.begin(), y_attrs.end(), a) == y_attrs.end()) {
-        y_attrs.push_back(a);
-      }
+  for (auto& m : pf->members) {
+    for (const Series& series : pf->comp->visuals[m.position].series) {
+      const auto it = std::find(y_attrs.begin(), y_attrs.end(), series.name);
+      m.y.push_back(stmt.items.size() + static_cast<size_t>(it - y_attrs.begin()));
+      if (it == y_attrs.end()) y_attrs.push_back(series.name);
     }
   }
   for (const std::string& ya : y_attrs) {
     sql::SelectItem item;
     item.column = ya;
     item.agg = aggregated ? eff_agg : sql::AggFunc::kNone;
-    pf->y_columns[ya] = item.DisplayName();
     stmt.items.push_back(std::move(item));
   }
 
@@ -527,8 +530,8 @@ Status PlanRowFetches(const ZqlRow& row, ExecState* st,
   comp->name = row.name.name;
 
   // Collect unique domains in column order.
-  std::vector<const Slot*> slots = {&x, &y};
-  for (const Slot& s : zslots) slots.push_back(&s);
+  std::vector<Slot*> slots = {&x, &y};
+  for (Slot& s : zslots) slots.push_back(&s);
   slots.push_back(&viz);
   for (const Slot* s : slots) {
     if (!s->used || s->fixed) continue;
@@ -544,92 +547,107 @@ Status PlanRowFetches(const ZqlRow& row, ExecState* st,
     comp->strides[i - 1] = comp->strides[i] * comp->domains[i]->size();
   }
 
-  // Resolve a slot's value under a flattened position.
-  auto slot_value = [&](const Slot& s, size_t p) -> VarValue {
-    if (s.fixed) return s.value;
-    size_t di = 0;
-    for (; di < comp->domains.size(); ++di) {
-      if (comp->domains[di] == s.domain) break;
-    }
-    const size_t idx = (p / comp->strides[di]) % s.domain->size();
-    return s.domain->tuples[idx][static_cast<size_t>(s.pos)];
-  };
+  for (Slot* s : slots) {
+    if (!s->used || s->fixed) continue;
+    s->stride = comp->strides[static_cast<size_t>(
+        std::find(comp->domains.begin(), comp->domains.end(), s->domain) -
+        comp->domains.begin())];
+  }
 
   const bool no_opt = st->opts->optimization == OptLevel::kNoOpt;
 
-  // Materialize visualization identities and build fetch groups.
-  comp->visuals.resize(total);
-  std::map<std::string, PendingFetch> groups;
-  for (size_t p = 0; p < total; ++p) {
-    const AxisValue xv = std::get<AxisValue>(slot_value(x, p));
-    const AxisValue yv = std::get<AxisValue>(slot_value(y, p));
-    VizSpec spec;
-    if (viz.used) spec = std::get<VizSpec>(slot_value(viz, p));
-    std::vector<ZValue> zvals;
-    std::vector<bool> z_fixed;
-    std::vector<size_t> z_slot_idx;
-    for (size_t si = 0; si < zslots.size(); ++si) {
-      const Slot& s = zslots[si];
-      if (!s.used) continue;
-      zvals.push_back(std::get<ZValue>(slot_value(s, p)));
-      z_fixed.push_back(s.fixed || s.domain->size() == 1 || no_opt);
-      z_slot_idx.push_back(si);
+  // A used Z slot is fixed (a literal, a one-value domain, or any slot
+  // under NoOpt) or varies across its fetch's members.
+  std::vector<Slot*> zs;
+  for (Slot& s : zslots) {
+    if (!s.used) continue;
+    zs.push_back(&s);
+    s.varying = !(s.fixed || s.domain->size() == 1 || no_opt);
+    if (!s.varying) continue;
+    std::unordered_map<Value, uint32_t, ValueHash> index;
+    std::vector<const std::string*> attrs;
+    for (const auto& tuple : s.domain->tuples) {
+      const ZValue& zv = std::get<ZValue>(tuple[static_cast<size_t>(s.pos)]);
+      const auto [it, fresh] = index.try_emplace(
+          zv.value, static_cast<uint32_t>(s.values.size()));
+      if (fresh) s.values.push_back(zv.value);
+      s.value_of_tuple.push_back(it->second);
+      size_t a = 0;
+      while (a < attrs.size() && *attrs[a] != zv.attr) ++a;
+      if (a == attrs.size()) attrs.push_back(&zv.attr);
+      s.attr_of_tuple.push_back(static_cast<uint32_t>(a));
     }
-    ZV_RETURN_NOT_OK(ResolveSpecDefaults(xv, yv, &spec, *st));
+  }
+
+  // Materialize visualization identities and build fetch groups. The group
+  // key is a function of the x, y and viz tuples, the fixed Z tuples and
+  // the varying Z attributes: one Shape per distinct combination of those
+  // (under NoOpt, per position) builds it once. Equal keys still merge.
+  struct Shape {
+    PendingFetch* pf = nullptr;
+    Visualization identity;  // x_attr, y_attr, constraints and spec
+  };
+  std::map<std::vector<size_t>, Shape> shapes;
+  std::map<std::string, PendingFetch> groups;
+  std::vector<size_t> signature;
+  comp->visuals.resize(total);
+  for (size_t p = 0; p < total; ++p) {
+    signature = {x.Tuple(p), y.Tuple(p), viz.Tuple(p)};
+    for (const Slot* z : zs) {
+      const size_t t = z->Tuple(p);
+      signature.push_back(z->varying ? z->attr_of_tuple[t] : t);
+    }
+    auto [shape_it, fresh] = shapes.try_emplace(signature);
+    Shape& shape = shape_it->second;
+    const AxisValue& yv = std::get<AxisValue>(y.At(p));
+    if (fresh) {
+      const AxisValue& xv = std::get<AxisValue>(x.At(p));
+      VizSpec& spec = shape.identity.spec;
+      if (viz.used) spec = std::get<VizSpec>(viz.At(p));
+      ZV_RETURN_NOT_OK(ResolveSpecDefaults(xv, yv, &spec, *st));
+      shape.identity.x_attr = xv.Label();
+      shape.identity.y_attr = yv.Label();
+      shape.identity.constraints = label;
+      std::vector<std::string> key_parts = {xv.Label(), spec.ToString()};
+      std::vector<ZValue> fixed_z;
+      std::vector<std::string> varying_z_attrs;
+      for (const Slot* z : zs) {
+        const ZValue& zv = std::get<ZValue>(z->At(p));
+        if (z->varying) {
+          key_parts.push_back("?" + zv.attr);
+          varying_z_attrs.push_back(zv.attr);
+        } else {
+          key_parts.push_back(zv.Label());
+          fixed_z.push_back(zv);
+        }
+      }
+      if (no_opt) key_parts.push_back(std::to_string(p));
+      auto [it, inserted] = groups.try_emplace(JoinKey(key_parts));
+      PendingFetch& pf = it->second;
+      if (inserted) {
+        pf.comp = comp;
+        pf.spec = spec;
+        pf.x_attrs = xv.attrs;
+        pf.fixed_z = std::move(fixed_z);
+        pf.varying_z_attrs = std::move(varying_z_attrs);
+        pf.aggregated = spec.y_agg != sql::AggFunc::kNone;
+        for (const Slot* z : zs) {
+          if (z->varying) pf.varying_z_values.push_back(z->values);
+        }
+      }
+      shape.pf = &pf;
+    }
 
     Visualization& v = comp->visuals[p];
-    v.x_attr = xv.Label();
-    v.y_attr = yv.Label();
-    v.constraints = label;
-    v.spec = spec;
-    for (const ZValue& z : zvals) v.slices.push_back({z.attr, z.value});
+    v = shape.identity;
+    PendingFetch::Member member{p, {}, {}};
+    for (const Slot* z : zs) {
+      const ZValue& zv = std::get<ZValue>(z->At(p));
+      v.slices.push_back({zv.attr, zv.value});
+      if (z->varying) member.z.push_back(z->value_of_tuple[z->Tuple(p)]);
+    }
     for (const std::string& attr : yv.attrs) v.series.push_back({attr, {}});
-
-    // Group key: everything except varying z values and the y attrs.
-    std::vector<std::string> key_parts = {xv.Label(), spec.ToString()};
-    std::vector<std::string> varying_z_attrs;
-    std::vector<ZValue> fixed_z;
-    std::vector<size_t> varying_slots;
-    std::vector<std::string> z_key_parts;
-    for (size_t zi = 0; zi < zvals.size(); ++zi) {
-      if (z_fixed[zi]) {
-        key_parts.push_back(zvals[zi].Label());
-        fixed_z.push_back(zvals[zi]);
-      } else {
-        key_parts.push_back("?" + zvals[zi].attr);
-        varying_z_attrs.push_back(zvals[zi].attr);
-        varying_slots.push_back(z_slot_idx[zi]);
-        z_key_parts.push_back(zvals[zi].value.ToString());
-      }
-    }
-    if (no_opt) {
-      key_parts.push_back(std::to_string(p));  // no batching at all
-    }
-    const std::string key = JoinKey(key_parts);
-    auto [it, inserted] = groups.try_emplace(key);
-    PendingFetch& pf = it->second;
-    if (inserted) {
-      pf.comp = comp;
-      pf.spec = spec;
-      pf.x_attrs = xv.attrs;
-      pf.fixed_z = std::move(fixed_z);
-      pf.varying_z_attrs = varying_z_attrs;
-      pf.aggregated = spec.y_agg != sql::AggFunc::kNone;
-      for (size_t si : varying_slots) {
-        const Slot& s = zslots[si];
-        // Distinct values in first-seen order; the hash set only answers
-        // membership, so its iteration order never reaches the output.
-        std::vector<Value> values;
-        std::unordered_set<Value, ValueHash> seen;
-        for (const auto& tuple : s.domain->tuples) {
-          const Value& zval =
-              std::get<ZValue>(tuple[static_cast<size_t>(s.pos)]).value;
-          if (seen.insert(zval).second) values.push_back(zval);
-        }
-        pf.varying_z_values.push_back(std::move(values));
-      }
-    }
-    pf.members.push_back({p, JoinKey(z_key_parts), yv});
+    shape.pf->members.push_back(std::move(member));
   }
 
   // Build one SQL statement per group.
@@ -645,61 +663,87 @@ Status PlanRowFetches(const ZqlRow& row, ExecState* st,
 // MaterializeOp: routing
 // ---------------------------------------------------------------------------
 
-Status RouteFetch(const PendingFetch& pf, const ResultSet& rs, ExecState* st) {
-  (void)st;
-  // Column indices.
-  std::vector<int> x_cols, z_cols;
-  for (const std::string& xa : pf.x_attrs) x_cols.push_back(rs.Find(xa));
-  for (const std::string& za : pf.varying_z_attrs) {
-    z_cols.push_back(rs.Find(za));
+Status RouteFetch(const PendingFetch& pf, const ColumnarResult& rs) {
+  // Output columns, as BuildStatement lays them out: x, varying Z, y.
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  constexpr uint32_t kUnbound = kNone - 1;
+  const size_t num_x = pf.x_attrs.size(), num_z = pf.varying_z_attrs.size();
+  // Each row's index into each varying Z attribute's IN list (kNone: none
+  // of it), found by Value ==, the equality the IN list selected the rows
+  // by. A code column binds each distinct code once, then gathers by code;
+  // a Value column (a non-categorical Z) binds each row.
+  std::vector<std::vector<uint32_t>> row_z(num_z,
+                                           std::vector<uint32_t>(rs.num_rows));
+  for (size_t i = 0; i < num_z; ++i) {
+    std::unordered_map<Value, uint32_t, ValueHash> in_list;
+    for (const Value& v : pf.varying_z_values[i]) {
+      in_list.emplace(v, in_list.size());
+    }
+    const ResultColumn& col = rs.columns[num_x + i];
+    const bool coded = col.kind == ResultColumn::Kind::kCodes;
+    std::vector<uint32_t> of_code(
+        coded ? rs.table->DictSize(col.table_col) : 0, kUnbound);
+    const auto bind = [&](size_t r) {
+      const auto it = in_list.find(rs.At(num_x + i, r));
+      return it == in_list.end() ? kNone : it->second;
+    };
+    for (size_t r = 0; r < rs.num_rows; ++r) {
+      if (!coded) {
+        row_z[i][r] = bind(r);
+        continue;
+      }
+      uint32_t& z = of_code[static_cast<size_t>(col.codes[r])];
+      if (z == kUnbound) z = bind(r);
+      row_z[i][r] = z;
+    }
   }
-  std::map<std::string, int> y_cols;
-  for (const auto& [attr, display] : pf.y_columns) {
-    y_cols[attr] = rs.Find(display);
-  }
-  // Members grouped by z key.
-  std::map<std::string, std::vector<const PendingFetch::Member*>> by_key;
-  for (const auto& m : pf.members) by_key[m.z_key].push_back(&m);
 
-  // Rows arrive ordered by their z values (BuildStatement's ORDER BY), so
-  // the member lookup runs once per run of identical z values.
-  const std::vector<Value>* run_row = nullptr;
-  const std::vector<const PendingFetch::Member*>* run_members = nullptr;
-  for (const auto& row : rs.rows) {
-    bool same_run = run_row != nullptr;
-    for (size_t i = 0; same_run && i < z_cols.size(); ++i) {
-      const size_t zc = static_cast<size_t>(z_cols[i]);
-      same_run = IdenticalValues(row[zc], (*run_row)[zc]);
-    }
-    if (!same_run) {
-      std::vector<std::string> z_parts;
-      for (int zc : z_cols) {
-        z_parts.push_back(row[static_cast<size_t>(zc)].ToString());
+  // One member group per distinct Z tuple: the first attribute's IN-list
+  // index, extended one attribute at a time through `extend`, which the
+  // members fill and rows only probe (a row no member binds is skipped).
+  uint32_t num_groups =
+      num_z == 0 ? 1 : static_cast<uint32_t>(pf.varying_z_values[0].size());
+  std::unordered_map<uint64_t, uint32_t> extend;
+  const auto group_of = [&](const auto& z_at, bool add) {
+    uint32_t group = num_z == 0 ? 0 : z_at(0);
+    for (size_t i = 1; i < num_z && group != kNone; ++i) {
+      const uint64_t key = uint64_t{group} << 32 | z_at(i);
+      auto it = extend.find(key);
+      if (add && it == extend.end()) {
+        it = extend.emplace(key, num_groups++).first;
       }
-      auto it = by_key.find(JoinKey(z_parts));
-      run_members = it == by_key.end() ? nullptr : &it->second;
-      run_row = &row;
+      group = it == extend.end() ? kNone : it->second;
     }
-    if (run_members == nullptr) continue;  // over-fetched combination
-    // x value (composite labels joined with '|').
-    Value xv;
-    if (x_cols.size() == 1) {
-      xv = row[static_cast<size_t>(x_cols[0])];
-    } else {
-      std::string label;
-      for (size_t i = 0; i < x_cols.size(); ++i) {
-        if (i) label += "|";
-        label += row[static_cast<size_t>(x_cols[i])].ToString();
-      }
-      xv = Value::Str(label);
+    return group;
+  };
+  std::vector<std::vector<const PendingFetch::Member*>> group_members;
+  for (const PendingFetch::Member& m : pf.members) {
+    const uint32_t g = group_of([&](size_t i) { return m.z[i]; }, true);
+    if (g >= group_members.size()) group_members.resize(g + 1);
+    group_members[g].push_back(&m);
+  }
+
+  const auto y_at = [&rs](size_t yc, size_t r) {
+    const ResultColumn& col = rs.columns[yc];
+    return col.kind == ResultColumn::Kind::kDoubles ? col.doubles[r]
+                                                    : rs.At(yc, r).AsDouble();
+  };
+  for (size_t r = 0; r < rs.num_rows; ++r) {
+    const uint32_t g = group_of([&](size_t i) { return row_z[i][r]; }, false);
+    if (g >= group_members.size() || group_members[g].empty()) continue;
+    // X is the dictionary Value by code; a composite X renders its label,
+    // the parts joined with '|'.
+    Value xv = rs.At(0, r);
+    if (num_x > 1) {
+      std::string label = xv.ToString();
+      for (size_t i = 1; i < num_x; ++i) label += "|" + rs.At(i, r).ToString();
+      xv = Value::Str(std::move(label));
     }
-    for (const PendingFetch::Member* m : *run_members) {
+    for (const PendingFetch::Member* m : group_members[g]) {
       Visualization& viz = pf.comp->visuals[m->position];
       viz.xs.push_back(xv);
-      for (size_t si = 0; si < m->y.attrs.size(); ++si) {
-        const int yc = y_cols.at(m->y.attrs[si]);
-        viz.series[si].ys.push_back(
-            row[static_cast<size_t>(yc)].AsDouble());
+      for (size_t si = 0; si < m->y.size(); ++si) {
+        viz.series[si].ys.push_back(y_at(m->y[si], r));
       }
     }
   }
@@ -707,10 +751,8 @@ Status RouteFetch(const PendingFetch& pf, const ResultSet& rs, ExecState* st) {
   // five-number summarization (both operate on raw fetched points).
   const bool client_bin = pf.spec.x_bin > 0 && !pf.bin_pushed;
   if (client_bin || pf.spec.chart == ChartType::kBox) {
-    std::set<size_t> positions;
-    for (const auto& m : pf.members) positions.insert(m.position);
-    for (size_t p : positions) {
-      Visualization& viz = pf.comp->visuals[p];
+    for (const PendingFetch::Member& m : pf.members) {
+      Visualization& viz = pf.comp->visuals[m.position];
       if (client_bin) viz = BinVisualization(viz);
       if (pf.spec.chart == ChartType::kBox && !pf.aggregated) {
         viz = BoxPlotSummarize(viz);

@@ -9,8 +9,9 @@
 ///    batched SQL statements (PendingFetch) against the backend.
 ///  - MaterializeOp (MaterializeLocal / MarkReady): assembles user-input
 ///    and derived components and publishes components to downstream
-///    operators. RouteFetch, which splits a scanned ResultSet into the
-///    visualizations it covers, runs inside the flush that scanned it.
+///    operators. RouteFetch, which gathers a scanned statement's
+///    column-major result (ColumnarResult) into the visualizations it
+///    covers by dictionary code, runs inside the flush that scanned it.
 ///  - ScoreOp       (ScoreProcess): evaluates one Process declaration's
 ///    objective over its flattened iteration domain — ScoringContext batch
 ///    scans, top-k pruned scans, ParallelFor fan-out, or the serial loop
@@ -21,7 +22,7 @@
 /// Operators communicate only through ExecState (variables, components,
 /// stats) and the PendingFetch hand-off: FetchOp buffers a row's
 /// statements, and the flush that ends the batch scans them and routes
-/// each ResultSet, all on the thread that runs the query. Every operator
+/// each result, all on the thread that runs the query. Every operator
 /// is deterministic given ExecState, so neither ZV_THREADS nor how a
 /// chunk pass is shared can change results.
 
@@ -92,21 +93,24 @@ struct PendingFetch {
   std::vector<ZValue> fixed_z;
   /// Z attributes that vary across members (selected + grouped + IN-listed).
   std::vector<std::string> varying_z_attrs;
-  /// For each varying attribute, the distinct values to fetch.
+  /// For each varying attribute, its IN list: the distinct (Value ==)
+  /// values to fetch.
   std::vector<std::vector<Value>> varying_z_values;
   bool aggregated = true;
   /// True when a binned x axis (spec.x_bin) was pushed into the statement
   /// as an engine-side GROUP BY over bin edges (sql::SelectStatement::
   /// group_bins); routing then skips the client-side binner.
   bool bin_pushed = false;
+  /// One visualization the fetch fills: its position in `comp`, its Z
+  /// value per varying attribute as an index into that IN list (equal
+  /// values share one; values that only print alike do not), and the
+  /// output column each of its series reads.
   struct Member {
     size_t position;
-    std::string z_key;
-    AxisValue y;
+    std::vector<uint32_t> z;
+    std::vector<size_t> y;
   };
   std::vector<Member> members;
-  /// y attribute -> result column display name.
-  std::map<std::string, std::string> y_columns;
 };
 
 /// \brief Mutable execution state shared by every operator of one query.
@@ -166,10 +170,11 @@ Status PlanRowFetches(const ZqlRow& row, ExecState* st,
 /// materialized components (+, -, ^, [i], [i:j], .range, .order).
 Status MaterializeLocal(const ZqlRow& row, ExecState* st);
 
-/// Routes one scanned ResultSet into the visualizations its fetch covers,
-/// applying client-side statistical transformations (binning, box-plot
-/// summarization).
-Status RouteFetch(const PendingFetch& pf, const ResultSet& rs, ExecState* st);
+/// Routes one scanned statement's result into the visualizations its fetch
+/// covers — a gather by code: each distinct Z code binds its members once,
+/// X comes from the dictionary (only a composite X renders a label) — then
+/// applies client-side statistical transformations (binning, box plots).
+Status RouteFetch(const PendingFetch& pf, const ColumnarResult& rs);
 
 /// Publishes the row's component to downstream operators.
 void MarkReady(const ZqlRow& row, ExecState* st);

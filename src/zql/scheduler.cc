@@ -78,10 +78,11 @@ Status Flush(std::vector<PendingFetch> pending, BatchScanQueue* queue,
       // pass or how many chunks it fanned over. Each statement's lists
       // are released as soon as they are aggregated.
       const auto tf = SteadyNow();
-      Result<ResultSet> rs = st->db->FinishChunkScan(*trip[i], sel.rows[i]);
+      Result<ColumnarResult> rs =
+          st->db->FinishChunkScan(*trip[i], sel.rows[i]);
       sel.rows[i].clear();
       stats.fetch_ms += MsSince(tf);
-      status = rs.ok() ? RouteFetch(pending[first + i], rs.value(), st)
+      status = rs.ok() ? RouteFetch(pending[first + i], rs.value())
                        : rs.status();
     }
   }

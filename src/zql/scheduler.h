@@ -14,8 +14,9 @@
 /// chunks it fans over, never shows up in the bytes.
 ///
 /// Determinism contract: routing, derivations, scoring, reduction and
-/// variable binding run in plan order, and a scan's ResultSet does not
-/// depend on when it executes (the query holds one table snapshot).
+/// variable binding run in plan order, and a scan's result (the
+/// column-major ColumnarResult FinishChunkScan returns) does not depend on
+/// when it executes (the query holds one table snapshot).
 /// Results are therefore byte-identical across ZV_THREADS
 /// (tests/pipeline_test.cc) and across chunk sizes (tests/shard_test.cc).
 /// Errors surface as the first failing statement in dispatch order — and

@@ -701,9 +701,9 @@ void ForEveryPath(const std::vector<Database*>& dbs, const std::string& sql,
       for (const auto* parts : {&whole, &uneven}) {
         SCOPED_TRACE("FinishChunkScan over " + std::to_string(parts->size()) +
                      " parts");
-        ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
+        ZV_ASSERT_OK_AND_ASSIGN(ColumnarResult finished,
                                 db->FinishChunkScan(stmt, *parts));
-        expect(finished);
+        expect(ToResultSet(finished));
       }
     }
   }

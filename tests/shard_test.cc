@@ -328,8 +328,9 @@ TEST(ShardTest, MultiScannerMatchesReferenceSelection) {
       EXPECT_EQ(outs[0], testing::ReferenceRows(*table, stmt))
           << db->name() << ": " << text;
       // And the finished result must equal the reference execution's.
-      ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
+      ZV_ASSERT_OK_AND_ASSIGN(ColumnarResult columnar,
                               db->FinishChunkScan(stmt, {outs[0]}));
+      const ResultSet finished = ToResultSet(columnar);
       ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, reference.Execute(stmt));
       EXPECT_EQ(finished.columns, serial.columns) << db->name() << ": "
                                                   << text;

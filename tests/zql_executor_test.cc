@@ -409,5 +409,49 @@ TEST(ZqlExecutorBackendTest, RoaringMatchesScan) {
   }
 }
 
+// Z values that print alike stay apart. A categorical column holding
+// Int(1) and Str("1") (reachable through TableBuilder; the CSV loader
+// types both as Int) fetches one visualization per value, and each gets
+// only its own value's rows: members bind the IN list's equality, under
+// which a number never equals a string, not the values' text.
+TEST(ZqlExecutorBackendTest, ZValuesThatPrintAlikeStayApart) {
+  Schema schema({{"year", ColumnType::kCategorical},
+                 {"tier", ColumnType::kCategorical},
+                 {"sales", ColumnType::kDouble}});
+  TableBuilder b("sales", schema);
+  const Value tiers[] = {Value::Int(1), Value::Str("1")};
+  for (size_t t = 0; t < 2; ++t) {
+    for (int y = 0; y < 3; ++y) {
+      ZV_ASSERT_OK(b.AddRow({Value::Int(2014 + y), tiers[t],
+                             Value::Double(10.0 * static_cast<double>(t) + y)}));
+    }
+  }
+  auto table = b.Finish();
+  ScanDatabase scan;
+  RoaringDatabase roaring;
+  ZV_ASSERT_OK(scan.RegisterTable(table));
+  ZV_ASSERT_OK(roaring.RegisterTable(table));
+  for (Database* db : {static_cast<Database*>(&scan),
+                       static_cast<Database*>(&roaring)}) {
+    SCOPED_TRACE(db->name());
+    ZqlExecutor exec(db, "sales");
+    ZV_ASSERT_OK_AND_ASSIGN(
+        ZqlResult r,
+        exec.ExecuteText("*f1 | 'year' | 'sales' | v1 <- 'tier'.* | | "
+                         "bar.(y=agg('sum')) |"));
+    ASSERT_EQ(r.outputs.size(), 1u);
+    ASSERT_EQ(r.outputs[0].visuals.size(), 2u);
+    for (size_t t = 0; t < 2; ++t) {
+      const Visualization& v = r.outputs[0].visuals[t];
+      ASSERT_EQ(v.slices.size(), 1u);
+      EXPECT_EQ(v.slices[0].value.type(), tiers[t].type());
+      EXPECT_EQ(v.xs, (std::vector<Value>{Value::Int(2014), Value::Int(2015),
+                                          Value::Int(2016)}));
+      const double base = 10.0 * static_cast<double>(t);
+      EXPECT_EQ(v.ys(), (std::vector<double>{base, base + 1, base + 2}));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace zv::zql
