@@ -1,14 +1,17 @@
 /// \file test_util.h
 /// \brief Shared fixtures: a tiny hand-written sales table with known
-/// aggregates, so tests can assert exact visualization values, and the
-/// naive row-selection references (ReferenceRows, ReferenceDatabase) the
-/// identity suites check the scanners against.
+/// aggregates, so tests can assert exact visualization values, the naive
+/// row-selection references (ReferenceRows, ReferenceDatabase) the
+/// identity suites check the scanners against, and the reference fold
+/// (ReferenceAggregate) they check aggregation against.
 
 #ifndef ZV_TESTS_TEST_UTIL_H_
 #define ZV_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -190,6 +193,76 @@ inline std::vector<uint32_t> ReferenceRows(const Table& table,
     }
   }
   return rows;
+}
+
+/// Per-group aggregate state of ReferenceAggregate.
+struct RefAgg {
+  double sum = 0;
+  int64_t count = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+};
+
+/// Group-key Values (ordered by Value::Compare; values that only print
+/// alike stay apart) -> one RefAgg per input column.
+using RefGroups = std::map<std::vector<Value>, std::vector<RefAgg>>;
+
+/// The association the engine promises, written without any SelectRunner
+/// code. The table splits into min(32, max(1, rows / 16384)) equal blocks.
+/// A group space wider than 2^15 groups, or with groups * 4 >= rows /
+/// blocks, folds as one block: every group's rows in row order. Any other
+/// space folds each group's rows per block in row order, and the block
+/// partials add up in block order. The group columns must be categorical;
+/// one RefAgg per input column, in `inputs` order.
+inline RefGroups ReferenceAggregate(const Table& t,
+                                    const std::vector<std::string>& group_by,
+                                    const std::vector<std::string>& inputs,
+                                    const std::vector<uint32_t>& rows) {
+  std::vector<size_t> gcols, icols;
+  uint64_t groups = 1;
+  for (const std::string& g : group_by) {
+    gcols.push_back(static_cast<size_t>(t.schema().Find(g)));
+    groups *= t.DictSize(gcols.back());
+  }
+  for (const std::string& in : inputs) {
+    icols.push_back(static_cast<size_t>(t.schema().Find(in)));
+  }
+  const size_t n = t.num_rows();
+  const size_t table_blocks =
+      std::min<size_t>(32, std::max<size_t>(1, n / 16384));
+  const bool one_block =
+      groups > (1u << 15) || groups * 4 >= n / table_blocks;
+  const size_t blocks = one_block ? 1 : table_blocks;
+  RefGroups total;
+  size_t next = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t end = n * (b + 1) / blocks;
+    RefGroups partial;
+    for (; next < rows.size() && rows[next] < end; ++next) {
+      std::vector<Value> key;
+      for (size_t c : gcols) key.push_back(t.ValueAt(rows[next], c));
+      auto& aggs = partial[key];
+      aggs.resize(icols.size());
+      for (size_t i = 0; i < icols.size(); ++i) {
+        const double v = t.NumericAt(rows[next], icols[i]);
+        aggs[i].sum += v;
+        ++aggs[i].count;
+        if (v < aggs[i].min) aggs[i].min = v;
+        if (v > aggs[i].max) aggs[i].max = v;
+      }
+    }
+    for (const auto& [key, aggs] : partial) {
+      auto& into = total[key];
+      into.resize(icols.size());
+      for (size_t i = 0; i < icols.size(); ++i) {
+        into[i].sum += aggs[i].sum;
+        into[i].count += aggs[i].count;
+        if (aggs[i].min < into[i].min) into[i].min = aggs[i].min;
+        if (aggs[i].max > into[i].max) into[i].max = aggs[i].max;
+      }
+    }
+  }
+  return total;
 }
 
 /// Rejects a WHERE leaf over an unknown column the way the backends'

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/parallel.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
 #include "tests/test_util.h"
@@ -451,6 +454,179 @@ TEST(ZqlExecutorBackendTest, ZValuesThatPrintAlikeStayApart) {
       EXPECT_EQ(v.ys(), (std::vector<double>{base, base + 1, base + 2}));
     }
   }
+}
+
+// --- fetched components against an independent reference -----------------
+
+/// 40,000 rows, so the fold runs over two blocks: categorical year,
+/// product, location and tier (tier holds Int(1) and Str("1"), which print
+/// alike, and Double(2.5)), and fractional measures.
+std::shared_ptr<Table> MakeFetchTable() {
+  Schema schema({{"year", ColumnType::kCategorical},
+                 {"product", ColumnType::kCategorical},
+                 {"location", ColumnType::kCategorical},
+                 {"tier", ColumnType::kCategorical},
+                 {"sales", ColumnType::kDouble},
+                 {"profit", ColumnType::kDouble}});
+  TableBuilder b("sales", schema);
+  const Value tiers[] = {Value::Int(1), Value::Str("1"), Value::Double(2.5)};
+  const char* const locations[] = {"US", "UK", "FR"};
+  uint64_t state = 12345;
+  const auto next = [&state](uint64_t mod) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % mod;
+  };
+  for (int i = 0; i < 40000; ++i) {
+    EXPECT_TRUE(
+        b.AddRow({Value::Int(2010 + static_cast<int64_t>(next(6))),
+                  Value::Str("p" + std::to_string(next(12))),
+                  Value::Str(locations[next(3)]), tiers[next(3)],
+                  Value::Double(static_cast<double>(next(100000)) / 7.0),
+                  Value::Double(static_cast<double>(next(100000)) / 13.0 -
+                                3000)})
+            .ok());
+  }
+  return b.Finish();
+}
+
+double FinalizeReference(sql::AggFunc f, const testing::RefAgg& a) {
+  switch (f) {
+    case sql::AggFunc::kSum: return a.sum;
+    case sql::AggFunc::kAvg: return a.sum / static_cast<double>(a.count);
+    case sql::AggFunc::kCount: return static_cast<double>(a.count);
+    case sql::AggFunc::kMin: return a.min;
+    case sql::AggFunc::kMax: return a.max;
+    case sql::AggFunc::kNone: break;
+  }
+  ADD_FAILURE() << "no aggregate";
+  return 0;
+}
+
+/// Each of `visuals` rebuilt from the reference selection and fold alone:
+/// the rows its slices select (ReferenceRows, Value ==), grouped by its x
+/// attributes (ReferenceAggregate, keyed by Values, so values that print
+/// alike stay apart), X in Value::Compare order — a composite X as its
+/// parts' labels joined with '|' — and each series its spec's aggregate of
+/// its y attribute. Every statement over MakeFetchTable folds narrow (its
+/// group space is under a block's rows / 4), so which Z attributes a
+/// statement groups by never changes the association.
+std::vector<Visualization> RebuildFromReference(
+    const Table& t, const std::vector<Visualization>& visuals) {
+  std::vector<Visualization> out;
+  for (const Visualization& v : visuals) {
+    sql::SelectStatement stmt;
+    std::vector<std::string> group_by = Split(v.x_attr, '*');
+    const size_t num_x = group_by.size();
+    std::vector<std::unique_ptr<sql::Expr>> conj;
+    for (const Slice& s : v.slices) {
+      conj.push_back(
+          sql::Expr::Compare(s.attribute, sql::CompareOp::kEq, s.value));
+      group_by.push_back(s.attribute);
+    }
+    if (!conj.empty()) stmt.where = sql::Expr::And(std::move(conj));
+    std::vector<std::string> ys;
+    for (const Series& s : v.series) ys.push_back(s.name);
+    Visualization expected = v;
+    expected.xs.clear();
+    for (Series& s : expected.series) s.ys.clear();
+    for (const auto& [key, aggs] :
+         testing::ReferenceAggregate(t, group_by, ys,
+                                     testing::ReferenceRows(t, stmt))) {
+      std::string label = key[0].ToString();
+      for (size_t i = 1; i < num_x; ++i) label += "|" + key[i].ToString();
+      expected.xs.push_back(num_x == 1 ? key[0] : Value::Str(label));
+      for (size_t si = 0; si < ys.size(); ++si) {
+        expected.series[si].ys.push_back(
+            FinalizeReference(v.spec.y_agg, aggs[si]));
+      }
+    }
+    out.push_back(std::move(expected));
+  }
+  return out;
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// Every fetched component equals its reference rebuild — X by type and
+// text, Y bit for bit — at every opt level, on both backends, at
+// ZV_THREADS 1 and 4. The reference shares no fold or routing code with
+// the engine, unlike the identity suites, whose two sides both run
+// FinishChunkScan and RouteFetch.
+TEST(FetchReferenceTest, ComponentsMatchReferenceFold) {
+  auto table = MakeFetchTable();
+  ScanDatabase scan;
+  RoaringDatabase roaring;
+  ZV_ASSERT_OK(scan.RegisterTable(table));
+  ZV_ASSERT_OK(roaring.RegisterTable(table));
+  const char* const queries[] = {
+      // one varying Z attribute
+      "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | bar.(y=agg('sum')) |",
+      // two varying Z attributes
+      "name | x | y | z | z2 | viz\n"
+      "*f1 | 'year' | 'profit' | v1 <- 'product'.* | v2 <- 'location'.* | "
+      "bar.(y=agg('avg'))",
+      // a composite X
+      "*f1 | 'year'*'location' | 'sales' | v1 <- 'product'.* | | "
+      "bar.(y=agg('count')) |",
+      // a Y set over a Z whose values print alike
+      "*f1 | 'year' | y1 <- {'sales', 'profit'} | v1 <- 'tier'.* | | "
+      "bar.(y=agg('min')) |",
+      // a composite Y; a Z literal absent from the dictionary
+      "*f1 | 'location' | 'sales'+'profit' | "
+      "v1 <- 'product'.{'p1', 'nosuch', 'p7'} | | bar.(y=agg('max')) |",
+  };
+  for (const char* text : queries) {
+    SCOPED_TRACE(text);
+    std::vector<Visualization> expected;
+    for (Database* db : {static_cast<Database*>(&scan),
+                         static_cast<Database*>(&roaring)}) {
+      for (OptLevel level : {OptLevel::kNoOpt, OptLevel::kIntraLine,
+                             OptLevel::kIntraTask, OptLevel::kInterTask}) {
+        for (size_t threads : {1, 4}) {
+          SCOPED_TRACE(db->name() + " " + OptLevelToString(level) +
+                       " threads=" + std::to_string(threads));
+          SetParallelThreads(threads);
+          ZqlOptions opts;
+          opts.optimization = level;
+          ZqlExecutor exec(db, "sales", opts);
+          ZV_ASSERT_OK_AND_ASSIGN(ZqlResult r, exec.ExecuteText(text));
+          ASSERT_EQ(r.outputs.size(), 1u);
+          const std::vector<Visualization>& got = r.outputs[0].visuals;
+          if (expected.empty()) expected = RebuildFromReference(*table, got);
+          ASSERT_EQ(got.size(), expected.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(expected[i].Label());
+            EXPECT_TRUE(got[i].SameSourceAs(expected[i]));
+            ASSERT_EQ(got[i].xs.size(), expected[i].xs.size());
+            for (size_t k = 0; k < got[i].xs.size(); ++k) {
+              EXPECT_EQ(got[i].xs[k].type(), expected[i].xs[k].type());
+              EXPECT_EQ(got[i].xs[k].ToString(), expected[i].xs[k].ToString());
+            }
+            ASSERT_EQ(got[i].series.size(), expected[i].series.size());
+            for (size_t si = 0; si < got[i].series.size(); ++si) {
+              const auto& g = got[i].series[si].ys;
+              const auto& e = expected[i].series[si].ys;
+              ASSERT_EQ(g.size(), e.size());
+              for (size_t k = 0; k < g.size(); ++k) {
+                EXPECT_EQ(Bits(g[k]), Bits(e[k])) << "point " << k;
+              }
+            }
+          }
+        }
+      }
+    }
+    // The absent literal's visualization is present and empty.
+    if (std::string(text).find("nosuch") != std::string::npos) {
+      ASSERT_EQ(expected.size(), 3u);
+      EXPECT_TRUE(expected[1].xs.empty());
+      EXPECT_FALSE(expected[0].xs.empty());
+    }
+  }
+  SetParallelThreads(0);
 }
 
 }  // namespace
